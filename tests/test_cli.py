@@ -293,6 +293,20 @@ def test_size_guard_exits_3(tmp_path, monkeypatch, capsys):
     assert "exceeds guard" in capsys.readouterr().err
 
 
+def test_keys_beyond_int64_exit_3(tmp_path, capsys):
+    # 64 modes at N=1 is a 64-dimensional sector, but its packed keys reach 2**63
+    modes = 64
+    one_body = [[0.0] * modes for _ in range(modes)]
+    one_body[0][modes - 1] = one_body[modes - 1][0] = -1.0
+    payload = {"modes": [{"momentum": [i]} for i in range(modes)], "one_body": one_body}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(payload))
+    initial = ",".join(["0"] * (modes - 1) + ["1"])
+    argv = ["dynamics", "--hamiltonian", str(path), "--initial", initial, "--times", "0:1:3"]
+    assert main(argv) == 3
+    assert "int64" in capsys.readouterr().err
+
+
 def test_numerical_invariant_exits_4(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(

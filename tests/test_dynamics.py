@@ -4,13 +4,23 @@ Spectral anchors are worked out independently: the two-site hopping
 plus on-site repulsion model has ground energy (U - sqrt(U^2 + 16 t^2))/2
 in the half-filled sector, and a single particle hopping between two
 modes gives S(t) = h(cos^2 t) for the starting mode.
+
+The vectorised operator kernel is checked against a matrix built one
+basis vector and one term at a time from the scalar kernels
+``creation_kernel`` and ``annihilation_kernel``; the sparse Taylor
+propagator is checked against dense ``eigh``.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fockent
 from fockent import (
     ManyBodyState,
     SecondQuantizedHamiltonian,
@@ -25,15 +35,21 @@ from fockent import (
     eigenstates,
     electron,
     energy_expectation,
+    enumerate_sector,
     evolve,
     evolve_many,
+    generic,
     hamiltonian_matrix,
+    hole,
     inner_product,
     load_hamiltonian,
     mode_entanglement,
     registry_create,
+    sector_dimension,
     superpose,
 )
+from fockent.dynamics import KRYLOV_CROSSOVER, _SparseOperator, _taylor_step
+from fockent.fock_core import annihilation_kernel, creation_kernel
 
 
 def hopping_hamiltonian(tau=1.0):
@@ -246,25 +262,28 @@ def test_size_guard_env_override(monkeypatch):
     assert hamiltonian_matrix(h, 1).dimension == 2
 
 
+BOSON_PAYLOAD = {
+    "modes": [
+        {"species": "electron", "momentum": [0]},
+        {"species": "electron", "momentum": [1]},
+        {"species": "boson", "momentum": [0], "cutoff": 3},
+    ],
+    "one_body": [
+        [0.0, [0.0, -0.5], 0.0],
+        [[0.0, 0.5], 0.0, 0.0],
+        [0.0, 0.0, 1.5],
+    ],
+    "external": [
+        [0.25, 0.0, 0.0],
+        [0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0],
+    ],
+    "two_body": [{"ijlm": [0, 1, 0, 1], "value": [2.0, 0.0]}],
+}
+
+
 def test_load_hamiltonian_round_trip(tmp_path):
-    payload = {
-        "modes": [
-            {"species": "electron", "momentum": [0]},
-            {"species": "electron", "momentum": [1]},
-            {"species": "boson", "momentum": [0], "cutoff": 3},
-        ],
-        "one_body": [
-            [0.0, [0.0, -0.5], 0.0],
-            [[0.0, 0.5], 0.0, 0.0],
-            [0.0, 0.0, 1.5],
-        ],
-        "external": [
-            [0.25, 0.0, 0.0],
-            [0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0],
-        ],
-        "two_body": [{"ijlm": [0, 1, 0, 1], "value": [2.0, 0.0]}],
-    }
+    payload = BOSON_PAYLOAD
     h = load_hamiltonian(payload)
     assert h.registry.modes[2] == boson(0)
     assert h.registry.cutoffs == (1, 1, 3)
@@ -287,3 +306,244 @@ def test_load_hamiltonian_rejects_bad_shapes():
         load_hamiltonian(
             {"modes": [{"species": "electron", "momentum": [0]}], "one_body": []}
         )
+
+
+
+# ---------------------------------------------------------------------------
+# vectorised assembly against the scalar kernels
+
+
+def reference_apply(h, key, amp, out):
+    """Add H applied to amp |key> into ``out``, one term and one scalar kernel at a time."""
+    terms = []
+    t = h.total_one_body
+    m = len(h.registry)
+    for i in range(m):
+        for j in range(m):
+            if t[i, j] != 0:
+                terms.append((amp * complex(t[i, j]), ((j, False), (i, True))))
+    for (i, j, l, mm), v in h.two_body.items():
+        terms.append((amp * 0.5 * v, ((l, False), (mm, False), (j, True), (i, True))))
+    for value, operators in terms:
+        current = key
+        for mode, creates in operators:
+            kernel = creation_kernel if creates else annihilation_kernel
+            hit = kernel(h.registry, current, mode)
+            if hit is None:
+                break
+            current, factor = hit
+            value = value * factor
+        else:
+            out[current] = out.get(current, 0.0) + value
+
+
+def reference_matrix(h, total):
+    reg = h.registry
+    if total is None:
+        keys = list(range(reg.full_dimension()))
+    else:
+        keys = [reg.pack(occ) for occ in enumerate_sector(reg, total)]
+    index = {k: i for i, k in enumerate(keys)}
+    matrix = np.zeros((len(keys), len(keys)), dtype=complex)
+    for col, key in enumerate(keys):
+        out = {}
+        reference_apply(h, key, 1.0 + 0.0j, out)
+        for new_key, value in out.items():
+            matrix[index[new_key], col] = value
+    return tuple(keys), matrix
+
+
+def mixed_hamiltonian(seed=5):
+    """Electrons, a hole and two bosons interleaved, complex two-body entries."""
+    rng = np.random.default_rng(seed)
+    labels = [electron(0), boson(0), electron(1), boson(1), hole(0)]
+    reg = registry_create(labels, {1: 2, 3: 3})
+    m = len(labels)
+    a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    two_body = {}
+    for _ in range(30):
+        key = tuple(int(x) for x in rng.integers(0, m, 4))
+        if key in two_body or (key[2], key[3], key[0], key[1]) in two_body:
+            continue
+        if key == (key[2], key[3], key[0], key[1]):
+            two_body[key] = rng.normal()
+        else:
+            two_body[key] = complex(rng.normal(), rng.normal())
+    return SecondQuantizedHamiltonian(reg, a + a.conj().T, None, two_body)
+
+
+def test_assembly_is_bit_identical_to_scalar_kernels_on_dimer():
+    h = hubbard_dimer()
+    for total in (None, 0, 1, 2, 3, 4):
+        keys, want = reference_matrix(h, total)
+        sector = hamiltonian_matrix(h, total)
+        assert sector.keys == keys
+        assert np.array_equal(sector.matrix, want)
+
+
+@pytest.mark.parametrize(
+    "make, totals",
+    [
+        (lambda: load_hamiltonian(BOSON_PAYLOAD), (None, 0, 1, 2, 3, 4, 5)),
+        (mixed_hamiltonian, (None, 1, 2, 4, 7)),
+        (lambda: check_proper_basis(mixed_hamiltonian(8)).transformed, (None, 3)),
+    ],
+    ids=["bosonic", "mixed-complex", "dense-tensor"],
+)
+def test_assembly_matches_scalar_kernels(make, totals):
+    h = make()
+    assert any(h.two_body)
+    for total in totals:
+        keys, want = reference_matrix(h, total)
+        sector = hamiltonian_matrix(h, total)
+        assert sector.keys == keys
+        assert np.max(np.abs(sector.matrix - want), initial=0.0) <= 1e-14
+
+
+def test_apply_hamiltonian_across_sectors_matches_scalar_kernels():
+    h = mixed_hamiltonian()
+    reg = h.registry
+    rng = np.random.default_rng(3)
+    state = superpose(
+        [
+            (complex(rng.normal(), rng.normal()), basis_state(reg, occ))
+            for occ in ((0, 0, 0, 0, 0), (1, 0, 0, 1, 0), (1, 2, 0, 0, 0), (0, 1, 1, 3, 1))
+        ]
+    )
+    assert len(state.particle_numbers()) == 4
+    want = {}
+    for key, amp in state.amplitudes.items():
+        reference_apply(h, key, amp, want)
+    got = apply_hamiltonian(h, state).amplitudes
+    assert set(got) == {k for k, v in want.items() if abs(v) > 1e-15}
+    for key, value in want.items():
+        assert abs(got.get(key, 0.0) - value) <= 1e-14
+
+
+def test_packed_keys_beyond_int64_raise_size_guard():
+    def chain(modes):
+        reg = registry_create([generic(i) for i in range(modes)])
+        one_body = np.zeros((modes, modes))
+        one_body[0, modes - 1] = one_body[modes - 1, 0] = -1.0
+        return SecondQuantizedHamiltonian(reg, one_body)
+
+    widest = chain(63)
+    top = basis_state(widest.registry, (0,) * 62 + (1,))
+    assert max(hamiltonian_matrix(widest, 1).keys) == 2**62
+    assert apply_hamiltonian(widest, top).amplitudes == {1: -1.0}
+
+    h = chain(64)
+    state = basis_state(h.registry, (0,) * 63 + (1,))
+    for call in (
+        lambda: hamiltonian_matrix(h, 1),
+        lambda: apply_hamiltonian(h, state),
+        lambda: evolve_many(state, h, [0.5]),
+    ):
+        with pytest.raises(SizeGuardError) as info:
+            call()
+        assert info.value.dimension == 2**64
+
+
+# ---------------------------------------------------------------------------
+# sparse Taylor propagation against dense eigh
+
+
+def exact_evolution(matrix, psi, t):
+    energies, vectors = np.linalg.eigh(matrix)
+    return vectors @ (np.exp(-1j * energies * t) * (vectors.conj().T @ psi))
+
+
+def random_sparse_hermitian(dim, rng):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a[rng.random((dim, dim)) < 0.7] = 0.0
+    return a + a.conj().T + np.diag(rng.normal(size=dim) * 3.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 40])
+def test_taylor_step_matches_eigh(dim):
+    rng = np.random.default_rng(dim)
+    matrix = random_sparse_hermitian(dim, rng)
+    rows, cols = np.nonzero(matrix)
+    # every element split in two entries: duplicates must be summed
+    operator = _SparseOperator.from_triplets(
+        np.concatenate([rows, rows]),
+        np.concatenate([cols, cols]),
+        np.concatenate([matrix[rows, cols] / 4, matrix[rows, cols] * 0.75]),
+        dim,
+    )
+    center, radius = operator.spectral_interval()
+    energies = np.linalg.eigvalsh(matrix)
+    slack = 1e-12 * (1.0 + radius)
+    assert center - radius - slack <= energies[0]
+    assert energies[-1] <= center + radius + slack
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    for dt in (0.0, 1e-3, 0.37, -0.9, 4.0):
+        got = _taylor_step(operator, psi, dt, center, radius)
+        assert np.max(np.abs(got - exact_evolution(matrix, psi, dt))) <= 1e-12
+
+
+def disordered_ring(sites, phase, seed=1):
+    rng = np.random.default_rng(seed)
+    reg = registry_create([generic(i) for i in range(sites)])
+    one_body = np.diag(rng.uniform(-0.2, 0.2, sites)).astype(complex)
+    two_body = {}
+    for i in range(sites):
+        j = (i + 1) % sites
+        one_body[i, j] = -np.exp(1j * phase)
+        one_body[j, i] = np.conj(one_body[i, j])
+        two_body[(i, j, i, j)] = two_body[(j, i, j, i)] = 2.0
+    return SecondQuantizedHamiltonian(reg, one_body, None, two_body)
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.3], ids=["real", "flux"])
+def test_evolve_many_above_crossover_matches_eigh(phase):
+    h = disordered_ring(11, phase)
+    reg = h.registry
+    assert sector_dimension(reg, 4) > KRYLOV_CROSSOVER >= sector_dimension(reg, 1)
+    # a sparse sector (N=4) and a dense one (N=1) in one state
+    start = superpose(
+        [
+            (0.8, basis_state(reg, (1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0))),
+            (0.6j, basis_state(reg, (0,) * 10 + (1,))),
+        ]
+    )
+    times = [2.0, -1.5, 0.0, 0.25, 2.0, -0.1]
+    trajectory = evolve_many(start, h, times)
+
+    sectors = {total: hamiltonian_matrix(h, total) for total in (1, 4)}
+    energy = energy_expectation(h, start)
+    for t, state in zip(times, trajectory):
+        for sector in sectors.values():
+            psi = np.array([start.amplitudes.get(k, 0.0) for k in sector.keys])
+            want = exact_evolution(sector.matrix, psi, t)
+            got = np.array([state.amplitudes.get(k, 0.0) for k in sector.keys])
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert state.particle_numbers() == {1, 4}
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert energy_expectation(h, state) == pytest.approx(energy, abs=1e-11)
+
+    back = evolve_many(trajectory[0], h, [-2.0])[0]
+    keys = set(back.amplitudes) | set(start.amplitudes)
+    assert max(abs(back.amplitudes.get(k, 0.0) - start.amplitudes.get(k, 0.0)) for k in keys) <= 1e-12
+
+
+def test_no_scipy_on_import_or_sparse_evolution():
+    script = (
+        "import sys, numpy as np\n"
+        "import fockent.cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "from fockent import basis_state, evolve_many, generic, registry_create\n"
+        "from fockent import SecondQuantizedHamiltonian\n"
+        "reg = registry_create([generic(i) for i in range(11)])\n"
+        "t = np.roll(np.eye(11), 1, axis=1) * -1.0\n"
+        "h = SecondQuantizedHamiltonian(reg, t + t.T)\n"
+        "evolve_many(basis_state(reg, [1, 1, 1, 1] + [0] * 7), h, [1.0])\n"
+        "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fockent.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.strip() == "[]"
