@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import NormalizationError, TruncationError
 from .fock_core import (
+    PRUNE_TOL,
     ManyBodyState,
     ModeLabel,
     ModeRegistry,
@@ -434,7 +435,10 @@ def bogoliubov_unprojected(
                 occupations[q_idx] = n
                 occupations[nq_idx] = n
                 amp *= ratio**n
-            amplitudes[tuple(occupations)] = amp
+            # from_amplitudes would prune these; dropping them here keeps
+            # the tuple-keyed table at the size of the state
+            if abs(amp) > PRUNE_TOL:
+                amplitudes[tuple(occupations)] = amp
     return ManyBodyState.from_amplitudes(registry, amplitudes, normalize=True)
 
 

@@ -307,6 +307,16 @@ def test_keys_beyond_int64_exit_3(tmp_path, capsys):
     assert "int64" in capsys.readouterr().err
 
 
+def test_fermi_keys_beyond_int64(tmp_path, capsys):
+    # 100 modes pack into keys up to 2**100 - 1, held as Python integers
+    out = tmp_path / "fermi.csv"
+    assert main(["fermi", "--modes", "100", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 200
+    assert all(float(row["abs_err"]) == 0.0 for row in rows)
+    capsys.readouterr()
+
+
 def test_numerical_invariant_exits_4(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(

@@ -1,31 +1,48 @@
-"""Reduced density matrix tests against a reshape-based oracle.
+"""Reduced density matrix and entropy tests against two oracles.
 
-The oracle builds the full state vector, reshapes it into one tensor
-axis per mode, moves the subset axes to the front and contracts the
-environment; no sparse grouping, no pattern bookkeeping shared with the
-implementation.
+The reshape oracle builds the full state vector, reshapes it into one
+tensor axis per mode, moves the subset axes to the front and contracts
+the environment; no sparse grouping, no pattern bookkeeping shared with
+the implementation.  The loop oracle is the former scalar kernel: it
+unpacks every key in Python and sums one dense outer product per
+environment pattern.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import fockent
 from fockent import (
     ManyBodyState,
     NormalizationError,
     NumericalInvariantError,
+    PairAmplitudeTable,
     ReducedDensityMatrix,
+    SizeGuardError,
+    TableKind,
     basis_state,
+    bcs_registry,
+    bcs_unprojected,
+    bogoliubov_registry,
+    bogoliubov_unprojected,
     boson,
     diagonal_distribution,
     electron,
+    enumerate_sector,
     generic,
     is_diagonal,
     mode_entanglement,
     normalize_subset,
+    random_bcs_table,
     reduced_density_matrix,
     registry_create,
     superpose,
@@ -61,6 +78,77 @@ def rdm_oracle(state, subset):
     block = moved.reshape(d_sub, -1)
     rho = block.conj() @ block.T
     return rho / np.trace(rho).real
+
+
+def loop_rdm(state, subset):
+    """The former kernel: terms grouped by environment pattern in Python,
+    one dense outer product per group, then divided by the trace."""
+    registry = state.registry
+    sub = tuple(sorted(subset))
+    patterns = tuple(itertools.product(*[range(registry.radix(i)) for i in sub]))
+    index = {p: i for i, p in enumerate(patterns)}
+    dim = len(patterns)
+    env_modes = [i for i in range(len(registry)) if i not in sub]
+    groups = {}
+    for key, amp in state.amplitudes.items():
+        occ = registry.unpack(key)
+        p = tuple(occ[i] for i in sub)
+        e = tuple(occ[j] for j in env_modes)
+        groups.setdefault(e, []).append((index[p], amp))
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for entries in groups.values():
+        v = np.zeros(dim, dtype=complex)
+        for i, amp in entries:
+            v[i] += amp
+        matrix += np.outer(v.conj(), v)
+    return matrix / float(np.trace(matrix).real)
+
+
+def spectrum_entropy(matrix):
+    lam = np.clip(np.linalg.eigvalsh(matrix), 0.0, 1.0)
+    lam = lam[lam > 0.0]
+    return float(-np.sum(lam * np.log(lam)))
+
+
+def random_sector_state(registry, total, rng):
+    sector = enumerate_sector(registry, total)
+    v = rng.standard_normal(len(sector)) + 1j * rng.standard_normal(len(sector))
+    return ManyBodyState.from_amplitudes(registry, dict(zip(sector, v)), normalize=True)
+
+
+def oracle_states():
+    rng = np.random.default_rng(61)
+    fermions = registry_create([generic(i) for i in range(6)])
+    bosons = registry_create([boson(i) for i in range(3)], cutoffs=3)
+    momenta = [(k,) for k in range(1, 4)]
+    uv = {}
+    for q, r in (((1,), 0.5), ((2,), 0.3)):
+        u = 1.0 / math.sqrt(1.0 - r * r)
+        uv[q] = (u, r * u * complex(math.cos(1.0 + q[0]), math.sin(1.0 + q[0])))
+    condensate = bogoliubov_registry([1, 2], condensate_cutoff=2, pair_cutoff=3)
+    return {
+        "fermions_fixed_n": random_sector_state(fermions, 3, rng),
+        "fermions_random": random_state(fermions, rng),
+        "bosons_fixed_n": random_sector_state(bosons, 4, rng),
+        "bosons_random": random_state(bosons, rng),
+        "mixed_fixed_n": random_sector_state(mixed_registry(), 2, rng),
+        "mixed_random": random_state(mixed_registry(), rng),
+        "bcs_unprojected": bcs_unprojected(
+            bcs_registry(momenta), random_bcs_table(momenta, rng)
+        ),
+        "bogoliubov_unprojected": bogoliubov_unprojected(
+            condensate, PairAmplitudeTable(TableKind.BOGOLIUBOV_UV, uv), cutoff=3
+        ),
+    }
+
+
+def oracle_subsets(size):
+    """Single modes, contiguous and strided runs, their complements, everything."""
+    half = size // 2
+    parts = [(i,) for i in range(size)]
+    parts += [tuple(range(half)), tuple(range(1, half + 1)), tuple(range(0, size, 2))]
+    parts += [tuple(i for i in range(size) if i not in part) for part in list(parts)]
+    return parts + [tuple(range(size))]
 
 
 def entropy_oracle(probabilities):
@@ -232,3 +320,127 @@ def test_rdm_of_full_registry_is_pure_projector():
     rdm = reduced_density_matrix(state, (0, 1))
     assert np.allclose(rdm.matrix @ rdm.matrix, rdm.matrix, atol=1e-12)
     assert von_neumann_entropy(rdm) == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", list(oracle_states()))
+def test_kernel_matches_loop_oracle(name):
+    state = oracle_states()[name]
+    size = len(state.registry)
+    for subset in oracle_subsets(size):
+        want = loop_rdm(state, subset)
+        got = reduced_density_matrix(state, subset)
+        assert got.matrix.shape == want.shape
+        assert np.max(np.abs(got.matrix - want)) <= 1e-12, subset
+        entropy = mode_entanglement(state, subset)
+        assert abs(entropy - spectrum_entropy(want)) <= 1e-12, subset
+        assert abs(von_neumann_entropy(got) - entropy) <= 1e-12, subset
+        complement = tuple(i for i in range(size) if i not in subset)
+        if complement:
+            assert abs(mode_entanglement(state, complement) - entropy) <= 1e-12, subset
+
+
+def test_dense_rdm_is_guarded_before_allocation(monkeypatch):
+    monkeypatch.delenv("FOCKENT_SIZE_GUARD", raising=False)
+    reg = registry_create([generic(i) for i in range(16)])
+    state = superpose(
+        [
+            (1.0 / math.sqrt(2), basis_state(reg, [1, 0] * 8)),
+            (1.0 / math.sqrt(2), basis_state(reg, [0, 1] * 8)),
+        ]
+    )
+    # a 2**14 x 2**14 complex matrix would take 4.3 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError) as raised:
+            reduced_density_matrix(state, range(14))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert raised.value.dimension == 2**14
+    assert raised.value.guard == 5000
+    assert peak < 100_000
+    # the entropy needs no dense matrix: its Gram matrix is 2 x 2
+    assert mode_entanglement(state, range(14)) == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def test_gram_dimension_is_guarded(monkeypatch):
+    reg = registry_create([generic(i) for i in range(4)])
+    state = random_state(reg, np.random.default_rng(67))
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "3")
+    with pytest.raises(SizeGuardError):
+        mode_entanglement(state, (0, 1))
+    assert mode_entanglement(state, (0,)) > 0.0
+
+
+def test_keys_beyond_int64():
+    reg = registry_create([generic(i) for i in range(70)])
+    assert reg.full_dimension() >= 2**63
+    rng = np.random.default_rng(71)
+    mapping = {}
+    for _ in range(40):
+        occ = [0] * 70
+        for i in rng.choice(70, size=3, replace=False):
+            occ[int(i)] = 1
+        occ[69] = int(rng.integers(0, 2))
+        mapping[tuple(occ)] = complex(*rng.standard_normal(2))
+    state = ManyBodyState.from_amplitudes(reg, mapping, normalize=True)
+    assert max(state.amplitudes) >= 2**63
+    for subset in [(69,), (0, 69), (3, 64, 65, 69), tuple(range(1, 70))]:
+        entropy = mode_entanglement(state, subset)
+        if len(subset) <= 4:
+            want = loop_rdm(state, subset)
+            assert np.max(np.abs(reduced_density_matrix(state, subset).matrix - want)) <= 1e-12
+            assert abs(entropy - spectrum_entropy(want)) <= 1e-12
+        complement = tuple(i for i in range(70) if i not in subset)
+        assert abs(mode_entanglement(state, complement) - entropy) <= 1e-12
+    bell = superpose(
+        [
+            (1.0 / math.sqrt(2), basis_state(reg, [1] + [0] * 69)),
+            (1.0 / math.sqrt(2), basis_state(reg, [0] * 69 + [1])),
+        ]
+    )
+    assert mode_entanglement(bell, (69,)) == pytest.approx(math.log(2.0), abs=1e-15)
+
+
+def sparse_boson_state(terms, rng):
+    """One boson mode (cutoff 63) beside 17 fermionic modes, random keys."""
+    reg = registry_create([boson(0)] + [generic(i) for i in range(17)], cutoffs=63)
+    keys = rng.choice(reg.full_dimension(), size=terms, replace=False)
+    values = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
+    values /= np.linalg.norm(values)
+    return ManyBodyState(reg, dict(zip(keys.tolist(), values.tolist())))
+
+
+def test_entropy_memory_is_linear_in_terms():
+    rng = np.random.default_rng(73)
+    for terms in (100_000, 200_000):
+        state = sparse_boson_state(terms, rng)
+        environments = len({key >> 6 for key in state.amplitudes})
+        tracemalloc.start()
+        try:
+            entropy = mode_entanglement(state, (0,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < entropy <= math.log(64.0)
+        # the dense 64 x environments amplitude matrix alone would take
+        # about 700 bytes per term at these sizes
+        assert peak < 16 * 64 * environments / 2
+        assert peak < 256 * terms
+
+
+def test_no_scipy_after_entropy():
+    script = (
+        "import sys\n"
+        "import fockent.cli\n"
+        "from fockent import ManyBodyState, generic, mode_entanglement, registry_create\n"
+        "reg = registry_create([generic(i) for i in range(4)])\n"
+        "state = ManyBodyState(reg, {9: 0.6 + 0j, 6: 0.8 + 0j})\n"
+        "assert mode_entanglement(state, (0, 2)) > 0.6\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fockent.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.strip() == "[]"
