@@ -7,6 +7,14 @@ floats, and LF line endings; the JSON format mirrors the same field
 names.  Randomly drawn amplitude tables are recorded next to the
 output file in <out>.meta.json so a run can be replayed.
 
+Each ``run_<scenario>(args)`` returns ``(columns, rows, meta)``: column
+names, one dict per row, and the record of a random draw or None.
+``main`` is the one driver: it writes the table and <out>.meta.json, then
+prints ``max |error|`` over the error column its subparser declares
+(``abs_err``; ``norm_err`` for dynamics; ``n/a`` if every row leaves it
+empty).  ``verify`` declares none: it prints its own criterion lines,
+writes its table only with --out, and exits 1 if a criterion failed.
+
 Exit codes: 0 success, 1 failed verification, 2 invalid configuration,
 3 size-guard breach, 4 numerical invariant violation.
 """
@@ -20,6 +28,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +42,14 @@ from .errors import (
     SizeGuardError,
     TruncationError,
 )
-from .fock_core import basis_state, number_expectation, registry_create, electron
+from .fock_core import (
+    apply_annihilation,
+    apply_creation,
+    basis_state,
+    electron,
+    number_expectation,
+    registry_create,
+)
 from .states import (
     ExcitonChannel,
     PairAmplitudeTable,
@@ -84,25 +100,33 @@ def emit_table(rows: list[dict], columns: list[str], fmt: str, out: str | None) 
         Path(out).write_text(text, newline="")
 
 
-def _write_meta(out: str | None, meta: dict | None) -> None:
-    if out is None or meta is None:
-        return
-    Path(str(out) + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+# ---------------------------------------------------------------------------
+# amplitude tables
 
 
-def _summary(max_err: float | None, tol: float) -> None:
-    if max_err is None:
-        print("max |error| = n/a")
-        return
-    status = "ok" if max_err <= tol else "tol exceeded"
-    print(f"max |error| = {max_err:.6e} ({status} at tol {tol:g})")
+def _amplitude_table(
+    path: str | None, kind: TableKind, draw, seed: int
+) -> tuple[PairAmplitudeTable, dict | None]:
+    """The table of ``kind`` at ``path``, or ``draw(rng)`` and its meta record."""
+    if path is not None:
+        table = load_amplitude_table(path)
+        if table.kind is not kind:
+            article = "an" if kind.value[0] in "aeiou" else "a"
+            raise ValueError(f"need {article} {kind.value} table, got {table.kind.value}")
+        return table, None
+    table = draw(np.random.default_rng(seed))
+    return table, {"seed": seed, "table": table_payload(table)}
+
+
+def _momentum_cell(k) -> str:
+    return str(k[0]) if len(k) == 1 else ";".join(str(x) for x in k)
 
 
 # ---------------------------------------------------------------------------
 # scenario: fermi
 
 
-def run_fermi(args) -> int:
+def run_fermi(args):
     num_modes = args.modes
     filled = args.filled if args.filled is not None else num_modes // 2
     if not 0 <= filled <= num_modes:
@@ -111,55 +135,29 @@ def run_fermi(args) -> int:
     sea = states.fermi_sea(registry, range(filled))
     cases = [("sea", sea)]
     if 0 < filled < num_modes:
-        from .fock_core import apply_annihilation, apply_creation
-
         excited = apply_creation(apply_annihilation(sea, filled - 1), filled)
         cases.append(("excited", excited.normalize()))
+    columns = ["state", "mode", "occupation", "S_bruteforce", "S_analytic", "abs_err"]
     rows = []
-    worst = 0.0
     for name, state in cases:
         for mode in range(num_modes):
             s = mode_entanglement(state, (mode,))
-            rows.append(
-                {
-                    "state": name,
-                    "mode": mode,
-                    "occupation": number_expectation(state, mode),
-                    "S_bruteforce": s,
-                    "S_analytic": 0.0,
-                    "abs_err": abs(s),
-                }
-            )
-            worst = max(worst, abs(s))
-    columns = ["state", "mode", "occupation", "S_bruteforce", "S_analytic", "abs_err"]
-    emit_table(rows, columns, args.format, args.out)
-    _summary(worst, args.tol)
-    return 0
+            values = (name, mode, number_expectation(state, mode), s, 0.0, abs(s))
+            rows.append(dict(zip(columns, values)))
+    return columns, rows, None
 
 
 # ---------------------------------------------------------------------------
 # scenario: exciton
 
 
-def _momentum_cell(k) -> str:
-    return str(k[0]) if len(k) == 1 else ";".join(str(x) for x in k)
-
-
-def run_exciton(args) -> int:
+def run_exciton(args):
     e_momenta = [(k,) for k in range(args.electrons)]
     h_momenta = [(k,) for k in range(args.holes)]
-    meta = None
-    if args.table is not None:
-        table = load_amplitude_table(args.table)
-        if table.kind is not TableKind.EXCITON_A:
-            raise ValueError(f"need an exciton_A table, got {table.kind.value}")
-        keys = set(table.values)
-        e_momenta = sorted({k for k, _ in keys})
-        h_momenta = sorted({kp for _, kp in keys})
-    else:
-        rng = np.random.default_rng(args.seed)
-        table = states.random_exciton_table(e_momenta, h_momenta, rng)
-        meta = {"seed": args.seed, "table": table_payload(table)}
+    draw = partial(states.random_exciton_table, e_momenta, h_momenta)
+    table, meta = _amplitude_table(args.table, TableKind.EXCITON_A, draw, args.seed)
+    e_momenta = sorted({k for k, _ in table.values})
+    h_momenta = sorted({kp for _, kp in table.values})
 
     channel = ExcitonChannel(args.channel)
     spinful = channel is not ExcitonChannel.SPINLESS
@@ -169,52 +167,13 @@ def run_exciton(args) -> int:
     else:
         state = states.exciton_spinless(registry, table)
     marginals = analytic.exciton_marginals(table.values)
-    side = len(e_momenta)
     mixed = channel in (ExcitonChannel.TRIPLET_ZERO, ExcitonChannel.SINGLET)
+    # spinful registries hold (up, down) per momentum; the down component
+    # is the one traced for triplet_down, and for the hole of a mixed channel
+    stride = 2 if spinful else 1
+    e_down = int(channel is ExcitonChannel.TRIPLET_DOWN)
+    h_down = int(channel is ExcitonChannel.TRIPLET_DOWN or mixed)
 
-    def electron_mode(i: int) -> int:
-        if not spinful:
-            return i
-        return 2 * i if channel is not ExcitonChannel.TRIPLET_DOWN else 2 * i + 1
-
-    def hole_mode(j: int) -> int:
-        if not spinful:
-            return side + j
-        base = 2 * side + 2 * j
-        if channel is ExcitonChannel.TRIPLET_DOWN or mixed:
-            return base + 1
-        return base
-
-    rows = []
-    worst = 0.0
-    for i, k in enumerate(e_momenta):
-        for j, kp in enumerate(h_momenta):
-            se = mode_entanglement(state, (electron_mode(i),))
-            sh = mode_entanglement(state, (hole_mode(j),))
-            sp = mode_entanglement(state, (electron_mode(i), hole_mode(j)))
-            if mixed:
-                ae = marginals.spinful_electron_entropy(k)
-                ah = marginals.spinful_hole_entropy(kp)
-                ap = marginals.spinful_opposite_entropy(k, kp)
-            else:
-                ae = marginals.electron_entropy(k)
-                ah = marginals.hole_entropy(kp)
-                ap = marginals.joint_entropy(k, kp)
-            err = max(abs(se - ae), abs(sh - ah), abs(sp - ap))
-            worst = max(worst, err)
-            rows.append(
-                {
-                    "electron_k": _momentum_cell(k),
-                    "hole_k": _momentum_cell(kp),
-                    "S_electron_bruteforce": se,
-                    "S_electron_analytic": ae,
-                    "S_hole_bruteforce": sh,
-                    "S_hole_analytic": ah,
-                    "S_pair_bruteforce": sp,
-                    "S_pair_analytic": ap,
-                    "abs_err": err,
-                }
-            )
     columns = [
         "electron_k",
         "hole_k",
@@ -226,124 +185,85 @@ def run_exciton(args) -> int:
         "S_pair_analytic",
         "abs_err",
     ]
-    emit_table(rows, columns, args.format, args.out)
-    _write_meta(args.out, meta)
-    _summary(worst, args.tol)
-    return 0
+    rows = []
+    for i, k in enumerate(e_momenta):
+        for j, kp in enumerate(h_momenta):
+            e_mode = stride * i + e_down
+            h_mode = stride * (len(e_momenta) + j) + h_down
+            se = mode_entanglement(state, (e_mode,))
+            sh = mode_entanglement(state, (h_mode,))
+            sp = mode_entanglement(state, (e_mode, h_mode))
+            if mixed:
+                ae = marginals.spinful_electron_entropy(k)
+                ah = marginals.spinful_hole_entropy(kp)
+                ap = marginals.spinful_opposite_entropy(k, kp)
+            else:
+                ae = marginals.electron_entropy(k)
+                ah = marginals.hole_entropy(kp)
+                ap = marginals.joint_entropy(k, kp)
+            err = max(abs(se - ae), abs(sh - ah), abs(sp - ap))
+            values = (_momentum_cell(k), _momentum_cell(kp), se, ae, sh, ah, sp, ap, err)
+            rows.append(dict(zip(columns, values)))
+    return columns, rows, meta
 
 
 # ---------------------------------------------------------------------------
 # scenario: qh
 
 
-def run_qh(args) -> int:
+def run_qh(args):
+    columns = ["filling", "fractional_part", "S_analytic", "S_bruteforce", "abs_err"]
     rows = []
-    worst = 0.0
     for text in args.filling:
-        filling = Fraction(text)
+        try:
+            filling = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"filling {text} has a zero denominator") from None
         if filling < 0:
             raise ValueError(f"filling must be nonnegative, got {filling}")
         fractional = filling - math.floor(filling)
         s_analytic = analytic.qh_entropy(filling)
-        s_brute = None
-        err = None
+        s_brute = err = None
         if fractional.denominator <= QH_BRUTE_LIMIT:
             m = fractional.denominator
             registry = states.uniform_registry(m)
             state = states.uniform_filling_state(registry, m, fractional.numerator)
             s_brute = mode_entanglement(state, (0,))
             err = abs(s_brute - s_analytic)
-            worst = max(worst, err)
-        rows.append(
-            {
-                "filling": str(filling),
-                "fractional_part": str(fractional),
-                "S_analytic": s_analytic,
-                "S_bruteforce": s_brute,
-                "abs_err": err,
-            }
-        )
-    columns = ["filling", "fractional_part", "S_analytic", "S_bruteforce", "abs_err"]
-    emit_table(rows, columns, args.format, args.out)
-    _summary(worst if any(r["abs_err"] is not None for r in rows) else None, args.tol)
-    return 0
+        values = (str(filling), str(fractional), s_analytic, s_brute, err)
+        rows.append(dict(zip(columns, values)))
+    return columns, rows, None
 
 
 # ---------------------------------------------------------------------------
 # scenario: bcs
 
 
-def _load_or_random_bcs(args, momenta) -> tuple[PairAmplitudeTable, dict | None]:
-    if args.g != "random":
-        table = load_amplitude_table(args.g)
-        if table.kind is not TableKind.BCS_G:
-            raise ValueError(f"need a bcs_g table, got {table.kind.value}")
-        return table, None
-    rng = np.random.default_rng(args.seed)
-    table = states.random_bcs_table(momenta, rng)
-    return table, {"seed": args.seed, "table": table_payload(table)}
-
-
-def run_bcs(args) -> int:
-    momenta = [(k,) for k in range(1, args.modes + 1)]
-    table, meta = _load_or_random_bcs(args, momenta)
+def run_bcs(args):
+    draw = partial(states.random_bcs_table, [(k,) for k in range(1, args.modes + 1)])
+    path = None if args.g == "random" else args.g
+    table, meta = _amplitude_table(path, TableKind.BCS_G, draw, args.seed)
     momenta = table.pair_indices()
     registry = states.bcs_registry(momenta)
-    rows = []
-    worst = 0.0
     if args.unprojected:
         state = states.bcs_unprojected(registry, table)
-        for i, k in enumerate(momenta):
-            g = table.values[k]
-            x_analytic = abs(g) ** 2 / (1.0 + abs(g) ** 2)
-            s_analytic = analytic.bcs_pair_entropy(g)
-            x_brute = number_expectation(state, 2 * i)
-            s_brute = mode_entanglement(state, (2 * i,))
-            err = max(abs(x_brute - x_analytic), abs(s_brute - s_analytic))
-            worst = max(worst, err)
-            rows.append(
-                {
-                    "pair_index": _momentum_cell(k),
-                    "g_abs": abs(g),
-                    "x_analytic": x_analytic,
-                    "x_bruteforce": x_brute,
-                    "S_analytic": s_analytic,
-                    "S_bruteforce": s_brute,
-                    "abs_err": err,
-                }
-            )
+
+        def closed_form(k, g):
+            return abs(g) ** 2 / (1.0 + abs(g) ** 2), analytic.bcs_pair_entropy(g)
+
     else:
         total = args.n
         unpaired = (args.unpaired,) if args.unpaired is not None else None
         state = states.bcs_projected(registry, table, total, unpaired=unpaired)
-        paired_values = dict(table.values)
-        paired_total = total
-        if unpaired is not None:
-            paired_values.pop(unpaired, None)
-            paired_total = total - 1
-        for i, k in enumerate(momenta):
-            g = table.values[k]
-            if unpaired is not None and k == unpaired:
-                x_analytic = 1.0
-                s_analytic = 0.0
-            else:
-                x_analytic = analytic.bcs_projected_x(paired_values, paired_total, k)
-                s_analytic = analytic.binary_entropy(x_analytic)
-            x_brute = number_expectation(state, 2 * i)
-            s_brute = mode_entanglement(state, (2 * i,))
-            err = max(abs(x_brute - x_analytic), abs(s_brute - s_analytic))
-            worst = max(worst, err)
-            rows.append(
-                {
-                    "pair_index": _momentum_cell(k),
-                    "g_abs": abs(g),
-                    "x_analytic": x_analytic,
-                    "x_bruteforce": x_brute,
-                    "S_analytic": s_analytic,
-                    "S_bruteforce": s_brute,
-                    "abs_err": err,
-                }
-            )
+        paired_values = {k: g for k, g in table.values.items() if k != unpaired}
+        paired_total = total if unpaired is None else total - 1
+
+        def closed_form(k, g):
+            if k == unpaired:
+                return 1.0, 0.0
+            x = analytic.bcs_projected_x(paired_values, paired_total, k)
+            return x, analytic.binary_entropy(x)
+
     columns = [
         "pair_index",
         "g_abs",
@@ -353,119 +273,66 @@ def run_bcs(args) -> int:
         "S_bruteforce",
         "abs_err",
     ]
-    emit_table(rows, columns, args.format, args.out)
-    _write_meta(args.out, meta)
-    _summary(worst, args.tol)
-    return 0
+    rows = []
+    for i, k in enumerate(momenta):
+        g = table.values[k]
+        x_analytic, s_analytic = closed_form(k, g)
+        x_brute = number_expectation(state, 2 * i)
+        s_brute = mode_entanglement(state, (2 * i,))
+        err = max(abs(x_brute - x_analytic), abs(s_brute - s_analytic))
+        values = (_momentum_cell(k), abs(g), x_analytic, x_brute, s_analytic, s_brute, err)
+        rows.append(dict(zip(columns, values)))
+    return columns, rows, meta
 
 
 # ---------------------------------------------------------------------------
 # scenario: bogoliubov
 
 
-def run_bogoliubov(args) -> int:
-    qs = [(q,) for q in range(1, args.pairs + 1)]
-    meta = None
+def run_bogoliubov(args):
     if args.unprojected:
-        if args.c != "random":
-            table = load_amplitude_table(args.c)
-            if table.kind is not TableKind.BOGOLIUBOV_UV:
-                raise ValueError(f"need a bogoliubov_uv table, got {table.kind.value}")
-            qs = table.pair_indices()
-        else:
-            rng = np.random.default_rng(args.seed)
-            table = states.random_uv_table(qs, rng)
-            meta = {"seed": args.seed, "table": table_payload(table)}
+        kind, draw = TableKind.BOGOLIUBOV_UV, states.random_uv_table
+    else:
+        kind, draw = TableKind.BOGOLIUBOV_C, states.random_bogoliubov_c_table
+    path = None if args.c == "random" else args.c
+    draw = partial(draw, [(q,) for q in range(1, args.pairs + 1)])
+    table, meta = _amplitude_table(path, kind, draw, args.seed)
+    qs = table.pair_indices()
+    # closed_form(q) -> (c_abs, S_analytic, tv_approx, approx_residual);
+    # q is None for the condensate
+    if args.unprojected:
         ratios = {q: abs(v / u) for q, (u, v) in table.values.items()}
         cutoff = max(states.default_pair_cutoff(r) for r in ratios.values())
         registry = states.bogoliubov_registry(
-            [q for q in qs], condensate_cutoff=2 * cutoff, pair_cutoff=cutoff
+            qs, condensate_cutoff=2 * cutoff, pair_cutoff=cutoff
         )
         state = states.bogoliubov_unprojected(registry, table, cutoff=cutoff)
-        rows = []
-        worst = 0.0
-        s0 = mode_entanglement(state, (0,))
-        rows.append(
-            {
-                "mode": "0",
-                "c_abs": None,
-                "S_bruteforce": s0,
-                "S_analytic": 0.0,
-                "abs_err": abs(s0),
-                "tv_approx": None,
-                "approx_residual": None,
-            }
-        )
-        worst = abs(s0)
-        for i, q in enumerate(qs):
-            r = ratios[q]
-            s_analytic = analytic.distribution_entropy(
-                analytic.geometric_pair_distribution(r, cutoff)
-            )
-            s_brute = mode_entanglement(state, (1 + 2 * i,))
-            err = abs(s_brute - s_analytic)
-            worst = max(worst, err)
-            rows.append(
-                {
-                    "mode": _momentum_cell(q),
-                    "c_abs": r,
-                    "S_bruteforce": s_brute,
-                    "S_analytic": s_analytic,
-                    "abs_err": err,
-                    "tv_approx": None,
-                    "approx_residual": None,
-                }
-            )
+
+        def closed_form(q):
+            if q is None:
+                return None, 0.0, None, None
+            exact = analytic.geometric_pair_distribution(ratios[q], cutoff)
+            return ratios[q], analytic.distribution_entropy(exact), None, None
+
     else:
         total = args.n
-        if args.c != "random":
-            table = load_amplitude_table(args.c)
-            if table.kind is not TableKind.BOGOLIUBOV_C:
-                raise ValueError(f"need a bogoliubov_c table, got {table.kind.value}")
-            qs = table.pair_indices()
-        else:
-            rng = np.random.default_rng(args.seed)
-            table = states.random_bogoliubov_c_table(qs, rng)
-            meta = {"seed": args.seed, "table": table_payload(table)}
         registry = states.bogoliubov_registry(
-            [q for q in qs], condensate_cutoff=total, pair_cutoff=total // 2
+            qs, condensate_cutoff=total, pair_cutoff=total // 2
         )
         state = states.bogoliubov_projected(registry, table, total)
-        rows = []
-        x0 = analytic.bogoliubov_x0_exact(table.values, total)
-        x0_approx = analytic.bogoliubov_x0_approx(table.values, total)
-        s0_brute = mode_entanglement(state, (0,))
-        s0_analytic = analytic.distribution_entropy(x0)
-        worst = abs(s0_brute - s0_analytic)
-        rows.append(
-            {
-                "mode": "0",
-                "c_abs": None,
-                "S_bruteforce": s0_brute,
-                "S_analytic": s0_analytic,
-                "abs_err": abs(s0_brute - s0_analytic),
-                "tv_approx": analytic.total_variation(x0, x0_approx.probabilities),
-                "approx_residual": x0_approx.residual,
-            }
-        )
-        for i, q in enumerate(qs):
-            x1 = analytic.bogoliubov_x1_exact(table.values, total, q)
-            x1_approx = analytic.bogoliubov_x1_approx(table.values, total, q)
-            s_brute = mode_entanglement(state, (1 + 2 * i,))
-            s_analytic = analytic.distribution_entropy(x1)
-            err = abs(s_brute - s_analytic)
-            worst = max(worst, err)
-            rows.append(
-                {
-                    "mode": _momentum_cell(q),
-                    "c_abs": abs(table.values[q]),
-                    "S_bruteforce": s_brute,
-                    "S_analytic": s_analytic,
-                    "abs_err": err,
-                    "tv_approx": analytic.total_variation(x1, x1_approx.probabilities),
-                    "approx_residual": x1_approx.residual,
-                }
-            )
+
+        def closed_form(q):
+            if q is None:
+                c_abs = None
+                exact = analytic.bogoliubov_x0_exact(table.values, total)
+                approx = analytic.bogoliubov_x0_approx(table.values, total)
+            else:
+                c_abs = abs(table.values[q])
+                exact = analytic.bogoliubov_x1_exact(table.values, total, q)
+                approx = analytic.bogoliubov_x1_approx(table.values, total, q)
+            tv = analytic.total_variation(exact, approx.probabilities)
+            return c_abs, analytic.distribution_entropy(exact), tv, approx.residual
+
     columns = [
         "mode",
         "c_abs",
@@ -475,10 +342,16 @@ def run_bogoliubov(args) -> int:
         "tv_approx",
         "approx_residual",
     ]
-    emit_table(rows, columns, args.format, args.out)
-    _write_meta(args.out, meta)
-    _summary(worst, args.tol)
-    return 0
+    rows = []
+    # the condensate is mode 0, the pair partner of the i-th q mode 1 + 2i
+    for mode, q in [(0, None)] + [(1 + 2 * i, q) for i, q in enumerate(qs)]:
+        c_abs, s_analytic, tv, residual = closed_form(q)
+        s_brute = mode_entanglement(state, (mode,))
+        label = "0" if q is None else _momentum_cell(q)
+        err = abs(s_brute - s_analytic)
+        values = (label, c_abs, s_brute, s_analytic, err, tv, residual)
+        rows.append(dict(zip(columns, values)))
+    return columns, rows, meta
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +366,15 @@ def _parse_times(text: str) -> np.ndarray:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
         if steps < 1:
             raise ValueError("time grid needs at least one step")
-        return np.linspace(start, stop, steps)
-    return np.array([float(x) for x in text.split(",")])
+        values = [start, stop]
+    else:
+        values = [float(x) for x in text.split(",")]
+    if not all(math.isfinite(t) for t in values):
+        raise ValueError(f"times must be finite, got {text}")
+    return np.linspace(start, stop, steps) if ":" in text else np.array(values)
 
 
-def run_dynamics(args) -> int:
+def run_dynamics(args):
     hamiltonian = load_hamiltonian(args.hamiltonian)
     occupations = tuple(int(x) for x in args.initial.split(","))
     state = basis_state(hamiltonian.registry, occupations)
@@ -509,48 +386,25 @@ def run_dynamics(args) -> int:
             f"proper basis: {report.proper} "
             f"(one-body off-diagonal max {report.off_diagonal:.3e})"
         )
-    rows = []
-    worst = 0.0
-    for t, evolved in zip(times, evolve_many(state, hamiltonian, times)):
-        norm_err = abs(evolved.norm() - 1.0)
-        worst = max(worst, norm_err)
-        rows.append(
-            {
-                "time": float(t),
-                "entropy": mode_entanglement(evolved, subset),
-                "norm_err": norm_err,
-            }
-        )
     columns = ["time", "entropy", "norm_err"]
-    emit_table(rows, columns, args.format, args.out)
-    _summary(worst, args.tol)
-    return 0
+    rows = []
+    for t, evolved in zip(times, evolve_many(state, hamiltonian, times)):
+        values = (float(t), mode_entanglement(evolved, subset), abs(evolved.norm() - 1.0))
+        rows.append(dict(zip(columns, values)))
+    return columns, rows, None
 
 
 # ---------------------------------------------------------------------------
 # scenario: verify
 
 
-def run_verify(args) -> int:
+def run_verify(args):
     results = verification.run_all(args.seed)
     for result in results:
         print(result.line())
-    passed = sum(1 for r in results if r.passed)
-    print(f"{passed}/{len(results)} criteria passed")
-    if args.out is not None:
-        rows = [
-            {
-                "criterion": r.criterion,
-                "name": r.name,
-                "passed": r.passed,
-                "max_abs_err": r.max_abs_err,
-                "detail": r.detail,
-            }
-            for r in results
-        ]
-        columns = ["criterion", "name", "passed", "max_abs_err", "detail"]
-        emit_table(rows, columns, args.format, args.out)
-    return 0 if passed == len(results) else 1
+    print(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
+    columns = ["criterion", "name", "passed", "max_abs_err", "detail"]
+    return columns, [{c: getattr(r, c) for c in columns} for r in results], None
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="scenario", required=True)
 
-    def common(sub):
+    def common(sub, func, error_column="abs_err"):
+        sub.set_defaults(func=func, error_column=error_column)
         sub.add_argument("--out", default=None, help="output file (default: stdout)")
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
         sub.add_argument("--seed", type=int, default=42, help="seed for random draws")
@@ -578,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     fermi = subparsers.add_parser("fermi", help="filled-sea separability table")
     fermi.add_argument("--modes", type=int, default=8)
     fermi.add_argument("--filled", type=int, default=None)
-    common(fermi)
-    fermi.set_defaults(func=run_fermi)
+    common(fermi, run_fermi)
 
     exciton = subparsers.add_parser("exciton", help="electron-hole pair entropies")
     exciton.add_argument("--electrons", type=int, default=3)
@@ -590,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=ExcitonChannel.SPINLESS.value,
     )
     exciton.add_argument("--table", default=None, help="amplitude table JSON path")
-    common(exciton)
-    exciton.set_defaults(func=run_exciton)
+    common(exciton, run_exciton)
 
     qh = subparsers.add_parser("qh", help="fractional-filling entropy")
     qh.add_argument(
@@ -600,8 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="filling factor as an exact rational, e.g. 7/3 (repeatable)",
     )
-    common(qh)
-    qh.set_defaults(func=run_qh)
+    common(qh, run_qh)
 
     bcs = subparsers.add_parser("bcs", help="pair-state occupation entropies")
     bcs.add_argument("--modes", type=int, default=6, help="number of pair modes")
@@ -611,8 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     bcs.add_argument(
         "--unpaired", type=int, default=None, help="unpaired momentum for odd n"
     )
-    common(bcs)
-    bcs.set_defaults(func=run_bcs)
+    common(bcs, run_bcs)
 
     bogoliubov = subparsers.add_parser(
         "bogoliubov", help="condensate pair-excitation entropies"
@@ -623,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--c", default="random", help="amplitude table JSON path or 'random'"
     )
     bogoliubov.add_argument("--unprojected", action="store_true")
-    common(bogoliubov)
-    bogoliubov.set_defaults(func=run_bogoliubov)
+    common(bogoliubov, run_bogoliubov)
 
     dynamics = subparsers.add_parser("dynamics", help="entropy along a trajectory")
     dynamics.add_argument("--hamiltonian", required=True, help="Hamiltonian JSON path")
@@ -634,21 +484,34 @@ def build_parser() -> argparse.ArgumentParser:
     dynamics.add_argument("--times", default="0:5:50", help="start:stop:steps or list")
     dynamics.add_argument("--subset", default="0", help="comma-separated mode indices")
     dynamics.add_argument("--check-basis", action="store_true")
-    common(dynamics)
-    dynamics.set_defaults(func=run_dynamics)
+    common(dynamics, run_dynamics, error_column="norm_err")
 
     verify = subparsers.add_parser("verify", help="run the acceptance suite")
-    common(verify)
-    verify.set_defaults(func=run_verify)
+    common(verify, run_verify, error_column=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser is built per call, so func resolves run_<scenario> at call time
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        columns, rows, meta = args.func(args)
+        column = args.error_column
+        if args.out is not None or column is not None:
+            emit_table(rows, columns, args.format, args.out)
+        if column is None:  # verify has printed its own report
+            return 0 if all(row["passed"] for row in rows) else 1
+        if args.out is not None and meta is not None:
+            Path(f"{args.out}.meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+        errors = [row[column] for row in rows if row[column] is not None]
+        if rows and not errors:
+            print("max |error| = n/a")
+        else:
+            worst = max(errors, default=0.0)
+            status = "ok" if worst <= args.tol else "tol exceeded"
+            print(f"max |error| = {worst:.6e} ({status} at tol {args.tol:g})")
+        return 0
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -493,12 +493,6 @@ def evolve_many(
     return [ManyBodyState(registry, amps, state.truncated) for amps in out]
 
 
-def evolve(
-    state: ManyBodyState, h: SecondQuantizedHamiltonian, t: float
-) -> ManyBodyState:
-    return evolve_many(state, h, [t])[0]
-
-
 @dataclass
 class ProperBasisReport:
     """Whether the one-body part is diagonal, and the fixing rotation if not."""

@@ -53,8 +53,6 @@ from .states import (
     uniform_registry,
 )
 
-NUM_CRITERIA = 9
-
 
 @dataclass
 class CriterionResult:
@@ -605,12 +603,6 @@ CRITERIA = {
     8: criterion_8,
     9: criterion_9,
 }
-
-
-def run_criterion(index: int, seed: int = 42) -> CriterionResult:
-    if index not in CRITERIA:
-        raise ValueError(f"criterion index must be 1..{NUM_CRITERIA}, got {index}")
-    return CRITERIA[index](seed)
 
 
 def run_all(seed: int = 42) -> list[CriterionResult]:

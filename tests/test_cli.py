@@ -117,18 +117,42 @@ def test_bcs_random_table_accuracy_and_meta(tmp_path):
     assert len(meta["table"]["entries"]) == 6
 
 
-def test_bcs_replay_from_meta_is_bit_exact(tmp_path):
+# (random draw argv, replay argv, flag that loads the table)
+REPLAYS = {
+    "bcs": (["bcs", "--modes", "5", "--n", "4", "--seed", "11"], ["bcs", "--n", "4"], "--g"),
+    "exciton": (
+        ["exciton", "--electrons", "2", "--holes", "3", "--seed", "9"],
+        ["exciton"],
+        "--table",
+    ),
+    "bogoliubov": (
+        ["bogoliubov", "--pairs", "2", "--n", "4", "--seed", "3"],
+        ["bogoliubov", "--n", "4"],
+        "--c",
+    ),
+    "bogoliubov-unprojected": (
+        ["bogoliubov", "--pairs", "2", "--unprojected", "--seed", "3"],
+        ["bogoliubov", "--unprojected"],
+        "--c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REPLAYS))
+def test_replay_from_meta_is_bit_exact(tmp_path, case, capsys):
+    draw, replay, flag = REPLAYS[case]
     first = tmp_path / "a.csv"
-    main(["bcs", "--modes", "5", "--n", "4", "--seed", "11", "--out", str(first)])
+    assert main(draw + ["--out", str(first)]) == 0
     meta = json.loads(Path(str(first) + ".meta.json").read_text())
     table_path = tmp_path / "table.json"
     table_path.write_text(json.dumps(meta["table"]))
 
     second = tmp_path / "b.csv"
-    main(["bcs", "--n", "4", "--g", str(table_path), "--out", str(second)])
+    assert main(replay + [flag, str(table_path), "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     # a loaded table writes no sidecar
     assert not Path(str(second) + ".meta.json").exists()
+    capsys.readouterr()
 
 
 def test_bcs_same_seed_is_deterministic(tmp_path):
@@ -185,17 +209,6 @@ def test_exciton_channels_run_clean(tmp_path):
         rows = read_csv(out)
         assert len(rows) == 4
         assert max(float(r["abs_err"]) for r in rows) < 1e-10
-
-
-def test_exciton_replay_from_meta(tmp_path):
-    first = tmp_path / "x.csv"
-    main(["exciton", "--electrons", "2", "--holes", "3", "--seed", "9", "--out", str(first)])
-    meta = json.loads(Path(str(first) + ".meta.json").read_text())
-    table_path = tmp_path / "table.json"
-    table_path.write_text(json.dumps(meta["table"]))
-    second = tmp_path / "y.csv"
-    main(["exciton", "--table", str(table_path), "--out", str(second)])
-    assert first.read_bytes() == second.read_bytes()
 
 
 def test_bogoliubov_projected_and_unprojected(tmp_path):
@@ -269,10 +282,9 @@ def test_dynamics_time_grid_parsing(tmp_path):
     ) == 0
     times = [float(r["time"]) for r in read_csv(out)]
     assert times == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
-    assert (
-        main(["dynamics", "--hamiltonian", str(hop), "--initial", "1,0", "--times", "0:1:0"])
-        == 2
-    )
+    for bad in ("0:1:0", "nan,1", "0,inf", "-inf:1:3"):
+        argv = ["dynamics", "--hamiltonian", str(hop), "--initial", "1,0", f"--times={bad}"]
+        assert main(argv) == 2, bad
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +293,38 @@ def test_dynamics_time_grid_parsing(tmp_path):
 
 def test_invalid_configuration_exits_2(tmp_path, capsys):
     assert main(["qh", "--filling=-1/3"]) == 2
+    assert main(["qh", "--filling", "1/0"]) == 2
     assert main(["bcs", "--g", str(tmp_path / "missing.json")]) == 2
     assert main(["bcs", "--modes", "2", "--n", "6"]) == 2
     capsys.readouterr()
+
+
+# (argv without the table, flag, kind of the table given, expected stderr)
+WRONG_KIND = [
+    (["exciton"], "--table", "bcs_g", "error: need an exciton_A table, got bcs_g"),
+    (["bcs"], "--g", "exciton_A", "error: need a bcs_g table, got exciton_A"),
+    (["bogoliubov"], "--c", "bcs_g", "error: need a bogoliubov_c table, got bcs_g"),
+    (
+        ["bogoliubov", "--unprojected"],
+        "--c",
+        "bogoliubov_c",
+        "error: need a bogoliubov_uv table, got bogoliubov_c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, kind, message", WRONG_KIND, ids=["exciton", "bcs", "bogoliubov", "unprojected"]
+)
+def test_table_of_wrong_kind_exits_2(tmp_path, capsys, argv, flag, kind, message):
+    # valid as any of the three kinds: normalised, |value| < 1, "kp" read for exciton_A only
+    entries = [{"k": [k], "kp": [0], "value": [0.5**0.5, 0.0]} for k in (1, 2)]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"kind": kind, "entries": entries}))
+    assert main(argv + [flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
 
 
 def test_size_guard_exits_3(tmp_path, monkeypatch, capsys):
