@@ -210,63 +210,42 @@ def _guard_condensate(total_number: int, num_pairs: int) -> None:
         )
 
 
-def bogoliubov_x0_exact(c: Mapping[Momentum, complex], total_number: int) -> np.ndarray:
-    """Condensate occupation distribution of the number-projected pair state.
-
-    Entry n0 is the probability of occupation 2*n0 at the zero mode:
-    proportional to the sum over pair-occupation patterns summing to
-    N/2 - n0 of multinomial(N/2; n0, pattern)^2 * prod |c_j|^(2 n_j),
-    normalized over n0.
-    """
-    _guard_condensate(total_number, len(c))
-    half = total_number // 2
-    _, values = _sorted_pair_values(c)
-    mags = [abs(v) ** 2 for v in values]
-    weights = np.zeros(half + 1)
-    for n0 in range(half + 1):
-        acc = 0.0
-        for pattern in compositions(half - n0, len(mags)):
-            w = multinomial(half, (n0, *pattern)) ** 2
-            term = float(w)
-            for m, n in zip(mags, pattern):
-                term *= m**n
-            acc += term
-        weights[n0] = acc
-    total = weights.sum()
-    if total == 0.0:
-        raise ValueError("distribution vanishes; all weights are zero")
-    return weights / total
-
-
-def bogoliubov_x1_exact(
-    c: Mapping[Momentum, complex], total_number: int, q1: int | Sequence[int]
+def bogoliubov_exact(
+    c: Mapping[Momentum, complex],
+    total_number: int,
+    q: int | Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Occupation distribution of one pair mode q1 in the projected state.
+    """Occupation distribution of the condensate (``q`` None) or of pair
+    mode q in the number-projected pair state.
 
-    Entry n1 is proportional to |c_{q1}|^(2 n1) times the sum over the
-    remaining occupations (condensate plus other pairs) of the squared
-    multinomial weight times prod |c_j|^(2 n_j).
+    The N/2 pair quanta fill M+1 boxes: the condensate, box 0 with weight
+    1.0, and one box per pair mode with weight |c_j|^2.  Entry n of the
+    target box is proportional to weight^n times the sum over the other
+    boxes' occupations summing to N/2 - n of multinomial(N/2; pattern)^2
+    * prod weight_j^(n_j).  For the condensate, entry n0 is the
+    probability of occupation 2*n0.
     """
     _guard_condensate(total_number, len(c))
     half = total_number // 2
     keys, values = _sorted_pair_values(c)
-    target = _as_momentum(q1)
-    if target not in keys:
-        raise KeyError(f"pair index {target} not in amplitude mapping")
-    pos = keys.index(target)
-    mag1 = abs(values[pos]) ** 2
-    others = [abs(v) ** 2 for i, v in enumerate(values) if i != pos]
+    boxes = [1.0] + [abs(v) ** 2 for v in values]
+    if q is None:
+        pos = 0
+    else:
+        target = _as_momentum(q)
+        if target not in keys:
+            raise KeyError(f"pair index {target} not in amplitude mapping")
+        pos = 1 + keys.index(target)
+    others = boxes[:pos] + boxes[pos + 1 :]
     weights = np.zeros(half + 1)
-    for n1 in range(half + 1):
+    for n in range(half + 1):
         acc = 0.0
-        for pattern in compositions(half - n1, 1 + len(others)):
-            n0, rest = pattern[0], pattern[1:]
-            w = multinomial(half, (n0, n1, *rest)) ** 2
-            term = float(w)
-            for m, n in zip(others, rest):
-                term *= m**n
+        for pattern in compositions(half - n, len(others)):
+            term = float(multinomial(half, (n, *pattern)) ** 2)
+            for weight, count in zip(others, pattern):
+                term *= weight**count
             acc += term
-        weights[n1] = acc * mag1**n1
+        weights[n] = acc * boxes[pos] ** n
     total = weights.sum()
     if total == 0.0:
         raise ValueError("distribution vanishes; all weights are zero")

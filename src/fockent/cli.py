@@ -1,5 +1,6 @@
-"""Scenario runner: builds the model states, compares brute-force
-entropies against their closed forms, and writes CSV or JSON tables.
+"""Scenario runner: builds the model states and writes, as CSV or JSON,
+the brute-force-against-closed-form rows ``fockent.verification`` makes
+of them (``dynamics`` tabulates its trajectory here).
 
 Every table carries both the brute-force and the analytic value
 whenever both exist.  CSV files use a header row, 17-significant-digit
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic, states, verification
+from . import states, verification
 from .dynamics import check_proper_basis, evolve_many, load_hamiltonian
 from .entanglement import mode_entanglement
 from .errors import (
@@ -47,7 +48,6 @@ from .fock_core import (
     apply_creation,
     basis_state,
     electron,
-    number_expectation,
     registry_create,
 )
 from .states import (
@@ -118,10 +118,6 @@ def _amplitude_table(
     return table, {"seed": seed, "table": table_payload(table)}
 
 
-def _momentum_cell(k) -> str:
-    return str(k[0]) if len(k) == 1 else ";".join(str(x) for x in k)
-
-
 # ---------------------------------------------------------------------------
 # scenario: fermi
 
@@ -137,14 +133,7 @@ def run_fermi(args):
     if 0 < filled < num_modes:
         excited = apply_creation(apply_annihilation(sea, filled - 1), filled)
         cases.append(("excited", excited.normalize()))
-    columns = ["state", "mode", "occupation", "S_bruteforce", "S_analytic", "abs_err"]
-    rows = []
-    for name, state in cases:
-        for mode in range(num_modes):
-            s = mode_entanglement(state, (mode,))
-            values = (name, mode, number_expectation(state, mode), s, 0.0, abs(s))
-            rows.append(dict(zip(columns, values)))
-    return columns, rows, None
+    return verification.FERMI_COLUMNS, verification.fermi_rows(cases), None
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +147,6 @@ def run_exciton(args):
     table, meta = _amplitude_table(args.table, TableKind.EXCITON_A, draw, args.seed)
     e_momenta = sorted({k for k, _ in table.values})
     h_momenta = sorted({kp for _, kp in table.values})
-
     channel = ExcitonChannel(args.channel)
     spinful = channel is not ExcitonChannel.SPINLESS
     registry = states.exciton_registry(e_momenta, h_momenta, spinful=spinful)
@@ -166,45 +154,8 @@ def run_exciton(args):
         state = states.exciton_spinful(registry, table, channel)
     else:
         state = states.exciton_spinless(registry, table)
-    marginals = analytic.exciton_marginals(table.values)
-    mixed = channel in (ExcitonChannel.TRIPLET_ZERO, ExcitonChannel.SINGLET)
-    # spinful registries hold (up, down) per momentum; the down component
-    # is the one traced for triplet_down, and for the hole of a mixed channel
-    stride = 2 if spinful else 1
-    e_down = int(channel is ExcitonChannel.TRIPLET_DOWN)
-    h_down = int(channel is ExcitonChannel.TRIPLET_DOWN or mixed)
-
-    columns = [
-        "electron_k",
-        "hole_k",
-        "S_electron_bruteforce",
-        "S_electron_analytic",
-        "S_hole_bruteforce",
-        "S_hole_analytic",
-        "S_pair_bruteforce",
-        "S_pair_analytic",
-        "abs_err",
-    ]
-    rows = []
-    for i, k in enumerate(e_momenta):
-        for j, kp in enumerate(h_momenta):
-            e_mode = stride * i + e_down
-            h_mode = stride * (len(e_momenta) + j) + h_down
-            se = mode_entanglement(state, (e_mode,))
-            sh = mode_entanglement(state, (h_mode,))
-            sp = mode_entanglement(state, (e_mode, h_mode))
-            if mixed:
-                ae = marginals.spinful_electron_entropy(k)
-                ah = marginals.spinful_hole_entropy(kp)
-                ap = marginals.spinful_opposite_entropy(k, kp)
-            else:
-                ae = marginals.electron_entropy(k)
-                ah = marginals.hole_entropy(kp)
-                ap = marginals.joint_entropy(k, kp)
-            err = max(abs(se - ae), abs(sh - ah), abs(sp - ap))
-            values = (_momentum_cell(k), _momentum_cell(kp), se, ae, sh, ah, sp, ap, err)
-            rows.append(dict(zip(columns, values)))
-    return columns, rows, meta
+    rows = verification.exciton_rows(state, table, channel)
+    return verification.EXCITON_COLUMNS, rows, meta
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +163,7 @@ def run_exciton(args):
 
 
 def run_qh(args):
-    columns = ["filling", "fractional_part", "S_analytic", "S_bruteforce", "abs_err"]
-    rows = []
+    cases = []
     for text in args.filling:
         try:
             filling = Fraction(text)
@@ -222,17 +172,13 @@ def run_qh(args):
         if filling < 0:
             raise ValueError(f"filling must be nonnegative, got {filling}")
         fractional = filling - math.floor(filling)
-        s_analytic = analytic.qh_entropy(filling)
-        s_brute = err = None
+        state = None
         if fractional.denominator <= QH_BRUTE_LIMIT:
             m = fractional.denominator
             registry = states.uniform_registry(m)
             state = states.uniform_filling_state(registry, m, fractional.numerator)
-            s_brute = mode_entanglement(state, (0,))
-            err = abs(s_brute - s_analytic)
-        values = (str(filling), str(fractional), s_analytic, s_brute, err)
-        rows.append(dict(zip(columns, values)))
-    return columns, rows, None
+        cases.append((filling, state))
+    return verification.QH_COLUMNS, verification.qh_rows(cases), None
 
 
 # ---------------------------------------------------------------------------
@@ -243,46 +189,15 @@ def run_bcs(args):
     draw = partial(states.random_bcs_table, [(k,) for k in range(1, args.modes + 1)])
     path = None if args.g == "random" else args.g
     table, meta = _amplitude_table(path, TableKind.BCS_G, draw, args.seed)
-    momenta = table.pair_indices()
-    registry = states.bcs_registry(momenta)
+    registry = states.bcs_registry(table.pair_indices())
     if args.unprojected:
         state = states.bcs_unprojected(registry, table)
-
-        def closed_form(k, g):
-            return abs(g) ** 2 / (1.0 + abs(g) ** 2), analytic.bcs_pair_entropy(g)
-
+        rows = verification.bcs_rows(state, table)
     else:
-        total = args.n
         unpaired = (args.unpaired,) if args.unpaired is not None else None
-        state = states.bcs_projected(registry, table, total, unpaired=unpaired)
-        paired_values = {k: g for k, g in table.values.items() if k != unpaired}
-        paired_total = total if unpaired is None else total - 1
-
-        def closed_form(k, g):
-            if k == unpaired:
-                return 1.0, 0.0
-            x = analytic.bcs_projected_x(paired_values, paired_total, k)
-            return x, analytic.binary_entropy(x)
-
-    columns = [
-        "pair_index",
-        "g_abs",
-        "x_analytic",
-        "x_bruteforce",
-        "S_analytic",
-        "S_bruteforce",
-        "abs_err",
-    ]
-    rows = []
-    for i, k in enumerate(momenta):
-        g = table.values[k]
-        x_analytic, s_analytic = closed_form(k, g)
-        x_brute = number_expectation(state, 2 * i)
-        s_brute = mode_entanglement(state, (2 * i,))
-        err = max(abs(x_brute - x_analytic), abs(s_brute - s_analytic))
-        values = (_momentum_cell(k), abs(g), x_analytic, x_brute, s_analytic, s_brute, err)
-        rows.append(dict(zip(columns, values)))
-    return columns, rows, meta
+        state = states.bcs_projected(registry, table, args.n, unpaired=unpaired)
+        rows = verification.bcs_rows(state, table, args.n, unpaired)
+    return verification.BCS_COLUMNS, rows, meta
 
 
 # ---------------------------------------------------------------------------
@@ -298,60 +213,24 @@ def run_bogoliubov(args):
     draw = partial(draw, [(q,) for q in range(1, args.pairs + 1)])
     table, meta = _amplitude_table(path, kind, draw, args.seed)
     qs = table.pair_indices()
-    # closed_form(q) -> (c_abs, S_analytic, tv_approx, approx_residual);
-    # q is None for the condensate
     if args.unprojected:
-        ratios = {q: abs(v / u) for q, (u, v) in table.values.items()}
-        cutoff = max(states.default_pair_cutoff(r) for r in ratios.values())
+        # default_pair_cutoff is at least 1, the cutoff of a zero ratio
+        cutoff = max(
+            (states.default_pair_cutoff(abs(v / u)) for u, v in table.values.values()),
+            default=1,
+        )
         registry = states.bogoliubov_registry(
             qs, condensate_cutoff=2 * cutoff, pair_cutoff=cutoff
         )
         state = states.bogoliubov_unprojected(registry, table, cutoff=cutoff)
-
-        def closed_form(q):
-            if q is None:
-                return None, 0.0, None, None
-            exact = analytic.geometric_pair_distribution(ratios[q], cutoff)
-            return ratios[q], analytic.distribution_entropy(exact), None, None
-
+        rows = verification.bogoliubov_rows(state, table, cutoff=cutoff)
     else:
-        total = args.n
         registry = states.bogoliubov_registry(
-            qs, condensate_cutoff=total, pair_cutoff=total // 2
+            qs, condensate_cutoff=args.n, pair_cutoff=args.n // 2
         )
-        state = states.bogoliubov_projected(registry, table, total)
-
-        def closed_form(q):
-            if q is None:
-                c_abs = None
-                exact = analytic.bogoliubov_x0_exact(table.values, total)
-                approx = analytic.bogoliubov_x0_approx(table.values, total)
-            else:
-                c_abs = abs(table.values[q])
-                exact = analytic.bogoliubov_x1_exact(table.values, total, q)
-                approx = analytic.bogoliubov_x1_approx(table.values, total, q)
-            tv = analytic.total_variation(exact, approx.probabilities)
-            return c_abs, analytic.distribution_entropy(exact), tv, approx.residual
-
-    columns = [
-        "mode",
-        "c_abs",
-        "S_bruteforce",
-        "S_analytic",
-        "abs_err",
-        "tv_approx",
-        "approx_residual",
-    ]
-    rows = []
-    # the condensate is mode 0, the pair partner of the i-th q mode 1 + 2i
-    for mode, q in [(0, None)] + [(1 + 2 * i, q) for i, q in enumerate(qs)]:
-        c_abs, s_analytic, tv, residual = closed_form(q)
-        s_brute = mode_entanglement(state, (mode,))
-        label = "0" if q is None else _momentum_cell(q)
-        err = abs(s_brute - s_analytic)
-        values = (label, c_abs, s_brute, s_analytic, err, tv, residual)
-        rows.append(dict(zip(columns, values)))
-    return columns, rows, meta
+        state = states.bogoliubov_projected(registry, table, args.n)
+        rows = verification.bogoliubov_rows(state, table, args.n)
+    return verification.BOGOLIUBOV_COLUMNS, rows, meta
 
 
 # ---------------------------------------------------------------------------

@@ -291,16 +291,6 @@ def apply_hamiltonian(
     return ManyBodyState(h.registry, _pruned(out), state.truncated)
 
 
-def apply_number_operator(state: ManyBodyState, mode: int) -> ManyBodyState:
-    """n_mode |state>, unnormalized."""
-    registry = state.registry
-    out = {
-        key: amp * registry.occupation_at(key, mode)
-        for key, amp in state.amplitudes.items()
-    }
-    return ManyBodyState(registry, _pruned(out), state.truncated)
-
-
 def energy_expectation(h: SecondQuantizedHamiltonian, state: ManyBodyState) -> float:
     return float(inner_product(state, apply_hamiltonian(h, state)).real)
 

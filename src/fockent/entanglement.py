@@ -51,7 +51,6 @@ from .fock_core import ManyBodyState, OccupationVector
 
 NORM_GATE = 1e-9
 EIGENVALUE_FLOOR = -1e-9
-DIAGONAL_TOL = 1e-12
 # Smallest dense block, in cells, that the Gram accumulation works on.
 BLOCK_CELLS = 4096
 
@@ -219,11 +218,6 @@ def mode_entanglement(state: ManyBodyState, subset: Sequence[int]) -> float:
     _check_guard("Gram matrix", n_rows)
     gram = _gram(amplitudes, rows, cols, n_rows, n_cols)
     return _entropy(np.linalg.eigvalsh(gram))
-
-
-def is_diagonal(rdm: ReducedDensityMatrix, tol: float = DIAGONAL_TOL) -> bool:
-    off = rdm.matrix - np.diag(np.diag(rdm.matrix))
-    return bool(np.max(np.abs(off)) <= tol) if off.size else True
 
 
 def diagonal_distribution(rdm: ReducedDensityMatrix) -> np.ndarray:

@@ -48,6 +48,13 @@ PAIR_TAIL_TOL = 1e-14
 COEFF_NORM_TOL = 1e-9
 TABLE_NORM_TOL = 1e-12
 
+# ranges of the random tables the scenarios draw: |A| before normalisation,
+# |g|, |c| and |v/u|
+EXCITON_MAGNITUDES = (0.1, 1.0)
+BCS_G_MAGNITUDES = (0.2, 2.0)
+BOGOLIUBOV_C_MAGNITUDES = (0.1, 0.6)
+UV_RATIOS = (0.1, 0.8)
+
 
 class TableKind(Enum):
     BCS_G = "bcs_g"
@@ -81,7 +88,7 @@ class PairAmplitudeTable:
         if self.kind is TableKind.EXCITON_A:
             total = 0.0
             for (k, kp), a in self.values.items():
-                a = complex(a)
+                a = _finite(a, (k, kp))
                 canonical[(_as_momentum(k), _as_momentum(kp))] = a
                 total += abs(a) ** 2
             if abs(total - 1.0) > TABLE_NORM_TOL:
@@ -90,7 +97,7 @@ class PairAmplitudeTable:
                 )
         elif self.kind is TableKind.BOGOLIUBOV_UV:
             for k, (u, v) in self.values.items():
-                u, v = complex(u), complex(v)
+                u, v = _finite(u, k), _finite(v, k)
                 if abs(abs(u) ** 2 - abs(v) ** 2 - 1.0) > TABLE_NORM_TOL:
                     raise ValueError(
                         f"|u|^2 - |v|^2 = {abs(u)**2 - abs(v)**2} at {k}, expected 1"
@@ -98,7 +105,7 @@ class PairAmplitudeTable:
                 canonical[_as_momentum(k)] = (u, v)
         else:
             for k, a in self.values.items():
-                a = complex(a)
+                a = _finite(a, k)
                 if self.kind is TableKind.BOGOLIUBOV_C and abs(a) >= 1.0:
                     raise ValueError(f"|c| = {abs(a)} at {k} must be below 1")
                 canonical[_as_momentum(k)] = a
@@ -109,6 +116,15 @@ class PairAmplitudeTable:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _finite(value, key) -> complex:
+    """``value`` as a complex number; its squared magnitude must be finite."""
+    z = complex(value)
+    magnitude = math.hypot(z.real, z.imag)
+    if not math.isfinite(magnitude * magnitude):
+        raise ValueError(f"|amplitude|^2 of {z} at {key} is not finite")
+    return z
 
 
 def _c2(z: complex) -> list[float]:
@@ -129,10 +145,6 @@ def table_payload(table: PairAmplitudeTable) -> dict:
         else:
             entries.append({"k": list(key), "value": _c2(value)})
     return {"kind": table.kind.value, "entries": entries}
-
-
-def save_amplitude_table(table: PairAmplitudeTable, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(table_payload(table), indent=2) + "\n")
 
 
 def load_amplitude_table(source: str | Path | Mapping) -> PairAmplitudeTable:
@@ -543,23 +555,18 @@ def project_particle_number(state: ManyBodyState, total: int) -> ManyBodyState:
     return ManyBodyState(registry, kept, state.truncated).normalize()
 
 
-def total_spin_z_values(state: ManyBodyState) -> set[float]:
-    """Distinct S_z = (1/2) sum (n_up - n_down) over the basis terms."""
-    registry = state.registry
-    out = set()
-    for key in state.amplitudes:
-        sz = 0.0
-        for i, mode in enumerate(registry.modes):
-            if mode.spin is Spin.UP:
-                sz += 0.5 * registry.occupation_at(key, i)
-            elif mode.spin is Spin.DOWN:
-                sz -= 0.5 * registry.occupation_at(key, i)
-        out.add(sz)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # random table generation (used by the command-line scenarios)
+
+
+def _random_phased(keys: Iterable, rng: np.random.Generator, magnitudes) -> dict:
+    """Per key, in order: a uniform magnitude in ``magnitudes``, then a uniform phase."""
+    values = {}
+    for key in keys:
+        mag = rng.uniform(*magnitudes)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        values[key] = mag * complex(math.cos(phase), math.sin(phase))
+    return values
 
 
 def random_exciton_table(
@@ -568,52 +575,34 @@ def random_exciton_table(
     rng: np.random.Generator,
 ) -> PairAmplitudeTable:
     """Random normalized A(k,k'): uniform magnitudes, uniform phases."""
-    values = {}
-    for k in electron_momenta:
-        for kp in hole_momenta:
-            mag = rng.uniform(0.1, 1.0)
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            values[(k, kp)] = mag * complex(math.cos(phase), math.sin(phase))
+    pairs = [(k, kp) for k in electron_momenta for kp in hole_momenta]
+    values = _random_phased(pairs, rng, EXCITON_MAGNITUDES)
     norm = math.sqrt(sum(abs(v) ** 2 for v in values.values()))
     values = {key: v / norm for key, v in values.items()}
     return PairAmplitudeTable(TableKind.EXCITON_A, values)
 
 
 def random_bcs_table(
-    pair_momenta: Sequence[Momentum],
-    rng: np.random.Generator,
-    magnitude_range: tuple[float, float] = (0.2, 2.0),
+    pair_momenta: Sequence[Momentum], rng: np.random.Generator
 ) -> PairAmplitudeTable:
-    values = {}
-    for k in pair_momenta:
-        mag = rng.uniform(*magnitude_range)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        values[k] = mag * complex(math.cos(phase), math.sin(phase))
+    values = _random_phased(pair_momenta, rng, BCS_G_MAGNITUDES)
     return PairAmplitudeTable(TableKind.BCS_G, values)
 
 
 def random_bogoliubov_c_table(
-    pair_momenta: Sequence[Momentum],
-    rng: np.random.Generator,
-    magnitude_range: tuple[float, float] = (0.1, 0.6),
+    pair_momenta: Sequence[Momentum], rng: np.random.Generator
 ) -> PairAmplitudeTable:
-    values = {}
-    for q in pair_momenta:
-        mag = rng.uniform(*magnitude_range)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        values[q] = mag * complex(math.cos(phase), math.sin(phase))
+    values = _random_phased(pair_momenta, rng, BOGOLIUBOV_C_MAGNITUDES)
     return PairAmplitudeTable(TableKind.BOGOLIUBOV_C, values)
 
 
 def random_uv_table(
-    pair_momenta: Sequence[Momentum],
-    rng: np.random.Generator,
-    ratio_range: tuple[float, float] = (0.1, 0.8),
+    pair_momenta: Sequence[Momentum], rng: np.random.Generator
 ) -> PairAmplitudeTable:
-    """Random (u, v) with |u|^2 - |v|^2 = 1 and |v/u| in ratio_range."""
+    """Random (u, v) with |u|^2 - |v|^2 = 1 and |v/u| in UV_RATIOS."""
     values = {}
     for q in pair_momenta:
-        r = rng.uniform(*ratio_range)
+        r = rng.uniform(*UV_RATIOS)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         u = complex(1.0 / math.sqrt(1.0 - r * r), 0.0)
         v = r * u * complex(math.cos(phase), math.sin(phase))

@@ -1,4 +1,11 @@
-"""Acceptance suite: brute-force entropies against closed forms.
+"""Brute-force entropies against closed forms: the scenario tables and
+the acceptance suite.
+
+``<model>_rows`` builds the rows ``fockent <model>`` prints, one dict per
+row over ``<MODEL>_COLUMNS``: each brute-force value beside its closed
+form and their largest difference in ``abs_err``.  The criteria take
+their errors from the same rows where they compare the same quantity,
+and add the checks the rows do not make.
 
 Each criterion builds its instances from an integer seed, computes
 reduced density matrices by direct enumeration, and compares against
@@ -45,6 +52,7 @@ from .fock_core import (
     Spin,
 )
 from .states import (
+    ExcitonChannel,
     PairAmplitudeTable,
     TableKind,
     bcs_registry,
@@ -77,6 +85,190 @@ def _rng(criterion: int, seed: int) -> np.random.Generator:
 def _off_diagonal_max(matrix: np.ndarray) -> float:
     off = matrix - np.diag(np.diag(matrix))
     return float(np.max(np.abs(off))) if off.size else 0.0
+
+
+# ---------------------------------------------------------------------------
+# scenario rows
+
+FERMI_COLUMNS = ["state", "mode", "occupation", "S_bruteforce", "S_analytic", "abs_err"]
+EXCITON_COLUMNS = [
+    "electron_k",
+    "hole_k",
+    "S_electron_bruteforce",
+    "S_electron_analytic",
+    "S_hole_bruteforce",
+    "S_hole_analytic",
+    "S_pair_bruteforce",
+    "S_pair_analytic",
+    "abs_err",
+]
+QH_COLUMNS = ["filling", "fractional_part", "S_analytic", "S_bruteforce", "abs_err"]
+BCS_COLUMNS = [
+    "pair_index",
+    "g_abs",
+    "x_analytic",
+    "x_bruteforce",
+    "S_analytic",
+    "S_bruteforce",
+    "abs_err",
+]
+BOGOLIUBOV_COLUMNS = [
+    "mode",
+    "c_abs",
+    "S_bruteforce",
+    "S_analytic",
+    "abs_err",
+    "tv_approx",
+    "approx_residual",
+]
+
+
+def _momentum_cell(k) -> str:
+    return str(k[0]) if len(k) == 1 else ";".join(str(x) for x in k)
+
+
+def fermi_rows(cases: list[tuple[str, ManyBodyState]]) -> list[dict]:
+    """Per (name, determinant) and mode: occupation and S, whose closed form is 0."""
+    rows = []
+    for name, state in cases:
+        for mode in range(len(state.registry)):
+            s = mode_entanglement(state, (mode,))
+            values = (name, mode, number_expectation(state, mode), s, 0.0, abs(s))
+            rows.append(dict(zip(FERMI_COLUMNS, values)))
+    return rows
+
+
+def qh_rows(cases: list[tuple[Fraction, ManyBodyState | None]]) -> list[dict]:
+    """Per (filling, uniform-filling state or None): S of mode 0 against
+    h(fractional part); None leaves the brute-force cells empty."""
+    rows = []
+    for filling, state in cases:
+        s_analytic = analytic.qh_entropy(filling)
+        s_brute = None if state is None else mode_entanglement(state, (0,))
+        err = None if state is None else abs(s_brute - s_analytic)
+        fractional = filling - math.floor(filling)
+        values = (str(filling), str(fractional), s_analytic, s_brute, err)
+        rows.append(dict(zip(QH_COLUMNS, values)))
+    return rows
+
+
+def exciton_rows(
+    state: ManyBodyState, table: PairAmplitudeTable, channel: ExcitonChannel
+) -> list[dict]:
+    """Per (k, k'): S of the electron, the hole and the two together
+    against the marginal-weight forms.
+
+    Spinful registries hold (up, down) per momentum.  The down component
+    is traced for triplet_down, and for the hole of a mixed channel
+    (triplet_zero, singlet), whose forms are the spin-halved ones.
+    """
+    e_momenta = sorted({k for k, _ in table.values})
+    h_momenta = sorted({kp for _, kp in table.values})
+    m = analytic.exciton_marginals(table.values)
+    mixed = channel in (ExcitonChannel.TRIPLET_ZERO, ExcitonChannel.SINGLET)
+    if mixed:
+        e_form, h_form, pair_form = (
+            m.spinful_electron_entropy, m.spinful_hole_entropy, m.spinful_opposite_entropy
+        )
+    else:
+        e_form, h_form, pair_form = m.electron_entropy, m.hole_entropy, m.joint_entropy
+    stride = 1 if channel is ExcitonChannel.SPINLESS else 2
+    e_down = int(channel is ExcitonChannel.TRIPLET_DOWN)
+    h_down = int(channel is ExcitonChannel.TRIPLET_DOWN or mixed)
+    e_modes = [stride * i + e_down for i in range(len(e_momenta))]
+    h_modes = [stride * (len(e_momenta) + j) + h_down for j in range(len(h_momenta))]
+    s_e = [mode_entanglement(state, (mode,)) for mode in e_modes]
+    s_h = [mode_entanglement(state, (mode,)) for mode in h_modes]
+    rows = []
+    for i, k in enumerate(e_momenta):
+        for j, kp in enumerate(h_momenta):
+            sp = mode_entanglement(state, (e_modes[i], h_modes[j]))
+            ae, ah, ap = e_form(k), h_form(kp), pair_form(k, kp)
+            err = max(abs(s_e[i] - ae), abs(s_h[j] - ah), abs(sp - ap))
+            cells = (_momentum_cell(k), _momentum_cell(kp), s_e[i], ae, s_h[j], ah, sp, ap)
+            rows.append(dict(zip(EXCITON_COLUMNS, (*cells, err))))
+    return rows
+
+
+def bcs_rows(
+    state: ManyBodyState,
+    table: PairAmplitudeTable,
+    total_number: int | None = None,
+    unpaired: tuple[int, ...] | None = None,
+) -> list[dict]:
+    """Per pair k: occupation x_k and S of its first member (mode 2i)
+    against the closed forms.
+
+    ``total_number`` None is the coherent state, x = |g|^2 / (1 + |g|^2).
+    Otherwise x_k is the projected formula over the paired momenta, and
+    the ``unpaired`` momentum, if any, is occupied with certainty.
+    """
+    paired = {k: g for k, g in table.values.items() if k != unpaired}
+    paired_total = total_number if unpaired is None else total_number - 1
+    rows = []
+    for i, k in enumerate(table.pair_indices()):
+        g = table.values[k]
+        if total_number is None:
+            x_analytic = abs(g) ** 2 / (1.0 + abs(g) ** 2)
+            s_analytic = analytic.bcs_pair_entropy(g)
+        elif k == unpaired:
+            x_analytic, s_analytic = 1.0, 0.0
+        else:
+            x_analytic = analytic.bcs_projected_x(paired, paired_total, k)
+            s_analytic = analytic.binary_entropy(x_analytic)
+        x_brute = number_expectation(state, 2 * i)
+        s_brute = mode_entanglement(state, (2 * i,))
+        err = max(abs(x_brute - x_analytic), abs(s_brute - s_analytic))
+        values = (_momentum_cell(k), abs(g), x_analytic, x_brute, s_analytic, s_brute, err)
+        rows.append(dict(zip(BCS_COLUMNS, values)))
+    return rows
+
+
+def bogoliubov_rows(
+    state: ManyBodyState,
+    table: PairAmplitudeTable,
+    total_number: int | None = None,
+    cutoff: int | None = None,
+) -> list[dict]:
+    """S of the condensate (mode 0) and of one member of each pair
+    (mode 1 + 2i) against the entropy of the exact occupation distribution.
+
+    ``total_number`` None is the unprojected state of a bogoliubov_uv
+    table, built with pair ``cutoff``: geometric pair distributions, and
+    S = 0 for the condensate.  The projected rows also report the
+    geometric shortcut: its total-variation distance to the exact
+    distribution and its dropped cross-term magnitude.
+    """
+    c, qs = table.values, table.pair_indices()
+    rows = []
+    for mode, q in [(0, None)] + [(1 + 2 * i, q) for i, q in enumerate(qs)]:
+        tv = residual = c_abs = None
+        if total_number is None:
+            s_analytic = 0.0
+            if q is not None:
+                u, v = c[q]
+                c_abs = abs(v / u)
+                exact = analytic.geometric_pair_distribution(c_abs, cutoff)
+                s_analytic = analytic.distribution_entropy(exact)
+        else:
+            exact = analytic.bogoliubov_exact(c, total_number, q)
+            if q is None:
+                approx = analytic.bogoliubov_x0_approx(c, total_number)
+            else:
+                c_abs = abs(c[q])
+                approx = analytic.bogoliubov_x1_approx(c, total_number, q)
+            tv = analytic.total_variation(exact, approx.probabilities)
+            s_analytic, residual = analytic.distribution_entropy(exact), approx.residual
+        s_brute = mode_entanglement(state, (mode,))
+        label = "0" if q is None else _momentum_cell(q)
+        err = abs(s_brute - s_analytic)
+        values = (label, c_abs, s_brute, s_analytic, err, tv, residual)
+        rows.append(dict(zip(BOGOLIUBOV_COLUMNS, values)))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# acceptance criteria
 
 
 def criterion_1(seed: int) -> CriterionResult:
@@ -169,11 +361,12 @@ def criterion_4(seed: int) -> CriterionResult:
     for _ in range(10):
         table = states.random_bcs_table(momenta, rng)
         state = states.bcs_unprojected(registry, table)
-        for i, k in enumerate(momenta):
-            expected = analytic.bcs_pair_entropy(table.values[k])
-            for member in (2 * i, 2 * i + 1):
-                entropy = mode_entanglement(state, (member,))
-                worst_member = max(worst_member, abs(entropy - expected))
+        for i, row in enumerate(bcs_rows(state, table)):
+            expected = row["S_analytic"]
+            worst_member = max(worst_member, abs(row["S_bruteforce"] - expected))
+            # the rows trace the first member only
+            entropy = mode_entanglement(state, (2 * i + 1,))
+            worst_member = max(worst_member, abs(entropy - expected))
         cross = mode_entanglement(state, (0, 2))
         expected = analytic.bcs_pair_entropy(
             table.values[momenta[0]]
@@ -204,13 +397,13 @@ def criterion_5(seed: int) -> CriterionResult:
         table = states.random_bcs_table(momenta, rng)
         state = states.bcs_projected(registry, table, 6)
         total_x = 0.0
-        for i, k in enumerate(momenta):
-            x = analytic.bcs_projected_x(table.values, 6, k)
+        for i, row in enumerate(bcs_rows(state, table, 6)):
+            x, expected = row["x_analytic"], row["S_analytic"]
             total_x += x
-            expected = analytic.binary_entropy(x)
-            for member in (2 * i, 2 * i + 1):
-                entropy = mode_entanglement(state, (member,))
-                worst_mode = max(worst_mode, abs(entropy - expected))
+            worst_mode = max(worst_mode, abs(row["S_bruteforce"] - expected))
+            # the rows trace the first member only
+            entropy = mode_entanglement(state, (2 * i + 1,))
+            worst_mode = max(worst_mode, abs(entropy - expected))
             block = reduced_density_matrix(state, (2 * i, 2 * i + 1)).matrix
             target = np.diag([1.0 - x, 0.0, 0.0, x])
             worst_block = max(worst_block, float(np.max(np.abs(block - target))))
@@ -263,33 +456,25 @@ def criterion_6(seed: int) -> CriterionResult:
     for _ in range(20):
         table = states.random_bogoliubov_c_table(qs, rng)
         state = states.bogoliubov_projected(registry, table, 6)
-        x0 = analytic.bogoliubov_x0_exact(table.values, 6)
+        condensate_row, *pair_rows = bogoliubov_rows(state, table, 6)
+        # the rows compare entropies; the distributions themselves are checked here
+        x0 = analytic.bogoliubov_exact(table.values, 6)
         dist0 = diagonal_distribution(reduced_density_matrix(state, (0,)))
         expected0 = np.zeros(7)
         expected0[0::2] = x0
         worst_dist = max(worst_dist, float(np.max(np.abs(dist0 - expected0))))
-        x1 = analytic.bogoliubov_x1_exact(table.values, 6, qs[0])
+        x1 = analytic.bogoliubov_exact(table.values, 6, qs[0])
         dist1 = diagonal_distribution(reduced_density_matrix(state, (1,)))
         worst_dist = max(worst_dist, float(np.max(np.abs(dist1 - x1))))
-        for a, b in ((1, 2), (3, 4), (5, 6)):
-            rdm = reduced_density_matrix(state, (a, b))
+        for i, row in enumerate(pair_rows):
+            rdm = reduced_density_matrix(state, (1 + 2 * i, 2 + 2 * i))
             worst_pair = max(worst_pair, _off_diagonal_max(rdm.matrix))
             worst_pair = max(
-                worst_pair,
-                abs(von_neumann_entropy(rdm) - mode_entanglement(state, (a,))),
+                worst_pair, abs(von_neumann_entropy(rdm) - row["S_bruteforce"])
             )
-        tv0.append(
-            analytic.total_variation(
-                x0, analytic.bogoliubov_x0_approx(table.values, 6).probabilities
-            )
-        )
-        tv1.append(
-            analytic.total_variation(
-                x1,
-                analytic.bogoliubov_x1_approx(table.values, 6, qs[0]).probabilities,
-            )
-        )
-        if analytic.distribution_entropy(x1) > analytic.distribution_entropy(x0):
+        tv0.append(condensate_row["tv_approx"])
+        tv1.append(pair_rows[0]["tv_approx"])
+        if pair_rows[0]["S_analytic"] > condensate_row["S_analytic"]:
             exact_orderings += 1
 
     zero = PairAmplitudeTable(TableKind.BOGOLIUBOV_C, {q: 0.0 for q in qs})
@@ -358,37 +543,20 @@ def criterion_7(seed: int) -> CriterionResult:
             table = states.random_exciton_table(e_momenta, h_momenta, rng)
             marginals = analytic.exciton_marginals(table.values)
             state = states.exciton_spinless(spinless_reg, table)
-            for i, k in enumerate(e_momenta):
-                s = mode_entanglement(state, (i,))
-                worst = max(worst, abs(s - marginals.electron_entropy(k)))
-            for j, kp in enumerate(h_momenta):
-                s = mode_entanglement(state, (side + j,))
-                worst = max(worst, abs(s - marginals.hole_entropy(kp)))
-            for i, k in enumerate(e_momenta):
-                for j, kp in enumerate(h_momenta):
-                    s = mode_entanglement(state, (i, side + j))
-                    worst = max(worst, abs(s - marginals.joint_entropy(k, kp)))
-            for channel in (
-                states.ExcitonChannel.TRIPLET_ZERO,
-                states.ExcitonChannel.SINGLET,
-            ):
+            rows = exciton_rows(state, table, ExcitonChannel.SPINLESS)
+            worst = max(worst, max(row["abs_err"] for row in rows))
+            for channel in (ExcitonChannel.TRIPLET_ZERO, ExcitonChannel.SINGLET):
                 spinful = states.exciton_spinful(spinful_reg, table, channel)
-                for i, k in enumerate(e_momenta):
-                    s = mode_entanglement(spinful, (2 * i,))
-                    worst = max(worst, abs(s - marginals.spinful_electron_entropy(k)))
+                rows = exciton_rows(spinful, table, channel)
+                worst = max(worst, max(row["abs_err"] for row in rows))
+                # the rows trace the down hole; here the up hole, alone and
+                # beside the up electron
                 for j, kp in enumerate(h_momenta):
                     s = mode_entanglement(spinful, (2 * side + 2 * j,))
                     worst = max(worst, abs(s - marginals.spinful_hole_entropy(kp)))
                 for i, k in enumerate(e_momenta):
                     for j, kp in enumerate(h_momenta):
-                        up_e = 2 * i
-                        up_h = 2 * side + 2 * j
-                        down_h = up_h + 1
-                        s = mode_entanglement(spinful, (up_e, down_h))
-                        worst = max(
-                            worst, abs(s - marginals.spinful_opposite_entropy(k, kp))
-                        )
-                        s = mode_entanglement(spinful, (up_e, up_h))
+                        s = mode_entanglement(spinful, (2 * i, 2 * side + 2 * j))
                         worst = max(
                             worst, abs(s - marginals.spinful_same_entropy(k, kp))
                         )

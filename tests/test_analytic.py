@@ -23,12 +23,11 @@ from fockent import (
     bcs_pair_entropy,
     bcs_projected_x,
     binary_entropy,
+    bogoliubov_exact,
     bogoliubov_projected,
     bogoliubov_registry,
     bogoliubov_x0_approx,
-    bogoliubov_x0_exact,
     bogoliubov_x1_approx,
-    bogoliubov_x1_exact,
     compositions,
     diagonal_distribution,
     distribution_entropy,
@@ -217,9 +216,9 @@ def test_multinomial_values():
 def test_condensate_distribution_two_particles_single_pair():
     m = 0.35
     c = {(1,): math.sqrt(m)}
-    x0 = bogoliubov_x0_exact(c, 2)
+    x0 = bogoliubov_exact(c, 2)
     assert x0 == pytest.approx([m / (1 + m), 1 / (1 + m)])
-    x1 = bogoliubov_x1_exact(c, 2, (1,))
+    x1 = bogoliubov_exact(c, 2, (1,))
     assert x1 == pytest.approx([1 / (1 + m), m / (1 + m)])
 
 
@@ -228,10 +227,10 @@ def test_condensate_distribution_four_particles_single_pair():
     # multinomial weights 1, 4, 1
     m = 0.2
     c = {(1,): math.sqrt(m)}
-    x0 = bogoliubov_x0_exact(c, 4)
+    x0 = bogoliubov_exact(c, 4)
     want = np.array([m * m, 4 * m, 1.0])
     assert x0 == pytest.approx(want / want.sum())
-    x1 = bogoliubov_x1_exact(c, 4, (1,))
+    x1 = bogoliubov_exact(c, 4, (1,))
     want1 = np.array([1.0, 4 * m, m * m])
     assert x1 == pytest.approx(want1 / want1.sum())
 
@@ -245,16 +244,16 @@ def test_condensate_distributions_are_phase_insensitive():
         (q,): mags[q - 1] * complex(math.cos(phases[q - 1]), math.sin(phases[q - 1]))
         for q in (1, 2, 3)
     }
-    assert bogoliubov_x0_exact(plain, 6) == pytest.approx(
-        bogoliubov_x0_exact(rotated, 6), abs=1e-14
+    assert bogoliubov_exact(plain, 6) == pytest.approx(
+        bogoliubov_exact(rotated, 6), abs=1e-14
     )
-    assert bogoliubov_x1_exact(plain, 6, (2,)) == pytest.approx(
-        bogoliubov_x1_exact(rotated, 6, (2,)), abs=1e-14
+    assert bogoliubov_exact(plain, 6, (2,)) == pytest.approx(
+        bogoliubov_exact(rotated, 6, (2,)), abs=1e-14
     )
 
 
 def test_zero_amplitudes_concentrate_on_full_condensate():
-    x0 = bogoliubov_x0_exact({(1,): 0.0, (2,): 0.0}, 6)
+    x0 = bogoliubov_exact({(1,): 0.0, (2,): 0.0}, 6)
     assert x0 == pytest.approx([0.0, 0.0, 0.0, 1.0])
 
 
@@ -268,13 +267,13 @@ def test_condensate_distributions_match_bruteforce_state():
     reg = bogoliubov_registry(qs, condensate_cutoff=total, pair_cutoff=total // 2)
     state = bogoliubov_projected(reg, table, total)
 
-    x0 = bogoliubov_x0_exact(table.values, total)
+    x0 = bogoliubov_exact(table.values, total)
     dist0 = diagonal_distribution(reduced_density_matrix(state, (0,)))
     assert dist0[0::2] == pytest.approx(x0, abs=1e-12)
     assert dist0[1::2] == pytest.approx(np.zeros(total // 2), abs=1e-15)
 
     for q_idx, q in [(1, (1,)), (3, (2,))]:
-        x1 = bogoliubov_x1_exact(table.values, total, q)
+        x1 = bogoliubov_exact(table.values, total, q)
         dist1 = diagonal_distribution(reduced_density_matrix(state, (q_idx,)))
         assert dist1 == pytest.approx(x1, abs=1e-12)
 
@@ -282,11 +281,11 @@ def test_condensate_distributions_match_bruteforce_state():
 def test_condensate_guard_rejects_large_instances():
     c = {(q,): 0.1 for q in range(1, 8)}
     with pytest.raises(SizeGuardError):
-        bogoliubov_x0_exact(c, 4)
+        bogoliubov_exact(c, 4)
     with pytest.raises(SizeGuardError):
-        bogoliubov_x0_exact({(1,): 0.1}, 20)
+        bogoliubov_exact({(1,): 0.1}, 20)
     with pytest.raises(ValueError):
-        bogoliubov_x0_exact({(1,): 0.1}, 3)
+        bogoliubov_exact({(1,): 0.1}, 3)
 
 
 def test_approximate_forms_reduce_to_exact_for_minimal_case():
@@ -296,10 +295,10 @@ def test_approximate_forms_reduce_to_exact_for_minimal_case():
     x0 = bogoliubov_x0_approx(c, 2)
     assert isinstance(x0, ApproximateDistribution)
     assert x0.residual == pytest.approx(0.0, abs=1e-15)
-    assert x0.probabilities == pytest.approx(bogoliubov_x0_exact(c, 2), abs=1e-14)
+    assert x0.probabilities == pytest.approx(bogoliubov_exact(c, 2), abs=1e-14)
     x1 = bogoliubov_x1_approx(c, 2, (1,))
     assert x1.residual == 0.0
-    assert x1.probabilities == pytest.approx(bogoliubov_x1_exact(c, 2, (1,)), abs=1e-14)
+    assert x1.probabilities == pytest.approx(bogoliubov_exact(c, 2, (1,)), abs=1e-14)
 
 
 def test_approximate_forms_report_cross_term_residual():

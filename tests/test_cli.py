@@ -188,7 +188,7 @@ def test_fermi_sea_rows_are_separable(tmp_path):
 
 
 def test_exciton_channels_run_clean(tmp_path):
-    for channel in ("spinless", "triplet_zero", "singlet", "triplet_up"):
+    for channel in ("spinless", "triplet_zero", "singlet", "triplet_up", "triplet_down"):
         out = tmp_path / f"{channel}.csv"
         code = main(
             [
@@ -233,6 +233,14 @@ def test_bogoliubov_projected_and_unprojected(tmp_path):
     assert rows2[0]["mode"] == "0"
     assert float(rows2[0]["S_analytic"]) == 0.0
     assert max(float(r["abs_err"]) for r in rows2) < 1e-10
+
+    # no pairs: the condensate row alone, in both branches
+    for flags in ([], ["--unprojected"]):
+        out3 = tmp_path / "bog0.csv"
+        assert main(["bogoliubov", "--pairs", "0", *flags, "--out", str(out3)]) == 0
+        rows3 = read_csv(out3)
+        assert [r["mode"] for r in rows3] == ["0"]
+        assert float(rows3[0]["S_bruteforce"]) == float(rows3[0]["abs_err"]) == 0.0
 
 
 def test_dynamics_two_level_entropy(tmp_path, capsys):
@@ -297,6 +305,27 @@ def test_invalid_configuration_exits_2(tmp_path, capsys):
     assert main(["bcs", "--g", str(tmp_path / "missing.json")]) == 2
     assert main(["bcs", "--modes", "2", "--n", "6"]) == 2
     capsys.readouterr()
+    # a non-finite entry, or a |g|^2 beyond the float range, is refused on loading
+    nan = float("nan")
+    cases = [
+        (["bcs", "--unprojected", "--g"], "bcs_g", {"value": [1e200, 0.0]}),
+        (["bcs", "--g"], "bcs_g", {"value": [1e200, 0.0]}),
+        (["bcs", "--g"], "bcs_g", {"value": [nan, 0.0]}),
+        (["bcs", "--unprojected", "--g"], "bcs_g", {"value": [0.5, float("inf")]}),
+        (["exciton", "--table"], "exciton_A", {"kp": [0], "value": [nan, 0.0]}),
+        (["bogoliubov", "--c"], "bogoliubov_c", {"value": [nan, 0.0]}),
+        (
+            ["bogoliubov", "--unprojected", "--c"],
+            "bogoliubov_uv",
+            {"u": [1.0, 0.0], "v": [nan, 0.0]},
+        ),
+    ]
+    path = tmp_path / "table.json"
+    for argv, kind, entry in cases:
+        path.write_text(json.dumps({"kind": kind, "entries": [{"k": [1], **entry}]}))
+        assert main(argv + [str(path)]) == 2, (argv, entry)
+        err = capsys.readouterr().err
+        assert err.startswith("error: |amplitude|^2 of ") and err.count("\n") == 1, err
 
 
 # (argv without the table, flag, kind of the table given, expected stderr)
