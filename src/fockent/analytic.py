@@ -118,6 +118,10 @@ def bcs_projected_x(
     if m > len(g):
         raise ValueError(f"cannot place {m} pairs into {len(g)} pair modes")
     mags = {idx: _abs2(v) for idx, v in g.items()}
+    if any(isinstance(w, float) for w in mags.values()):
+        # one power of two keeps e_m finite for large |g| and cancels exactly
+        shift = math.frexp(max(mags.values()))[1]
+        mags = {idx: math.ldexp(w, -shift) for idx, w in mags.items()}
     full = elementary_symmetric(list(mags.values()), m)[m]
     if full == 0:
         raise ValueError("projected pair state vanishes for this amplitude table")
@@ -192,9 +196,14 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     return out
 
 
-def _sorted_pair_values(c: Mapping[Momentum, complex]) -> tuple[list[Momentum], list[complex]]:
+def _boxes(c: Mapping[Momentum, complex], q) -> tuple[list[complex], int]:
+    """Box amplitudes, 1.0 for the condensate and then c_j in momentum
+    order, and the target box: 0 for ``q`` None, else that of pair mode q."""
     keys = sorted(c.keys())
-    return keys, [complex(c[k]) for k in keys]
+    if q is not None and _as_momentum(q) not in keys:
+        raise KeyError(f"pair index {_as_momentum(q)} not in amplitude mapping")
+    pos = 0 if q is None else 1 + keys.index(_as_momentum(q))
+    return [1.0] + [complex(c[k]) for k in keys], pos
 
 
 def _guard_condensate(total_number: int, num_pairs: int) -> None:
@@ -227,15 +236,8 @@ def bogoliubov_exact(
     """
     _guard_condensate(total_number, len(c))
     half = total_number // 2
-    keys, values = _sorted_pair_values(c)
-    boxes = [1.0] + [abs(v) ** 2 for v in values]
-    if q is None:
-        pos = 0
-    else:
-        target = _as_momentum(q)
-        if target not in keys:
-            raise KeyError(f"pair index {target} not in amplitude mapping")
-        pos = 1 + keys.index(target)
+    amplitudes, pos = _boxes(c, q)
+    boxes = [abs(a) ** 2 for a in amplitudes]
     others = boxes[:pos] + boxes[pos + 1 :]
     weights = np.zeros(half + 1)
     for n in range(half + 1):
@@ -264,58 +266,39 @@ class ApproximateDistribution(NamedTuple):
     residual: float
 
 
-def bogoliubov_x0_approx(
-    c: Mapping[Momentum, complex], total_number: int
+def bogoliubov_approx(
+    c: Mapping[Momentum, complex],
+    total_number: int,
+    q: int | Sequence[int] | None = None,
 ) -> ApproximateDistribution:
-    """Geometric-form condensate distribution, valid when pair amplitudes
-    have uncorrelated phases.
+    """Geometric-form distribution of the condensate (``q`` None) or of pair
+    mode q, valid when the pair amplitudes have uncorrelated phases.
 
-    Entry n0 is proportional to |sum_q c_q|^(N - 2 n0).  The residual
-    |sum_{q != q'} conj(c_q) c_{q'}| measures the neglected cross terms.
+    The target box has weight 1 (condensate) or |c_q|^2, and the other pair
+    modes enter through their coherent sum C = |sum c|.  Condensate: entry
+    n0 is proportional to C^(N - 2 n0).  Pair mode q: entry n is
+    proportional to |c_q|^(2n) * sum over condensate occupations
+    n0 <= N/2 - n of C^(N - 2 n0 - 2 n).  The residual
+    |C^2 - sum |c|^2| over those other modes measures the neglected cross
+    terms.
     """
     if total_number % 2 != 0:
         raise ValueError("total particle number must be even")
     half = total_number // 2
-    _, values = _sorted_pair_values(c)
-    coherent = abs(sum(values))
-    incoherent = sum(abs(v) ** 2 for v in values)
-    residual = abs(coherent**2 - incoherent)
-    weights = np.zeros(half + 1)
-    for n0 in range(half + 1):
-        exponent = total_number - 2 * n0
-        weights[n0] = 1.0 if exponent == 0 else coherent**exponent
-    return ApproximateDistribution(weights / weights.sum(), float(residual))
-
-
-def bogoliubov_x1_approx(
-    c: Mapping[Momentum, complex], total_number: int, q1: int | Sequence[int]
-) -> ApproximateDistribution:
-    """Geometric-form distribution for one pair mode q1.
-
-    Entry n1 is proportional to |c_{q1}|^(2 n1) * sum over condensate
-    occupations n0 <= N/2 - n1 of |sum_{q != q1} c_q|^(N - 2 n0 - 2 n1).
-    The residual covers the cross terms among the remaining modes.
-    """
-    if total_number % 2 != 0:
-        raise ValueError("total particle number must be even")
-    half = total_number // 2
-    keys, values = _sorted_pair_values(c)
-    target = _as_momentum(q1)
-    if target not in keys:
-        raise KeyError(f"pair index {target} not in amplitude mapping")
-    pos = keys.index(target)
-    mag1 = abs(values[pos]) ** 2
-    rest = [v for i, v in enumerate(values) if i != pos]
+    amplitudes, pos = _boxes(c, q)
+    weight = abs(amplitudes[pos]) ** 2
+    rest = [a for i, a in enumerate(amplitudes) if i not in (0, pos)]
     coherent = abs(sum(rest)) if rest else 0.0
     incoherent = sum(abs(v) ** 2 for v in rest)
     residual = abs(coherent**2 - incoherent)
     weights = np.zeros(half + 1)
-    for n1 in range(half + 1):
+    for n in range(half + 1):
         geo = 0.0
-        for n0 in range(half - n1 + 1):
-            exponent = total_number - 2 * n0 - 2 * n1
+        # the condensate is summed over only when it is not the target
+        for n0 in range(half - n + 1 if q is not None else 1):
+            exponent = total_number - 2 * n0 - 2 * n
             geo += 1.0 if exponent == 0 else coherent**exponent
-        weights[n1] = (mag1**n1) * geo
+        weights[n] = (weight**n) * geo
     total = weights.sum()
     if total == 0.0:
         raise ValueError("distribution vanishes; all weights are zero")

@@ -17,7 +17,9 @@ keeps them sparse: sectors up to ``KRYLOV_CROSSOVER`` basis vectors are
 diagonalised densely, larger ones are propagated with numpy-only Taylor
 steps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  A
 configurable guard (FOCKENT_SIZE_GUARD, default 5000) bounds the sector
-dimension, and registries whose packed keys overflow int64 are refused.
+dimension, and registries whose keys are not int64 under the key rule
+of ``fock_core`` are refused.  Every result goes from key and amplitude
+arrays to a state through ``ManyBodyState._from_keys``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .fock_core import (
+    KEY_LIMIT,
     ManyBodyState,
     ModeLabel,
     ModeRegistry,
@@ -42,7 +45,7 @@ from .fock_core import (
     inner_product,
     registry_create,
     sector_dimension,
-    _pruned,
+    _key_dtype,
 )
 
 DEFAULT_SIZE_GUARD = 5000
@@ -50,7 +53,6 @@ HERMITICITY_TOL = 1e-12
 DEGENERACY_RTOL = 1e-10
 PROPER_TOL = 1e-12
 TENSOR_PRUNE = 1e-14
-KEY_LIMIT = 2**63
 
 # Sectors above this dimension are propagated with sparse Taylor steps,
 # smaller ones by dense eigh.  On disordered interacting rings at 50 times,
@@ -151,9 +153,9 @@ class SectorMatrix:
 
 
 def _key_array(registry: ModeRegistry, keys: Iterable[int]) -> np.ndarray:
-    """Packed keys as int64; a registry whose keys could wrap is refused."""
-    top = registry.full_dimension()
-    if top > KEY_LIMIT:
+    """Packed keys as int64; a registry whose keys do not fit is refused."""
+    if _key_dtype(registry) is not np.int64:
+        top = registry.full_dimension()
         raise SizeGuardError(
             f"packed keys of the {len(registry)}-mode registry reach {top - 1}, "
             f"beyond the int64 range",
@@ -165,18 +167,12 @@ def _key_array(registry: ModeRegistry, keys: Iterable[int]) -> np.ndarray:
 
 def _sector_keys(registry: ModeRegistry, total: int | None) -> np.ndarray:
     guard = size_guard()
-    if total is None:
-        dim = registry.full_dimension()
-        if dim > guard:
-            raise SizeGuardError(
-                f"full space dimension {dim} exceeds guard {guard}", dim, guard
-            )
-        return _key_array(registry, range(dim))
-    dim = sector_dimension(registry, total)
+    dim = registry.full_dimension() if total is None else sector_dimension(registry, total)
     if dim > guard:
-        raise SizeGuardError(
-            f"sector N={total} dimension {dim} exceeds guard {guard}", dim, guard
-        )
+        space = "full space" if total is None else f"sector N={total}"
+        raise SizeGuardError(f"{space} dimension {dim} exceeds guard {guard}", dim, guard)
+    if total is None:
+        return _key_array(registry, range(dim))
     return _key_array(
         registry, (registry.pack(occ) for occ in enumerate_sector(registry, total))
     )
@@ -287,8 +283,7 @@ def apply_hamiltonian(
     image_keys, slot = np.unique(target, return_inverse=True)
     image = np.zeros(len(image_keys), dtype=complex)
     np.add.at(image, slot, amplitudes[source] * value)
-    out = dict(zip(image_keys.tolist(), image.tolist()))
-    return ManyBodyState(h.registry, _pruned(out), state.truncated)
+    return ManyBodyState._from_keys(h.registry, image_keys, image, state.truncated)
 
 
 def energy_expectation(h: SecondQuantizedHamiltonian, state: ManyBodyState) -> float:
@@ -343,16 +338,11 @@ def eigenstates(
             cols = vectors[:, cluster]
             vectors[:, cluster] = _canonicalize_cluster(cols)
 
-    out = []
-    for i, energy in enumerate(energies):
-        amps = {
-            key: complex(vectors[row, i])
-            for row, key in enumerate(sector.keys)
-            if abs(vectors[row, i]) > 1e-15
-        }
-        state = ManyBodyState(h.registry, amps).normalize()
-        out.append((float(energy), state))
-    return out
+    keys = _key_array(h.registry, sector.keys)
+    return [
+        (float(energy), ManyBodyState._from_keys(h.registry, keys, vector).normalize())
+        for energy, vector in zip(energies, vectors.T)
+    ]
 
 
 @dataclass(frozen=True)
@@ -461,7 +451,9 @@ def evolve_many(
     for key, amp in state.amplitudes.items():
         by_sector.setdefault(registry.total_number(key), {})[key] = amp
 
-    out: list[dict[int, complex]] = [{} for _ in times]
+    # empty first blocks, so that a zero state evolves to zero states
+    key_blocks = [np.zeros(0, dtype=np.int64)]
+    column_blocks = [[np.zeros(0, dtype=complex)] * len(times)]
     for total, amps in sorted(by_sector.items()):
         if sector_dimension(registry, total) > KRYLOV_CROSSOVER:
             keys = _sector_keys(registry, total)
@@ -472,15 +464,15 @@ def evolve_many(
             evolved = _propagate_sparse(operator, _sector_vector(keys, amps), times)
         else:
             sector = hamiltonian_matrix(h, total)
-            keys = np.array(sector.keys, dtype=np.int64)
+            keys = _key_array(registry, sector.keys)
             energies, vectors = np.linalg.eigh(sector.matrix)
             coefficients = vectors.conj().T @ _sector_vector(keys, amps)
             evolved = [vectors @ (np.exp(-1j * energies * t) * coefficients) for t in times]
-        for amplitudes, column in zip(out, evolved):
-            kept = np.abs(column) > 1e-15
-            # + 0.0 stores -0.0 parts as 0.0, as a sum started from 0.0 does
-            amplitudes.update(zip(keys[kept].tolist(), (column[kept] + 0.0).tolist()))
-    return [ManyBodyState(registry, amps, state.truncated) for amps in out]
+        key_blocks.append(keys)
+        column_blocks.append(evolved)
+    keys = np.concatenate(key_blocks)
+    columns = (np.concatenate(blocks) for blocks in zip(*column_blocks))
+    return [ManyBodyState._from_keys(registry, keys, c, state.truncated) for c in columns]
 
 
 @dataclass

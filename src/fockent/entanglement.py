@@ -4,9 +4,10 @@ A pure state's amplitudes, split by subset occupation pattern p and
 environment key e, form a sparse matrix M[p, e] = amp(p join e), where
 "join" recombines subset and environment occupations back into
 registry order.  One vectorised kernel builds M: packed keys go into a
-numpy array (int64, or Python integers when the registry's keys reach
-2**63), subset occupations are read as ``(key // stride) % radix``, and
-one sort per side groups the terms by pattern and by environment key.
+numpy array of the key type of ``fock_core`` (int64, or Python integers
+when a key can reach 2**63), subset occupations are read as
+``(key // stride) % radix``, and one sort per side groups the terms by
+pattern and by environment key.
 
 The entropy comes from the Schmidt coefficients of M, as the spectrum
 of the Gram matrix of its smaller side (M M^dagger over the present
@@ -45,9 +46,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import KEY_LIMIT, size_guard
+from .dynamics import size_guard
 from .errors import NormalizationError, NumericalInvariantError, SizeGuardError
-from .fock_core import ManyBodyState, OccupationVector
+from .fock_core import ManyBodyState, OccupationVector, _key_dtype
 
 NORM_GATE = 1e-9
 EIGENVALUE_FLOOR = -1e-9
@@ -128,8 +129,7 @@ def _amplitude_matrix(state: ManyBodyState, sub: ModeSubset):
         raise NormalizationError(f"state norm {n} deviates from 1 beyond {NORM_GATE}")
     amplitudes /= n
 
-    dtype = np.int64 if registry.full_dimension() < KEY_LIMIT else object
-    keys = np.fromiter(state.amplitudes.keys(), dtype=dtype, count=count)
+    keys = np.fromiter(state.amplitudes.keys(), dtype=_key_dtype(registry), count=count)
     pattern = 0
     environment = keys
     for i in sub:

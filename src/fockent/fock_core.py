@@ -8,6 +8,11 @@ on the vacuum.  Amplitudes are stored sparsely in a dict keyed by a
 mixed-radix packing of the occupation vector, so a fermion-only registry
 degenerates to a plain bitmask.
 
+Key arrays have one data type, ``_key_dtype(registry)``: int64 while
+``full_dimension() <= KEY_LIMIT = 2**63``, Python integers above that.
+``ManyBodyState._from_keys`` is the one way from arrays of distinct keys
+and amplitudes to a state.
+
 Sign convention: applying a fermionic creation or annihilation operator
 at mode i picks up (-1)**(number of occupied fermionic modes with
 registry index below i).  The count runs over fermionic modes of every
@@ -21,6 +26,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     DuplicateModeError,
     NormalizationError,
@@ -28,6 +35,7 @@ from .errors import (
 )
 
 PRUNE_TOL = 1e-15
+KEY_LIMIT = 2**63
 
 Momentum = tuple[int, ...]
 OccupationVector = tuple[int, ...]
@@ -252,6 +260,24 @@ class ManyBodyState:
         state = cls(registry, _pruned(amps))
         return state.normalize() if normalize else state
 
+    @classmethod
+    def _from_keys(
+        cls, registry: ModeRegistry, keys, amplitudes, truncated: bool = False
+    ) -> "ManyBodyState":
+        """State with ``amplitudes[i]`` at the distinct packed key ``keys[i]``.
+
+        Drops |a| <= PRUNE_TOL, stores -0.0 parts as 0.0 (as a sum started
+        from 0.0 does), keeps the array order and refuses a repeated key.
+        """
+        keys = np.asarray(keys, dtype=_key_dtype(registry))
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        kept = np.abs(amplitudes) > PRUNE_TOL
+        values = (amplitudes[kept] + 0.0).tolist()
+        amps = dict(zip(keys[kept].tolist(), values))
+        if len(amps) < len(values):
+            raise ValueError("packed keys repeat; each key may carry one amplitude")
+        return cls(registry, amps, truncated)
+
     def amplitude(self, occupations: Sequence[int]) -> complex:
         return self.amplitudes.get(self.registry.pack(tuple(occupations)), 0.0)
 
@@ -291,6 +317,11 @@ def vacuum_state(registry: ModeRegistry) -> ManyBodyState:
 
 def basis_state(registry: ModeRegistry, occupations: Sequence[int]) -> ManyBodyState:
     return ManyBodyState(registry, {registry.pack(tuple(occupations)): 1.0 + 0.0j})
+
+
+def _key_dtype(registry: ModeRegistry) -> type:
+    """int64 while every packed key of the registry fits, else object."""
+    return np.int64 if registry.full_dimension() <= KEY_LIMIT else object
 
 
 def _pruned(amps: dict[int, complex]) -> dict[int, complex]:

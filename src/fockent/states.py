@@ -9,6 +9,12 @@ superpositions, and one-particle superpositions.
 Mode registries for paired states interleave the two members of each
 pair, so pair blocks are contiguous: [k up, -k down, ...] for fermion
 pairs and [condensate, q, -q, ...] for boson pairs.
+
+Seas, fillings, one-particle and condensate states compute packed keys
+from the registry strides (typed by ``fock_core``'s key rule) and pass
+keys and amplitudes to ``ManyBodyState._from_keys``.  The fermion-pair
+and exciton states apply ladder operators, whose signs follow registry
+order.
 """
 
 from __future__ import annotations
@@ -27,13 +33,12 @@ from .errors import NormalizationError, TruncationError
 from .fock_core import (
     PRUNE_TOL,
     ManyBodyState,
-    ModeLabel,
     ModeRegistry,
     Momentum,
     Spin,
     _as_momentum,
+    _key_dtype,
     apply_creation,
-    basis_state,
     boson,
     electron,
     hole,
@@ -209,19 +214,9 @@ def exciton_registry(
     spinful: bool = False,
 ) -> ModeRegistry:
     """Electron modes followed by hole modes; spin-resolved when spinful."""
-    labels = []
-    for k in electron_momenta:
-        if spinful:
-            labels.append(electron(k, Spin.UP))
-            labels.append(electron(k, Spin.DOWN))
-        else:
-            labels.append(electron(k))
-    for kp in hole_momenta:
-        if spinful:
-            labels.append(hole(kp, Spin.UP))
-            labels.append(hole(kp, Spin.DOWN))
-        else:
-            labels.append(hole(kp))
+    spins = (Spin.UP, Spin.DOWN) if spinful else (Spin.NONE,)
+    labels = [electron(k, spin) for k in electron_momenta for spin in spins]
+    labels += [hole(kp, spin) for kp in hole_momenta for spin in spins]
     return registry_create(labels)
 
 
@@ -236,12 +231,11 @@ def uniform_registry(num_modes: int) -> ModeRegistry:
 def fermi_sea(registry: ModeRegistry, filled: Sequence[int]) -> ManyBodyState:
     """Single determinant with the given fermionic modes occupied."""
     filled = sorted(set(int(i) for i in filled))
-    occupations = [0] * len(registry)
     for i in filled:
         if not registry.modes[i].fermionic:
             raise ValueError(f"mode {i} is bosonic; a filled sea needs fermionic modes")
-        occupations[i] = 1
-    return basis_state(registry, occupations)
+    key = sum(registry._strides[i] for i in filled)
+    return ManyBodyState._from_keys(registry, [key], [1.0])
 
 
 def _single_pair_ket(
@@ -311,15 +305,28 @@ def _bcs_pair_modes(registry: ModeRegistry, k: Momentum) -> tuple[int, int]:
     )
 
 
+def _ldexp(z: complex, e: int) -> complex:
+    """z * 2**e, exactly while the parts stay normal."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
 def bcs_unprojected(registry: ModeRegistry, table: PairAmplitudeTable) -> ManyBodyState:
     """Coherent pair state: normalized product of (1 + g_k P^dagger_k) on vacuum."""
     if table.kind is not TableKind.BCS_G:
         raise ValueError(f"need a bcs_g table, got {table.kind.value}")
     state = vacuum_state(registry)
+    # each factor 1 + g P is scaled by a power of two, exactly, so the largest
+    # amplitude, prod max(1, |g|), stays in [0.5, 1]: products of large g stay
+    # finite and superpose prunes at PRUNE_TOL relative to the largest term
+    largest = 1.0
     for k in table.pair_indices():
         up, down = _bcs_pair_modes(registry, k)
         paired = apply_creation(apply_creation(state, down), up)
-        state = superpose([(1.0, state), (table.values[k], paired)])
+        g = table.values[k]
+        largest *= max(1.0, abs(g))
+        scale = math.ldexp(1.0, -math.frexp(largest)[1]) if largest > 1.0 else 1.0
+        largest *= scale
+        state = superpose([(scale, state), (scale * g, paired)])
     return state.normalize()
 
 
@@ -356,16 +363,21 @@ def bcs_projected(
             f"cannot place {num_pairs} pairs into {len(available)} available pair modes"
         )
 
-    terms = []
+    # prod(g) per subset as a product of mantissas in [0.5, 1) times a power
+    # of two, so no product overflows or underflows; one exact shift then puts
+    # the largest term in [0.5, 1), so superpose prunes relative to it
+    raw = []
     for chosen in itertools.combinations(available, num_pairs):
-        coefficient = 1.0 + 0.0j
-        ket = base
+        coefficient, exponent, ket = 1.0 + 0.0j, 0, base
         for k in chosen:
-            coefficient *= table.values[k]
+            e = math.frexp(abs(table.values[k]))[1]
+            coefficient *= _ldexp(table.values[k], -e)
+            exponent += e
             up, down = _bcs_pair_modes(registry, k)
             ket = apply_creation(apply_creation(ket, down), up)
-        terms.append((coefficient, ket))
-    combined = superpose(terms)
+        raw.append((coefficient, exponent, ket))
+    top = max((math.frexp(abs(c))[1] + e for c, e, _ in raw if c), default=0)
+    combined = superpose([(_ldexp(c, e - top), ket) for c, e, ket in raw])
     if combined.is_zero:
         raise NormalizationError(
             "projected pair state vanishes; the amplitude table has no weight "
@@ -433,25 +445,25 @@ def bogoliubov_unprojected(
             raise TruncationError(
                 f"pair cutoff {n_max} exceeds registry cutoff {mode_cut} at {q}"
             )
-        pairs.append((q_idx, nq_idx, ratio, n_max))
+        pairs.append((registry._strides[q_idx] + registry._strides[nq_idx], ratio, n_max))
 
-    even_condensate = range(0, registry.cutoffs[condensate] + 1, 2)
-    amplitudes: dict[tuple[int, ...], complex] = {}
-    pair_ranges = [range(n_max + 1) for (_, _, _, n_max) in pairs]
-    for n0 in even_condensate:
-        for ns in itertools.product(*pair_ranges):
-            occupations = [0] * len(registry)
-            occupations[condensate] = n0
-            amp = 1.0 + 0.0j
-            for (q_idx, nq_idx, ratio, _), n in zip(pairs, ns):
-                occupations[q_idx] = n
-                occupations[nq_idx] = n
-                amp *= ratio**n
-            # from_amplitudes would prune these; dropping them here keeps
-            # the tuple-keyed table at the size of the state
-            if abs(amp) > PRUNE_TOL:
-                amplitudes[tuple(occupations)] = amp
-    return ManyBodyState.from_amplitudes(registry, amplitudes, normalize=True)
+    # the pair grid, first pair slowest; each amplitude multiplies the factors
+    # ratio**n in pair order, part by part as Python multiplies complex
+    # numbers (numpy's complex multiply may fuse multiply-adds, which changes
+    # the last bit of many products)
+    dtype = _key_dtype(registry)
+    keys, amplitudes = np.zeros(1, dtype=dtype), np.ones(1, dtype=complex)
+    for step, ratio, n_max in pairs:
+        keys = (keys[:, None] + np.arange(n_max + 1).astype(dtype) * step).ravel()
+        a, p = amplitudes[:, None], np.array([ratio**n for n in range(n_max + 1)])
+        real = a.real * p.real - a.imag * p.imag
+        amplitudes = (real + 1j * (a.real * p.imag + a.imag * p.real)).ravel()
+    # prune before repeating the grid over the even condensate occupations
+    kept = np.abs(amplitudes) > PRUNE_TOL
+    condensate_keys = np.arange(0, registry.cutoffs[condensate] + 1, 2).astype(dtype)
+    keys = (condensate_keys[:, None] * registry._strides[condensate] + keys[kept]).ravel()
+    amplitudes = np.tile(amplitudes[kept], len(condensate_keys))
+    return ManyBodyState._from_keys(registry, keys, amplitudes).normalize()
 
 
 def bogoliubov_projected(
@@ -473,6 +485,7 @@ def bogoliubov_projected(
         raise TruncationError(
             f"condensate cutoff {registry.cutoffs[condensate]} below required {total_number}"
         )
+    strides = registry._strides
     pair_modes = []
     for q in table.pair_indices():
         q_idx = registry.index_of(boson(q))
@@ -481,25 +494,24 @@ def bogoliubov_projected(
             raise TruncationError(
                 f"pair cutoff at {q} below required {half}"
             )
-        pair_modes.append((q_idx, nq_idx, table.values[q]))
+        pair_modes.append((strides[q_idx] + strides[nq_idx], table.values[q]))
 
-    amplitudes: dict[tuple[int, ...], complex] = {}
     from .analytic import compositions, multinomial
 
+    keys, amplitudes = [], []
     for pattern in compositions(half, 1 + len(pair_modes)):
         n0, rest = pattern[0], pattern[1:]
-        occupations = [0] * len(registry)
-        occupations[condensate] = 2 * n0
+        key = 2 * n0 * strides[condensate]
         amp = complex(multinomial(half, pattern))
-        for (q_idx, nq_idx, c), n in zip(pair_modes, rest):
-            occupations[q_idx] = n
-            occupations[nq_idx] = n
+        for (step, c), n in zip(pair_modes, rest):
+            key += n * step
             amp *= (-c) ** n
-        if amp != 0:
-            amplitudes[tuple(occupations)] = amp
-    if not amplitudes:
+        keys.append(key)
+        amplitudes.append(amp)
+    state = ManyBodyState._from_keys(registry, keys, amplitudes)
+    if state.is_zero:
         raise NormalizationError("projected condensate state vanishes")
-    return ManyBodyState.from_amplitudes(registry, amplitudes, normalize=True)
+    return state.normalize()
 
 
 def uniform_filling_state(
@@ -513,13 +525,9 @@ def uniform_filling_state(
     for i in range(num_modes):
         if not registry.modes[i].fermionic:
             raise ValueError(f"mode {i} is bosonic; uniform filling needs fermions")
-    amplitudes = {}
-    for filled in itertools.combinations(range(num_modes), num_filled):
-        occupations = [0] * len(registry)
-        for i in filled:
-            occupations[i] = 1
-        amplitudes[tuple(occupations)] = 1.0
-    return ManyBodyState.from_amplitudes(registry, amplitudes, normalize=True)
+    strides = registry._strides[:num_modes]
+    keys = [sum(filled) for filled in itertools.combinations(strides, num_filled)]
+    return ManyBodyState._from_keys(registry, keys, np.ones(len(keys))).normalize()
 
 
 def single_particle_superposition(
@@ -533,15 +541,7 @@ def single_particle_superposition(
     total = sum(abs(complex(c)) ** 2 for c in coefficients)
     if abs(total - 1.0) > COEFF_NORM_TOL:
         raise NormalizationError(f"coefficients have squared sum {total}, expected 1")
-    amplitudes = {}
-    for i, c in enumerate(coefficients):
-        c = complex(c)
-        if c == 0:
-            continue
-        occupations = [0] * len(registry)
-        occupations[i] = 1
-        amplitudes[tuple(occupations)] = c
-    return ManyBodyState.from_amplitudes(registry, amplitudes, normalize=True)
+    return ManyBodyState._from_keys(registry, registry._strides, coefficients).normalize()
 
 
 def project_particle_number(state: ManyBodyState, total: int) -> ManyBodyState:

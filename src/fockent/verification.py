@@ -252,11 +252,8 @@ def bogoliubov_rows(
                 s_analytic = analytic.distribution_entropy(exact)
         else:
             exact = analytic.bogoliubov_exact(c, total_number, q)
-            if q is None:
-                approx = analytic.bogoliubov_x0_approx(c, total_number)
-            else:
-                c_abs = abs(c[q])
-                approx = analytic.bogoliubov_x1_approx(c, total_number, q)
+            approx = analytic.bogoliubov_approx(c, total_number, q)
+            c_abs = None if q is None else abs(c[q])
             tv = analytic.total_variation(exact, approx.probabilities)
             s_analytic, residual = analytic.distribution_entropy(exact), approx.residual
         s_brute = mode_entanglement(state, (mode,))
@@ -330,13 +327,9 @@ def criterion_3(seed: int) -> CriterionResult:
     worst = 0.0
     for _ in range(50):
         total = int(rng.integers(1, 6))
-        occupations = enumerate_sector(registry, total)
-        raw = rng.normal(size=len(occupations)) + 1j * rng.normal(size=len(occupations))
-        state = ManyBodyState.from_amplitudes(
-            registry,
-            {occ: complex(a) for occ, a in zip(occupations, raw)},
-            normalize=True,
-        )
+        keys = [registry.pack(occ) for occ in enumerate_sector(registry, total)]
+        raw = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+        state = ManyBodyState._from_keys(registry, keys, raw).normalize()
         for mode in range(6):
             entropy = mode_entanglement(state, (mode,))
             expected = analytic.binary_entropy(number_expectation(state, mode))
@@ -500,10 +493,10 @@ def criterion_6(seed: int) -> CriterionResult:
             continue
         ordering_checked += 1
         s0 = analytic.distribution_entropy(
-            analytic.bogoliubov_x0_approx(values, 6).probabilities
+            analytic.bogoliubov_approx(values, 6).probabilities
         )
         s1 = analytic.distribution_entropy(
-            analytic.bogoliubov_x1_approx(values, 6, qs[0]).probabilities
+            analytic.bogoliubov_approx(values, 6, qs[0]).probabilities
         )
         if s1 > s0:
             ordering_ok += 1

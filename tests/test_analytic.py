@@ -23,11 +23,10 @@ from fockent import (
     bcs_pair_entropy,
     bcs_projected_x,
     binary_entropy,
+    bogoliubov_approx,
     bogoliubov_exact,
     bogoliubov_projected,
     bogoliubov_registry,
-    bogoliubov_x0_approx,
-    bogoliubov_x1_approx,
     compositions,
     diagonal_distribution,
     distribution_entropy,
@@ -292,26 +291,26 @@ def test_approximate_forms_reduce_to_exact_for_minimal_case():
     # N=2 with a single pair mode: both shortcuts are exact and the
     # residual vanishes
     c = {(1,): 0.4 * complex(math.cos(1.1), math.sin(1.1))}
-    x0 = bogoliubov_x0_approx(c, 2)
+    x0 = bogoliubov_approx(c, 2)
     assert isinstance(x0, ApproximateDistribution)
     assert x0.residual == pytest.approx(0.0, abs=1e-15)
     assert x0.probabilities == pytest.approx(bogoliubov_exact(c, 2), abs=1e-14)
-    x1 = bogoliubov_x1_approx(c, 2, (1,))
+    x1 = bogoliubov_approx(c, 2, (1,))
     assert x1.residual == 0.0
     assert x1.probabilities == pytest.approx(bogoliubov_exact(c, 2, (1,)), abs=1e-14)
 
 
 def test_approximate_forms_report_cross_term_residual():
     c = {(1,): 0.3, (2,): 0.3}
-    x0 = bogoliubov_x0_approx(c, 4)
+    x0 = bogoliubov_approx(c, 4)
     # |c1 + c2|^2 - (|c1|^2 + |c2|^2) = 2 Re(conj(c1) c2)
     assert x0.residual == pytest.approx(2 * 0.09)
     assert x0.probabilities.sum() == pytest.approx(1.0)
     assert len(x0.probabilities) == 3
     # orthogonal phases kill the cross term entirely
-    balanced = bogoliubov_x0_approx({(1,): 0.3, (2,): 0.3j}, 4)
+    balanced = bogoliubov_approx({(1,): 0.3, (2,): 0.3j}, 4)
     assert balanced.residual == pytest.approx(0.0, abs=1e-15)
-    x1 = bogoliubov_x1_approx(c, 4, (1,))
+    x1 = bogoliubov_approx(c, 4, (1,))
     assert x1.residual == pytest.approx(0.0, abs=1e-15)  # one remaining mode
     assert x1.probabilities.sum() == pytest.approx(1.0)
 
@@ -320,7 +319,7 @@ def test_approximate_x1_weights_are_geometric_in_suppressed_regime():
     # with the coherent sum of the other modes suppressed, successive
     # weight ratios are dominated by |c_q1|^2
     c = {(1,): 0.5, (2,): 0.3, (3,): -0.3}
-    x1 = bogoliubov_x1_approx(c, 6, (1,))
+    x1 = bogoliubov_approx(c, 6, (1,))
     assert x1.residual == pytest.approx(0.18)
     ratios = x1.probabilities[1:] / x1.probabilities[:-1]
     assert np.all(ratios >= 0.25 - 1e-12)

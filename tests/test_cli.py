@@ -328,6 +328,41 @@ def test_invalid_configuration_exits_2(tmp_path, capsys):
         assert err.startswith("error: |amplitude|^2 of ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("flags", [[], ["--n", "4"], ["--unprojected"]])
+def test_bcs_large_finite_amplitudes(tmp_path, flags):
+    # |g|^2 = 1e240 is finite, but a product of three such g is not
+    entries = [
+        {"k": [k], "value": value}
+        for k, value in ((1, [1e120, 0.0]), (2, [0.0, 1e120]), (3, [-1e120, 0.0]))
+    ]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "bcs_g", "entries": entries}))
+    out = tmp_path / "big.csv"
+    assert main(["bcs", "--g", str(path), *flags, "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 3
+    assert max(float(r["abs_err"]) for r in rows) < 1e-10
+    if flags == ["--n", "4"]:
+        # two of three equal pairs: x = 2/3 each
+        assert all(float(r["x_bruteforce"]) == pytest.approx(2 / 3) for r in rows)
+
+
+@pytest.mark.parametrize("flags", [["--n", "10"], ["--unprojected"]])
+def test_bcs_mixed_magnitude_amplitudes(tmp_path, flags):
+    # one g of 1000 among unit ones: the subsets without it still count
+    entries = [
+        {"k": [k], "value": [1000.0 if k == 1 else 1.0, 0.0]} for k in range(1, 7)
+    ]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"kind": "bcs_g", "entries": entries}))
+    out = tmp_path / "mixed.csv"
+    assert main(["bcs", "--g", str(path), *flags, "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 6
+    assert max(float(r["abs_err"]) for r in rows) < 1e-12
+    assert float(rows[0]["x_bruteforce"]) < 1.0
+
+
 # (argv without the table, flag, kind of the table given, expected stderr)
 WRONG_KIND = [
     (["exciton"], "--table", "bcs_g", "error: need an exciton_A table, got bcs_g"),

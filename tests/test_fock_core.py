@@ -275,6 +275,15 @@ def test_from_amplitudes_merges_duplicate_keys():
     assert merged.amplitude((1, 0)) == pytest.approx(2.0)
 
 
+def test_from_keys_prunes_keeps_order_and_refuses_repeats():
+    reg = fermion_registry(2)
+    state = ManyBodyState._from_keys(reg, [3, 0, 1], [-0.0 - 0.5j, 1e-16, 0.5])
+    assert list(state.amplitudes) == [3, 1]
+    assert repr(state.amplitudes[3]) == repr(0.0 - 0.5j)
+    with pytest.raises(ValueError):
+        ManyBodyState._from_keys(reg, [1, 1], [0.5, 0.5])
+
+
 def test_enumerate_sector_matches_bruteforce():
     reg = mixed_registry()
     radices = [reg.radix(i) for i in range(len(reg))]

@@ -1,0 +1,154 @@
+"""Golden digests of every scenario at its documented defaults.
+
+Each case runs ``fockent <argv> --out <table>`` in a fresh interpreter
+with one BLAS thread and pins the SHA-256 of the table, its
+``.meta.json`` sidecar (empty when none is written) and stdout.  The dynamics cases run on a Hubbard dimer (dense
+eigh) and on an 11-site interacting ring at N = 5 (dimension 462, sparse
+Taylor propagation).  A digest may change only together with a line in
+CHANGES.md that says why.  The digests were recorded with Python 3.11
+and numpy 2.4.6 (OpenBLAS 0.3.31) on x86-64; another numpy or BLAS build
+may round the last digit differently.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fockent
+
+# one BLAS thread: how a matrix product is split over threads changes its
+# last digit, so the digests would otherwise depend on the machine's cores
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [str(Path(fockent.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    ),
+    **dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1"),
+}
+
+
+def hubbard_dimer():
+    """Two sites x two spins, hopping -1, on-site repulsion 4."""
+    modes = [
+        {"species": "electron", "momentum": [site], "spin": spin}
+        for site in (0, 1)
+        for spin in ("up", "down")
+    ]
+    one_body = [[0.0] * 4 for _ in range(4)]
+    for a, b in ((0, 2), (1, 3)):
+        one_body[a][b] = one_body[b][a] = -1.0
+    two_body = [
+        {"ijlm": ijlm, "value": 4.0}
+        for ijlm in ([0, 1, 0, 1], [1, 0, 1, 0], [2, 3, 2, 3], [3, 2, 3, 2])
+    ]
+    return {"modes": modes, "one_body": one_body, "two_body": two_body}
+
+
+def ring(sites=11):
+    """Spinless ring: hopping -1, on-site energies i/10, neighbour repulsion 2."""
+    modes = [{"species": "electron", "momentum": [i]} for i in range(sites)]
+    one_body = [[0.0] * sites for _ in range(sites)]
+    two_body = []
+    for i in range(sites):
+        j = (i + 1) % sites
+        one_body[i][i] = i / 10
+        one_body[i][j] = one_body[j][i] = -1.0
+        two_body += [
+            {"ijlm": [i, j, i, j], "value": 2.0},
+            {"ijlm": [j, i, j, i], "value": 2.0},
+        ]
+    return {"modes": modes, "one_body": one_body, "two_body": two_body}
+
+
+HAMILTONIANS = {"dimer": hubbard_dimer, "ring": ring}
+
+# name: (argv without --out, SHA-256)
+GOLDEN = {
+    "fermi": (
+        ["fermi"],
+        "8e49fdb7568ef3272614c243c8bfa7ed4c9a6906ebd5fc2338d026be020e17ab",
+    ),
+    "exciton": (
+        ["exciton"],
+        "9925a108132f9484903f370a72538c4b3315c38d0bd113ae14a372a863bb7a53",
+    ),
+    "exciton_singlet": (
+        ["exciton", "--channel", "singlet"],
+        "b5059f1910365c614b601a6bfacec8022bbfd8ee2675d73daee41d9e245d404e",
+    ),
+    "exciton_triplet_zero_json": (
+        ["exciton", "--channel", "triplet_zero", "--format", "json"],
+        "691b4d9cf567a5530ef9744f33616e6d552d4f2dc9a13cf9beb7cac708e13e86",
+    ),
+    "qh": (
+        ["qh", "--filling", "7/3", "--filling", "2/5", "--filling", "5/12"],
+        "9e86016f4c6d9cc0f1477c3b8401643ae80ef528ae2636d1c4af0a812c049dd5",
+    ),
+    "bcs": (
+        ["bcs"],
+        "16c2abf19b4e4bdcad8ecc7df8411acba7663e9de2f712f9e05aab3e056dad83",
+    ),
+    "bcs_unprojected": (
+        ["bcs", "--unprojected"],
+        "05365d1062380e89397f0193653ca59d6e75ea267f4fa93defc9d46fabfc772e",
+    ),
+    "bogoliubov": (
+        ["bogoliubov"],
+        "1684eeac8d4acd49cc5ccb0876a12104745b1b6c1bfaa645908a949d496627ce",
+    ),
+    "bogoliubov_unprojected_2": (
+        ["bogoliubov", "--unprojected", "--pairs", "2"],
+        "bb1d33c56dcfea079c88b4ebc7bb11cc00af1cb00c9d32c9abf8f5b47d4e4d2e",
+    ),
+    "verify": (
+        ["verify"],
+        "f75c7acbe3fd645a4b08baef0abd4d0d2fa86eeca406b8447e0d6690b27a6a2d",
+    ),
+    "dynamics_dimer": (
+        ["dynamics", "--hamiltonian", "{dimer}", "--initial", "1,1,0,0", "--subset", "0,1"],
+        "578e3779a87807d4d29fbcebe5cc32db66ca5b19a5fc38f33a31f2bd8a8b8e39",
+    ),
+    "dynamics_ring": (
+        [
+            "dynamics",
+            "--hamiltonian",
+            "{ring}",
+            "--initial",
+            "1,0,1,0,1,0,1,0,1,0,0",
+            "--subset",
+            "0,1,2,3,4",
+        ],
+        "21dffa3d763680f897b4f00e9110b9d06356c55153d491c725e3a66ea977a490",
+    ),
+}
+
+
+def output_digest(argv, directory):
+    """SHA-256 over the table, its sidecar and stdout of one command."""
+    paths = {}
+    for name, payload in HAMILTONIANS.items():
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(json.dumps(payload()))
+    table = directory / "table.out"
+    command = [sys.executable, "-m", "fockent.cli", *argv, "--out", str(table)]
+    done = subprocess.run(
+        [arg.format(**paths) for arg in command], capture_output=True, text=True, env=ENV
+    )
+    assert done.returncode == 0, done.stderr
+    sidecar = directory / "table.out.meta.json"
+    digest = hashlib.sha256()
+    for part in (table.read_bytes(), sidecar.read_bytes() if sidecar.exists() else b""):
+        digest.update(len(part).to_bytes(8, "little") + part)
+    digest.update(done.stdout.encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(name, tmp_path):
+    argv, expected = GOLDEN[name]
+    assert output_digest(argv, tmp_path) == expected

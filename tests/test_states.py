@@ -9,12 +9,14 @@ import pytest
 
 from fockent import (
     ExcitonChannel,
+    ManyBodyState,
     NormalizationError,
     PairAmplitudeTable,
     Spin,
     TableKind,
     TruncationError,
     bcs_projected,
+    bcs_projected_x,
     bcs_registry,
     bcs_unprojected,
     bogoliubov_projected,
@@ -41,8 +43,10 @@ from fockent import (
     single_particle_superposition,
     table_payload,
     uniform_filling_state,
+    uniform_registry,
     vacuum_state,
 )
+from fockent.fock_core import PRUNE_TOL, negated
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +168,25 @@ def test_uniform_filling_state_counts_and_occupations():
         assert number_expectation(state, mode) == pytest.approx(2 / 5)
     with pytest.raises(ValueError):
         uniform_filling_state(reg, 5, 6)
+
+
+@pytest.mark.parametrize("num_modes", [63, 64, 70])
+def test_builders_keep_exact_keys_beyond_int64(num_modes):
+    # 2**63 and above must stay exact Python ints, not int64 or float keys
+    reg = uniform_registry(num_modes)
+    one_hot = [tuple(int(i == j) for i in range(num_modes)) for j in range(num_modes)]
+    one_hole = [tuple(1 - n for n in occ) for occ in one_hot]
+    coefficients = [1 / math.sqrt(num_modes)] * num_modes
+    cases = [
+        (uniform_filling_state(reg, num_modes, 1), dict.fromkeys(one_hot, 1.0)),
+        (uniform_filling_state(reg, num_modes, num_modes - 1), dict.fromkeys(one_hole[::-1], 1.0)),
+        (single_particle_superposition(reg, coefficients), dict(zip(one_hot, coefficients))),
+    ]
+    for state, mapping in cases:
+        want = ManyBodyState.from_amplitudes(reg, mapping, normalize=True)
+        assert list(state.amplitudes.items()) == list(want.amplitudes.items())
+        assert all(type(key) is int for key in state.amplitudes)
+    assert max(cases[1][0].amplitudes) == 2**num_modes - 2
 
 
 def test_single_particle_superposition_checks_norm():
@@ -305,6 +328,30 @@ def test_bcs_step_function_table_gives_single_determinant():
     assert abs(state.amplitude((1, 1, 1, 1, 0, 0, 0, 0))) == pytest.approx(1.0)
 
 
+def test_bcs_builders_prune_relative_to_the_largest_term():
+    momenta = [(k,) for k in range(1, 8)]
+    reg = bcs_registry(momenta)
+    # one large g among unit ones: subsets without the large pair keep their
+    # weight, x_1 = 0.9999998 rather than 1
+    g = {k: (1000.0 if k == (1,) else 1.0) for k in momenta[:6]}
+    state = bcs_projected(reg, PairAmplitudeTable(TableKind.BCS_G, g), 10)
+    assert state.num_terms == 6
+    x1 = bcs_projected_x(g, 10, 1)
+    assert x1 < 1.0
+    assert number_expectation(state, 0) == pytest.approx(x1, abs=1e-15)
+    # every raw product of the tiny table is 1e-20, and the mixed table's
+    # products, scaled by its largest g alone, would all fall below 1e-30
+    tiny = {k: 1e-4 for k in momenta[:6]}
+    mixed = {k: (1e6 if k == (1,) else 1.0) for k in momenta}
+    for values in (tiny, mixed):
+        table = PairAmplitudeTable(TableKind.BCS_G, values)
+        assert bcs_projected(reg, table, 2 * len(values) - 2).num_terms == len(values)
+    # five pairs at g = 2**24: relative to the fully paired term, two empty
+    # pairs weigh 2**-48 > PRUNE_TOL (kept), three weigh 2**-72 (dropped)
+    table = PairAmplitudeTable(TableKind.BCS_G, {k: 2.0**24 for k in momenta[:5]})
+    assert bcs_unprojected(reg, table).num_terms == 1 + 5 + 10
+
+
 # ---------------------------------------------------------------------------
 # condensate states
 
@@ -340,11 +387,68 @@ def test_bogoliubov_unprojected_pair_amplitudes_are_geometric():
     assert state.particle_numbers() == {n for n in range(0, 17, 2)}
 
 
+def tuple_reference(registry, table, cutoff):
+    """Unprojected condensate state built from occupation tuples, pair by pair."""
+    condensate = registry.index_of(boson(0))
+    pairs = [
+        (registry.index_of(boson(q)), registry.index_of(boson(negated(q))), -v / u)
+        for q, (u, v) in sorted(table.values.items())
+    ]
+    amplitudes = {}
+    for n0 in range(0, registry.cutoffs[condensate] + 1, 2):
+        for ns in itertools.product(range(cutoff + 1), repeat=len(pairs)):
+            occupations = [0] * len(registry)
+            occupations[condensate] = n0
+            amp = 1.0 + 0.0j
+            for (q_idx, nq_idx, ratio), n in zip(pairs, ns):
+                occupations[q_idx] = occupations[nq_idx] = n
+                amp *= ratio**n
+            if abs(amp) > PRUNE_TOL:
+                amplitudes[tuple(occupations)] = amp
+    return ManyBodyState.from_amplitudes(registry, amplitudes, normalize=True)
+
+
+def test_bogoliubov_unprojected_matches_tuple_reference():
+    # at cutoff 20 some raw products of the two pairs fall below PRUNE_TOL
+    qs = [(1,), (2,)]
+    values = {}
+    for q, r, phase in zip(qs, (0.3, 0.45), (1.3, -2.2)):
+        u = 1 / math.sqrt(1 - r * r)
+        values[q] = (u, r * u * complex(math.cos(phase), math.sin(phase)))
+    table = PairAmplitudeTable(TableKind.BOGOLIUBOV_UV, values)
+    reg = bogoliubov_registry(qs, condensate_cutoff=5, pair_cutoff=20)
+    state = bogoliubov_unprojected(reg, table, cutoff=20)
+    want = tuple_reference(reg, table, 20)
+    assert 0 < want.num_terms < 3 * 21**2
+    assert list(state.amplitudes) == list(want.amplitudes)
+    # repr tells apart every bit pattern, signed zeros included
+    assert [repr(a) for a in state.amplitudes.values()] == [
+        repr(a) for a in want.amplitudes.values()
+    ]
+
+
 def test_bogoliubov_unprojected_cutoff_must_fit_registry():
     reg = bogoliubov_registry([(1,)], condensate_cutoff=4, pair_cutoff=2)
     table = PairAmplitudeTable(TableKind.BOGOLIUBOV_UV, {(1,): (1.25, 0.75)})
     with pytest.raises(TruncationError):
         bogoliubov_unprojected(reg, table, cutoff=3)
+
+
+def test_bogoliubov_builders_refuse_pairs_sharing_modes():
+    # q = 1 and q = -1 would both occupy the modes 1 and -1 of this registry,
+    # so their pair grids repeat packed keys
+    reg = registry_create([boson(0), boson(1), boson(-1)], cutoffs=[2, 2, 2])
+    uv = {}
+    for q, r in ((1, 0.5), (-1, 0.3)):
+        u = 1 / math.sqrt(1 - r * r)
+        uv[(q,)] = (u, r * u)
+    with pytest.raises(ValueError, match="packed keys repeat"):
+        bogoliubov_unprojected(
+            reg, PairAmplitudeTable(TableKind.BOGOLIUBOV_UV, uv), cutoff=1
+        )
+    c = PairAmplitudeTable(TableKind.BOGOLIUBOV_C, {(1,): 0.5, (-1,): 0.3})
+    with pytest.raises(ValueError, match="packed keys repeat"):
+        bogoliubov_projected(reg, c, 2)
 
 
 def test_bogoliubov_projected_multinomial_amplitudes():
