@@ -44,6 +44,7 @@ from .errors import (
     TruncationError,
 )
 from .fock_core import (
+    _check_trajectory,
     apply_annihilation,
     apply_creation,
     basis_state,
@@ -237,7 +238,8 @@ def run_bogoliubov(args):
 # scenario: dynamics
 
 
-def _parse_times(text: str) -> np.ndarray:
+def _parse_times(text: str, state) -> np.ndarray:
+    # refused before the grid is allocated if evolve_many would refuse it
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -250,6 +252,8 @@ def _parse_times(text: str) -> np.ndarray:
         values = [float(x) for x in text.split(",")]
     if not all(math.isfinite(t) for t in values):
         raise ValueError(f"times must be finite, got {text}")
+    count = steps if ":" in text else len(values)
+    _check_trajectory(state.registry, state.particle_numbers(), count)
     return np.linspace(start, stop, steps) if ":" in text else np.array(values)
 
 
@@ -258,7 +262,7 @@ def run_dynamics(args):
     occupations = tuple(int(x) for x in args.initial.split(","))
     state = basis_state(hamiltonian.registry, occupations)
     subset = tuple(int(x) for x in args.subset.split(","))
-    times = _parse_times(args.times)
+    times = _parse_times(args.times, state)
     if args.check_basis:
         report = check_proper_basis(hamiltonian)
         print(

@@ -7,35 +7,29 @@ with T the one-body matrix, T' an external field, and V the two-body
 tensor stored sparsely as <ij|V|lm> entries (Hermiticity pairs are
 completed at load).
 
-One vectorised kernel applies every term of H to an array of packed
-keys at once and returns (source, target, value) triplets; occupations
-come from ``(key // stride) % radix`` and fermionic signs from the
-parity of the occupied fermionic modes below each mode, the convention
-of ``fock_core``.  ``hamiltonian_matrix`` densifies the triplets,
-``apply_hamiltonian`` sums them by target key, and ``evolve_many``
-keeps them sparse: sectors up to ``KRYLOV_CROSSOVER`` basis vectors are
-diagonalised densely, larger ones are propagated with numpy-only Taylor
-steps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  A
-configurable guard (FOCKENT_SIZE_GUARD, default 5000) bounds the sector
-dimension, and registries whose keys are not int64 under the key rule
-of ``fock_core`` are refused.  Every result goes from key and amplitude
-arrays to a state through ``ManyBodyState._from_keys``.
+The terms of H go through the operator kernel of ``fock_core``, which
+owns the sign rule, and come back as (source, target, value) triplets.
+``hamiltonian_matrix`` densifies them, ``apply_hamiltonian`` sums them
+by target key, and ``evolve_many`` keeps them sparse: sectors up to
+``KRYLOV_CROSSOVER`` basis vectors are diagonalised densely, larger ones
+are propagated with numpy-only Taylor steps (Al-Mohy & Higham, SIAM J.
+Sci. Comput. 33, 488 (2011)).  The size guard of ``fock_core`` bounds
+the sector dimension and, squared, the amplitudes of a trajectory;
+registries whose keys are not int64 are refused.  Every result goes to
+a state through ``ManyBodyState._from_keys``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import SizeGuardError
 from .fock_core import (
-    KEY_LIMIT,
     ManyBodyState,
     ModeLabel,
     ModeRegistry,
@@ -45,10 +39,13 @@ from .fock_core import (
     inner_product,
     registry_create,
     sector_dimension,
-    _key_dtype,
+    _check_guard,
+    _check_trajectory,
+    _grouped,
+    _key_array,
+    _operator_triplets,
 )
 
-DEFAULT_SIZE_GUARD = 5000
 HERMITICITY_TOL = 1e-12
 DEGENERACY_RTOL = 1e-10
 PROPER_TOL = 1e-12
@@ -75,11 +72,6 @@ TAYLOR_THETA = (
 )
 
 TwoBodyKey = tuple[int, int, int, int]
-
-
-def size_guard() -> int:
-    raw = os.environ.get("FOCKENT_SIZE_GUARD")
-    return DEFAULT_SIZE_GUARD if raw is None else int(raw)
 
 
 @dataclass
@@ -152,25 +144,9 @@ class SectorMatrix:
         return len(self.keys)
 
 
-def _key_array(registry: ModeRegistry, keys: Iterable[int]) -> np.ndarray:
-    """Packed keys as int64; a registry whose keys do not fit is refused."""
-    if _key_dtype(registry) is not np.int64:
-        top = registry.full_dimension()
-        raise SizeGuardError(
-            f"packed keys of the {len(registry)}-mode registry reach {top - 1}, "
-            f"beyond the int64 range",
-            top,
-            KEY_LIMIT,
-        )
-    return np.fromiter(keys, dtype=np.int64)
-
-
 def _sector_keys(registry: ModeRegistry, total: int | None) -> np.ndarray:
-    guard = size_guard()
     dim = registry.full_dimension() if total is None else sector_dimension(registry, total)
-    if dim > guard:
-        space = "full space" if total is None else f"sector N={total}"
-        raise SizeGuardError(f"{space} dimension {dim} exceeds guard {guard}", dim, guard)
+    _check_guard("full space" if total is None else f"sector N={total}", dim)
     if total is None:
         return _key_array(registry, range(dim))
     return _key_array(
@@ -200,63 +176,6 @@ def _terms(h: SecondQuantizedHamiltonian):
         yield unit * 0.5 * v, ((l, False), (m, False), (j, True), (i, True))
 
 
-def _operator_triplets(
-    h: SecondQuantizedHamiltonian, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply every term of H to each packed key in ``keys`` at once.
-
-    Returns ``(source, target, value)``: a term sends the basis vector
-    ``keys[source]`` to ``value`` times the basis vector with packed key
-    ``target``.  Each value is the coefficient times the operator factors
-    in the order the operators act, multiplied left to right.  Entries come
-    term by term, so summing duplicates in array order adds the
-    contributions to each matrix element in term order.
-
-    Occupations are ``(key // stride) % radix``.  An operator at mode q
-    takes the sign (-1)**(occupied fermionic modes below q) of the key it
-    acts on: the parity read from the source key, flipped once for every
-    earlier operator of the term at a fermionic mode below q.  Bosonic
-    modes contribute sqrt factors and no sign, so one formula serves
-    fermionic, bosonic and mixed registries.
-    """
-    registry = h.registry
-    strides = registry._strides
-    cutoffs = registry.cutoffs
-    fermionic = [mode.fermionic for mode in registry.modes]
-    occupation = keys[:, None] // np.array(strides, dtype=np.int64) % (
-        np.array(cutoffs, dtype=np.int64) + 1
-    )
-    counted = occupation * np.array(fermionic, dtype=np.int64)
-    parity = (np.cumsum(counted, axis=1) - counted) & 1
-    everything = np.arange(len(keys))
-    # empty first entries, so that H without terms gives empty triplets
-    sources = [everything[:0]]
-    targets = [keys[:0]]
-    values = [np.zeros(0, dtype=complex)]
-    for coefficient, operators in _terms(h):
-        source = everything
-        value = np.full(len(keys), coefficient)
-        offset = 0
-        for step, (mode, creates) in enumerate(operators):
-            earlier = operators[:step]
-            n = occupation[source, mode] + sum(
-                1 if c else -1 for p, c in earlier if p == mode
-            )
-            keep = n < cutoffs[mode] if creates else n > 0
-            source, value, n = source[keep], value[keep], n[keep]
-            if fermionic[mode]:
-                flips = sum(fermionic[p] for p, _ in earlier if p < mode)
-                odd = parity[source, mode] ^ (flips & 1)
-                value = value * np.where(odd, -1.0, 1.0)
-            else:
-                value = value * np.sqrt(n + 1 if creates else n)
-            offset += strides[mode] if creates else -strides[mode]
-        sources.append(source)
-        targets.append(keys[source] + offset)
-        values.append(value)
-    return np.concatenate(sources), np.concatenate(targets), np.concatenate(values)
-
-
 def hamiltonian_matrix(
     h: SecondQuantizedHamiltonian, total: int | None
 ) -> SectorMatrix:
@@ -267,7 +186,7 @@ def hamiltonian_matrix(
     contributions in term order.
     """
     keys = _sector_keys(h.registry, total)
-    source, target, value = _operator_triplets(h, keys)
+    source, target, value = _operator_triplets(h.registry, keys, _terms(h))
     matrix = np.zeros((len(keys), len(keys)), dtype=complex)
     np.add.at(matrix, (_positions(keys, target), source), value)
     return SectorMatrix(h.registry, total, tuple(keys.tolist()), matrix)
@@ -279,8 +198,8 @@ def apply_hamiltonian(
     """H |state>, unnormalized; the state may span several sectors."""
     keys = _key_array(h.registry, state.amplitudes)
     amplitudes = np.fromiter(state.amplitudes.values(), dtype=complex, count=len(keys))
-    source, target, value = _operator_triplets(h, keys)
-    image_keys, slot = np.unique(target, return_inverse=True)
+    source, target, value = _operator_triplets(h.registry, keys, _terms(h))
+    image_keys, slot = _grouped(target)
     image = np.zeros(len(image_keys), dtype=complex)
     np.add.at(image, slot, amplitudes[source] * value)
     return ManyBodyState._from_keys(h.registry, image_keys, image, state.truncated)
@@ -358,7 +277,7 @@ class _SparseOperator:
     def from_triplets(
         cls, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dimension: int
     ) -> "_SparseOperator":
-        flat, slot = np.unique(rows * dimension + cols, return_inverse=True)
+        flat, slot = _grouped(rows * dimension + cols)
         summed = np.zeros(len(flat), dtype=complex)
         np.add.at(summed, slot, values)
         return cls(flat // dimension, flat % dimension, summed, dimension)
@@ -441,7 +360,8 @@ def evolve_many(
     outward through the sorted times, backward for negative ones, by
     Taylor steps whose degree and substep count follow from a bound on
     ||H dt||_1, so that no dense matrix is built.  Times may come in any
-    order and with either sign.
+    order and with either sign.  A trajectory of more than guard**2
+    amplitudes is refused before anything is allocated.
     """
     if state.registry != h.registry:
         raise ValueError("state and Hamiltonian use different registries")
@@ -450,6 +370,7 @@ def evolve_many(
     by_sector: dict[int, dict[int, complex]] = {}
     for key, amp in state.amplitudes.items():
         by_sector.setdefault(registry.total_number(key), {})[key] = amp
+    _check_trajectory(registry, by_sector, len(times))
 
     # empty first blocks, so that a zero state evolves to zero states
     key_blocks = [np.zeros(0, dtype=np.int64)]
@@ -457,7 +378,7 @@ def evolve_many(
     for total, amps in sorted(by_sector.items()):
         if sector_dimension(registry, total) > KRYLOV_CROSSOVER:
             keys = _sector_keys(registry, total)
-            source, target, value = _operator_triplets(h, keys)
+            source, target, value = _operator_triplets(registry, keys, _terms(h))
             operator = _SparseOperator.from_triplets(
                 _positions(keys, target), source, value, len(keys)
             )

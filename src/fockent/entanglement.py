@@ -4,17 +4,17 @@ A pure state's amplitudes, split by subset occupation pattern p and
 environment key e, form a sparse matrix M[p, e] = amp(p join e), where
 "join" recombines subset and environment occupations back into
 registry order.  One vectorised kernel builds M: packed keys go into a
-numpy array of the key type of ``fock_core`` (int64, or Python integers
-when a key can reach 2**63), subset occupations are read as
-``(key // stride) % radix``, and one sort per side groups the terms by
-pattern and by environment key.
+numpy array of the key type of ``fock_core``, subset occupations are
+read as ``(key // stride) % radix``, and one sort per side
+(``fock_core._grouped``) groups the terms by pattern and by environment.
 
 The entropy comes from the Schmidt coefficients of M, as the spectrum
 of the Gram matrix of its smaller side (M M^dagger over the present
 patterns, or M^T M^* over the present environments).  The Gram matrix
 is summed over dense blocks of columns whose size follows the number of
 terms, so the patterns x environments matrix is never allocated.  Its
-dimension, at most the number of terms, must not exceed ``size_guard()``.
+dimension, at most the number of terms, must not exceed ``size_guard()``;
+the guard and its check live in ``fock_core``.
 
 The reduced density matrix is the pattern-side Gram matrix laid out on
 every subset pattern, ordered lexicographically (lowest subset mode most
@@ -31,7 +31,8 @@ environment, so the signs cancel for a subset that precedes every
 environment mode and in the number-sector-diagonal blocks of the
 paper's states, but for some non-contiguous subsets of fermionic states
 (a random two-particle state on four modes, subset (0, 2)) the matrix
-and its entropy are wrong.
+and its entropy are wrong.  The sign rule a signed trace needs is
+``fock_core._parity_below``.
 
 Entropy is the von Neumann entropy with natural logarithm,
 S = -sum(lambda * ln(lambda)), with 0 ln 0 = 0.
@@ -46,9 +47,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import size_guard
-from .errors import NormalizationError, NumericalInvariantError, SizeGuardError
-from .fock_core import ManyBodyState, OccupationVector, _key_dtype
+from .errors import NormalizationError, NumericalInvariantError
+from .fock_core import (
+    ManyBodyState,
+    OccupationVector,
+    _check_guard,
+    _grouped,
+    _key_dtype,
+)
 
 NORM_GATE = 1e-9
 EIGENVALUE_FLOOR = -1e-9
@@ -100,19 +106,6 @@ class ReducedDensityMatrix:
             raise NumericalInvariantError(f"negative eigenvalue {smallest}")
 
 
-def _grouped(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values, ascending, and the index of each entry among them.
-
-    Same result as ``np.unique(values, return_inverse=True)`` at half the
-    cost on a few terms, and unlike plain ``np.unique`` (a hash table since
-    numpy 2.3) it runs only the argsort and searchsorted code that sector
-    assembly already loads.
-    """
-    ordered = values[np.argsort(values)]
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    return distinct, np.searchsorted(distinct, values)
-
-
 def _amplitude_matrix(state: ManyBodyState, sub: ModeSubset):
     """Sparse amplitude matrix M[pattern, environment], scaled to unit norm.
 
@@ -160,14 +153,6 @@ def _gram(
         block[rows[take], cols[take] - start] = amplitudes[take]
         gram += block @ block.conj().T
     return gram
-
-
-def _check_guard(what: str, dimension: int) -> None:
-    guard = size_guard()
-    if dimension > guard:
-        raise SizeGuardError(
-            f"{what} dimension {dimension} exceeds guard {guard}", dimension, guard
-        )
 
 
 def _entropy(eigenvalues: np.ndarray) -> float:

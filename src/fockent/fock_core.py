@@ -16,12 +16,19 @@ and amplitudes to a state.
 Sign convention: applying a fermionic creation or annihilation operator
 at mode i picks up (-1)**(number of occupied fermionic modes with
 registry index below i).  The count runs over fermionic modes of every
-species; bosonic occupations never contribute a sign.
+species; bosonic occupations never contribute a sign.  ``_parity_below``
+is the one function that computes this parity.  Two vectorised kernels
+use it: ``_operator_triplets`` applies ladder-operator terms to an array
+of keys (``apply_creation``, ``apply_annihilation`` and ``dynamics``),
+and ``_created`` applies creation products to the terms of a state (the
+pair and exciton builders).  ``size_guard()`` (FOCKENT_SIZE_GUARD,
+default 5000) bounds dense dimensions; ``_check_guard`` is the one check.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -32,10 +39,12 @@ from .errors import (
     DuplicateModeError,
     NormalizationError,
     RegistryMismatchError,
+    SizeGuardError,
 )
 
 PRUNE_TOL = 1e-15
 KEY_LIMIT = 2**63
+DEFAULT_SIZE_GUARD = 5000
 
 Momentum = tuple[int, ...]
 OccupationVector = tuple[int, ...]
@@ -119,7 +128,6 @@ class ModeRegistry:
     cutoffs: tuple[int, ...]
     _strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
-    _fermionic: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.modes) != len(self.cutoffs):
@@ -141,9 +149,6 @@ class ModeRegistry:
             acc *= c + 1
         object.__setattr__(self, "_strides", tuple(strides))
         object.__setattr__(self, "_index", index)
-        object.__setattr__(
-            self, "_fermionic", tuple(i for i, m in enumerate(self.modes) if m.fermionic)
-        )
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -164,10 +169,6 @@ class ModeRegistry:
 
     def radix(self, i: int) -> int:
         return self.cutoffs[i] + 1
-
-    @property
-    def fermionic_indices(self) -> tuple[int, ...]:
-        return self._fermionic
 
     def full_dimension(self) -> int:
         return math.prod(c + 1 for c in self.cutoffs)
@@ -324,52 +325,155 @@ def _key_dtype(registry: ModeRegistry) -> type:
     return np.int64 if registry.full_dimension() <= KEY_LIMIT else object
 
 
+def _key_array(registry: ModeRegistry, keys: Iterable[int]) -> np.ndarray:
+    """Packed keys as int64; a registry whose keys do not fit is refused."""
+    if _key_dtype(registry) is not np.int64:
+        top = registry.full_dimension()
+        raise SizeGuardError(
+            f"packed keys of the {len(registry)}-mode registry reach {top - 1}, "
+            f"beyond the int64 range",
+            top,
+            KEY_LIMIT,
+        )
+    return np.fromiter(keys, dtype=np.int64)
+
+
+def size_guard() -> int:
+    """Largest dimension a dense matrix may have: FOCKENT_SIZE_GUARD, default 5000."""
+    return int(os.environ.get("FOCKENT_SIZE_GUARD", DEFAULT_SIZE_GUARD))
+
+
+def _check_guard(what: str, dimension: int, guard: int | None = None) -> None:
+    """Refuse a ``what`` of ``dimension`` above ``guard`` (``size_guard()`` if None)."""
+    guard = size_guard() if guard is None else guard
+    if dimension > guard:
+        raise SizeGuardError(
+            f"{what} dimension {dimension} exceeds guard {guard}", dimension, guard
+        )
+
+
+def _check_trajectory(registry: ModeRegistry, totals: Iterable[int], count: int) -> None:
+    """Refuse ``count`` states on the sectors ``totals`` beyond guard**2 amplitudes."""
+    dimension = sum(sector_dimension(registry, total) for total in totals)
+    what = f"trajectory ({count} times x {dimension} basis vectors)"
+    _check_guard(what, count * dimension, size_guard() ** 2)
+
+
+def _grouped(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values, ascending, and the index of each entry among them.
+
+    Same result as ``np.unique(values, return_inverse=True)``, at half the
+    cost on a few terms.
+    """
+    ordered = values[np.argsort(values)]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    return distinct, np.searchsorted(distinct, values)
+
+
 def _pruned(amps: dict[int, complex]) -> dict[int, complex]:
     return {k: a for k, a in amps.items() if abs(a) > PRUNE_TOL}
 
 
-def _fermionic_sign(registry: ModeRegistry, key: int, mode: int) -> float:
-    # parity of occupied fermionic modes strictly below `mode`
-    count = 0
-    for j in registry.fermionic_indices:
-        if j >= mode:
-            break
-        count += registry.occupation_at(key, j)
-    return -1.0 if count & 1 else 1.0
+def _occupations(registry: ModeRegistry, keys: np.ndarray) -> np.ndarray:
+    """Occupations ``(key // stride) % radix`` in the key type, cast to int64."""
+    strides = np.array(registry._strides, dtype=keys.dtype)
+    radices = np.array(registry.cutoffs, dtype=keys.dtype) + 1
+    return (keys[:, None] // strides % radices).astype(np.int64)
 
 
-def creation_kernel(
-    registry: ModeRegistry, key: int, mode: int
-) -> tuple[int, complex] | None:
-    """Apply a creation operator to one basis key.
+def _parity_below(registry: ModeRegistry, occupation: np.ndarray) -> np.ndarray:
+    """Parity of the occupied fermionic modes below each mode (last axis).
 
-    Returns (new_key, factor), or None when the result vanishes or the
-    bosonic cutoff is exceeded.
+    The one place the sign rule is computed: a fermionic ladder operator at
+    mode i takes (-1)**parity[..., i] of the occupations it acts on.
     """
-    stride = registry._strides[mode]
-    cutoff = registry.cutoffs[mode]
-    n = (key // stride) % (cutoff + 1)
-    if registry.modes[mode].fermionic:
-        if n == 1:
-            return None
-        return key + stride, _fermionic_sign(registry, key, mode)
-    if n == cutoff:
-        return None
-    return key + stride, math.sqrt(n + 1)
+    fermionic = np.array([mode.fermionic for mode in registry.modes], dtype=np.int64)
+    counted = occupation * fermionic
+    return (np.cumsum(counted, axis=-1) - counted) & 1
 
 
-def annihilation_kernel(
-    registry: ModeRegistry, key: int, mode: int
-) -> tuple[int, complex] | None:
-    """Adjoint of :func:`creation_kernel` on one basis key."""
-    stride = registry._strides[mode]
-    cutoff = registry.cutoffs[mode]
-    n = (key // stride) % (cutoff + 1)
-    if n == 0:
-        return None
-    if registry.modes[mode].fermionic:
-        return key - stride, _fermionic_sign(registry, key, mode)
-    return key - stride, math.sqrt(n)
+def _operator_triplets(
+    registry: ModeRegistry, keys: np.ndarray, terms: Iterable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply every term to each packed key in ``keys`` at once.
+
+    ``terms`` yields ``(coefficient, operators)``, ``operators`` listing
+    ``(mode, creates)`` in the order they act on a ket.  Returns ``(source,
+    target, value)``: a term sends the basis vector ``keys[source]`` to
+    ``value`` times the basis vector with packed key ``target``.  A value
+    is the coefficient times the operator factors in acting order, and
+    entries come term by term, so summing duplicates in array order adds
+    each matrix element in term order.
+
+    An operator at mode q takes ``_parity_below`` of the key it acts on:
+    that of the source key, flipped by ``flip[p][q]`` for each earlier
+    operator of the term at p.  Bosonic modes give sqrt factors and no
+    sign.  Only the targets keep the key type of ``keys``.
+    """
+    strides, cutoffs = registry._strides, registry.cutoffs
+    fermionic = [mode.fermionic for mode in registry.modes]
+    occupation = _occupations(registry, keys)
+    parity = _parity_below(registry, occupation)
+    # flip[p][q]: the parity that one more or one less particle at p adds at q
+    flip = _parity_below(registry, np.eye(len(registry), dtype=np.int64)).tolist()
+    everything = np.arange(len(keys))
+    # empty first entries, so that no terms give empty triplets
+    sources, targets, values = [everything[:0]], [keys[:0]], [np.zeros(0, dtype=complex)]
+    for coefficient, operators in terms:
+        source = everything
+        value = np.full(len(keys), coefficient)
+        offset = 0
+        for step, (mode, creates) in enumerate(operators):
+            earlier = operators[:step]
+            n = occupation[source, mode] + sum(
+                1 if c else -1 for p, c in earlier if p == mode
+            )
+            keep = n < cutoffs[mode] if creates else n > 0
+            source, value, n = source[keep], value[keep], n[keep]
+            if fermionic[mode]:
+                odd = parity[source, mode] ^ (sum(flip[p][mode] for p, _ in earlier) & 1)
+                value = value * np.where(odd, -1.0, 1.0)
+            else:
+                value = value * np.sqrt(n + 1 if creates else n)
+            offset += strides[mode] if creates else -strides[mode]
+        sources.append(source)
+        targets.append(keys[source] + offset)
+        values.append(value)
+    return np.concatenate(sources), np.concatenate(targets), np.concatenate(values)
+
+
+def _created(registry: ModeRegistry, keys, amplitudes, modes):
+    """Keys and amplitudes of creation products on the terms of a state.
+
+    Row r creates ``modes[r, 0]``, then ``modes[r, 1]``, ... (fermionic and
+    empty) on ``amplitudes[r]`` at ``keys[r]``; 1-D ``modes`` serve every row.
+    """
+    keys = np.asarray(keys, dtype=_key_dtype(registry))
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    modes = np.asarray(modes, dtype=np.intp)
+    modes = np.broadcast_to(modes, (len(keys), modes.shape[-1]))
+    occupation = _occupations(registry, keys)
+    rows = np.arange(len(keys))
+    odd = np.zeros(len(keys), dtype=np.int64)
+    for column in modes.T:
+        odd ^= _parity_below(registry, occupation)[rows, column]
+        occupation[rows, column] += 1
+    targets = keys + np.array(registry._strides, dtype=keys.dtype)[modes].sum(axis=1)
+    return targets, np.where(odd, -amplitudes, amplitudes)
+
+
+def _apply_ladder(state: ManyBodyState, mode: int, creates: bool) -> ManyBodyState:
+    registry, count = state.registry, len(state.amplitudes)
+    keys = np.fromiter(state.amplitudes, dtype=_key_dtype(registry), count=count)
+    amplitudes = np.fromiter(state.amplitudes.values(), dtype=complex, count=count)
+    term = (1.0 + 0.0j, ((mode, creates),))
+    source, target, value = _operator_triplets(registry, keys, [term])
+    # distinct sources give distinct targets, in source order
+    dropped = creates and not registry.modes[mode].fermionic and len(source) < count
+    truncated = state.truncated or dropped
+    return ManyBodyState._from_keys(registry, target, amplitudes[source] * value, truncated)
 
 
 def apply_creation(state: ManyBodyState, mode: int) -> ManyBodyState:
@@ -378,32 +482,12 @@ def apply_creation(state: ManyBodyState, mode: int) -> ManyBodyState:
     Fermionic branches already occupied vanish.  Bosonic branches at the
     cutoff are dropped and flagged via ``truncated``.
     """
-    registry = state.registry
-    out: dict[int, complex] = {}
-    truncated = state.truncated
-    bosonic = not registry.modes[mode].fermionic
-    for key, amp in state.amplitudes.items():
-        hit = creation_kernel(registry, key, mode)
-        if hit is None:
-            if bosonic:
-                truncated = True
-            continue
-        new_key, factor = hit
-        out[new_key] = out.get(new_key, 0.0) + amp * factor
-    return ManyBodyState(registry, _pruned(out), truncated)
+    return _apply_ladder(state, mode, True)
 
 
 def apply_annihilation(state: ManyBodyState, mode: int) -> ManyBodyState:
     """Return a_mode |state>, unnormalized."""
-    registry = state.registry
-    out: dict[int, complex] = {}
-    for key, amp in state.amplitudes.items():
-        hit = annihilation_kernel(registry, key, mode)
-        if hit is None:
-            continue
-        new_key, factor = hit
-        out[new_key] = out.get(new_key, 0.0) + amp * factor
-    return ManyBodyState(registry, _pruned(out), state.truncated)
+    return _apply_ladder(state, mode, False)
 
 
 def inner_product(bra: ManyBodyState, ket: ManyBodyState) -> complex:

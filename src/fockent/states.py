@@ -10,11 +10,11 @@ Mode registries for paired states interleave the two members of each
 pair, so pair blocks are contiguous: [k up, -k down, ...] for fermion
 pairs and [condensate, q, -q, ...] for boson pairs.
 
-Seas, fillings, one-particle and condensate states compute packed keys
-from the registry strides (typed by ``fock_core``'s key rule) and pass
-keys and amplitudes to ``ManyBodyState._from_keys``.  The fermion-pair
-and exciton states apply ladder operators, whose signs follow registry
-order.
+Every builder computes packed keys as sums of registry strides (typed
+by ``fock_core``'s key rule) and passes keys and amplitudes to
+``ManyBodyState._from_keys``.  The fermion-pair and exciton states take
+the keys and signs of their creation products from ``fock_core``'s
+``_created``, so the signs follow registry order.
 """
 
 from __future__ import annotations
@@ -37,16 +37,14 @@ from .fock_core import (
     Momentum,
     Spin,
     _as_momentum,
+    _created,
     _key_dtype,
-    apply_creation,
     boson,
     electron,
     hole,
     generic,
     negated,
     registry_create,
-    superpose,
-    vacuum_state,
 )
 
 PAIR_TAIL_TOL = 1e-14
@@ -238,24 +236,27 @@ def fermi_sea(registry: ModeRegistry, filled: Sequence[int]) -> ManyBodyState:
     return ManyBodyState._from_keys(registry, [key], [1.0])
 
 
-def _single_pair_ket(
-    registry: ModeRegistry, first: int, second: int
+def _exciton_state(
+    registry: ModeRegistry, table: PairAmplitudeTable, branches
 ) -> ManyBodyState:
-    # creation product first^dagger second^dagger on the vacuum
-    return apply_creation(apply_creation(vacuum_state(registry), second), first)
+    """Sum of A(k,k') * weight * e^dagger h^dagger |0> over ``branches``, normalized."""
+    if table.kind is not TableKind.EXCITON_A:
+        raise ValueError(f"need an exciton_A table, got {table.kind.value}")
+    coefficients, created = [], []
+    for (k, kp) in table.pair_indices():
+        a = table.values[(k, kp)]
+        for e_spin, h_spin, weight in branches:
+            e_idx = registry.index_of(electron(k, e_spin))
+            h_idx = registry.index_of(hole(kp, h_spin))
+            coefficients.append(a * weight)
+            created.append((h_idx, e_idx))
+    terms = _created(registry, [0] * len(created), coefficients, created)
+    return ManyBodyState._from_keys(registry, *terms).normalize()
 
 
 def exciton_spinless(registry: ModeRegistry, table: PairAmplitudeTable) -> ManyBodyState:
     """Sum over (k, k') of A(k,k') e^dagger(k) h^dagger(k') on the vacuum."""
-    if table.kind is not TableKind.EXCITON_A:
-        raise ValueError(f"need an exciton_A table, got {table.kind.value}")
-    terms = []
-    for (k, kp) in table.pair_indices():
-        a = table.values[(k, kp)]
-        e_idx = registry.index_of(electron(k))
-        h_idx = registry.index_of(hole(kp))
-        terms.append((a, _single_pair_ket(registry, e_idx, h_idx)))
-    return superpose(terms).normalize()
+    return _exciton_state(registry, table, [(Spin.NONE, Spin.NONE, 1.0)])
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -284,18 +285,9 @@ def exciton_spinful(
     branches with weight 1/sqrt(2); the stretched channels use a single
     equal-spin branch and reduce to the spinless case.
     """
-    if table.kind is not TableKind.EXCITON_A:
-        raise ValueError(f"need an exciton_A table, got {table.kind.value}")
     if channel not in _CHANNEL_BRANCHES:
         raise ValueError(f"unknown spinful channel {channel}")
-    terms = []
-    for (k, kp) in table.pair_indices():
-        a = table.values[(k, kp)]
-        for e_spin, h_spin, weight in _CHANNEL_BRANCHES[channel]:
-            e_idx = registry.index_of(electron(k, e_spin))
-            h_idx = registry.index_of(hole(kp, h_spin))
-            terms.append((a * weight, _single_pair_ket(registry, e_idx, h_idx)))
-    return superpose(terms).normalize()
+    return _exciton_state(registry, table, _CHANNEL_BRANCHES[channel])
 
 
 def _bcs_pair_modes(registry: ModeRegistry, k: Momentum) -> tuple[int, int]:
@@ -310,24 +302,37 @@ def _ldexp(z: complex, e: int) -> complex:
     return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
 
 
+def _times(a: np.ndarray, p) -> np.ndarray:
+    """a * p, part by part as Python multiplies complex numbers.
+
+    numpy's complex multiply may fuse multiply-adds, which changes the last
+    bit of many products.
+    """
+    real = a.real * p.real - a.imag * p.imag
+    return real + 1j * (a.real * p.imag + a.imag * p.real)
+
+
 def bcs_unprojected(registry: ModeRegistry, table: PairAmplitudeTable) -> ManyBodyState:
     """Coherent pair state: normalized product of (1 + g_k P^dagger_k) on vacuum."""
     if table.kind is not TableKind.BCS_G:
         raise ValueError(f"need a bcs_g table, got {table.kind.value}")
-    state = vacuum_state(registry)
+    keys, amplitudes = np.zeros(1, dtype=_key_dtype(registry)), np.ones(1, dtype=complex)
     # each factor 1 + g P is scaled by a power of two, exactly, so the largest
     # amplitude, prod max(1, |g|), stays in [0.5, 1]: products of large g stay
-    # finite and superpose prunes at PRUNE_TOL relative to the largest term
+    # finite, and pruning after each pair is relative to the largest term
     largest = 1.0
     for k in table.pair_indices():
         up, down = _bcs_pair_modes(registry, k)
-        paired = apply_creation(apply_creation(state, down), up)
+        paired_keys, paired = _created(registry, keys, amplitudes, [down, up])
         g = table.values[k]
         largest *= max(1.0, abs(g))
         scale = math.ldexp(1.0, -math.frexp(largest)[1]) if largest > 1.0 else 1.0
         largest *= scale
-        state = superpose([(scale, state), (scale * g, paired)])
-    return state.normalize()
+        keys = np.concatenate((keys, paired_keys))
+        amplitudes = np.concatenate((_times(amplitudes, scale), _times(paired, scale * g)))
+        kept = np.abs(amplitudes) > PRUNE_TOL
+        keys, amplitudes = keys[kept], amplitudes[kept]
+    return ManyBodyState._from_keys(registry, keys, amplitudes).normalize()
 
 
 def bcs_projected(
@@ -352,10 +357,10 @@ def bcs_projected(
         raise ValueError("unpaired mode given but the particle number is even")
 
     available = table.pair_indices()
-    base = vacuum_state(registry)
+    base = []
     if unpaired is not None:
         p = _as_momentum(unpaired)
-        base = apply_creation(base, registry.index_of(electron(p, Spin.UP)))
+        base = [registry.index_of(electron(p, Spin.UP))]
         available = [k for k in available if k != p]
     num_pairs = total_number // 2
     if num_pairs > len(available):
@@ -365,19 +370,22 @@ def bcs_projected(
 
     # prod(g) per subset as a product of mantissas in [0.5, 1) times a power
     # of two, so no product overflows or underflows; one exact shift then puts
-    # the largest term in [0.5, 1), so superpose prunes relative to it
-    raw = []
+    # the largest term in [0.5, 1), so pruning is relative to it
+    raw, created = [], []
     for chosen in itertools.combinations(available, num_pairs):
-        coefficient, exponent, ket = 1.0 + 0.0j, 0, base
+        coefficient, exponent, modes = 1.0 + 0.0j, 0, list(base)
         for k in chosen:
             e = math.frexp(abs(table.values[k]))[1]
             coefficient *= _ldexp(table.values[k], -e)
             exponent += e
             up, down = _bcs_pair_modes(registry, k)
-            ket = apply_creation(apply_creation(ket, down), up)
-        raw.append((coefficient, exponent, ket))
-    top = max((math.frexp(abs(c))[1] + e for c, e, _ in raw if c), default=0)
-    combined = superpose([(_ldexp(c, e - top), ket) for c, e, ket in raw])
+            modes += [down, up]
+        raw.append((coefficient, exponent))
+        created.append(modes)
+    top = max((math.frexp(abs(c))[1] + e for c, e in raw if c), default=0)
+    coefficients = [_ldexp(c, e - top) for c, e in raw]
+    terms = _created(registry, [0] * len(raw), coefficients, created)
+    combined = ManyBodyState._from_keys(registry, *terms)
     if combined.is_zero:
         raise NormalizationError(
             "projected pair state vanishes; the amplitude table has no weight "
@@ -448,16 +456,13 @@ def bogoliubov_unprojected(
         pairs.append((registry._strides[q_idx] + registry._strides[nq_idx], ratio, n_max))
 
     # the pair grid, first pair slowest; each amplitude multiplies the factors
-    # ratio**n in pair order, part by part as Python multiplies complex
-    # numbers (numpy's complex multiply may fuse multiply-adds, which changes
-    # the last bit of many products)
+    # ratio**n in pair order, through _times
     dtype = _key_dtype(registry)
     keys, amplitudes = np.zeros(1, dtype=dtype), np.ones(1, dtype=complex)
     for step, ratio, n_max in pairs:
         keys = (keys[:, None] + np.arange(n_max + 1).astype(dtype) * step).ravel()
-        a, p = amplitudes[:, None], np.array([ratio**n for n in range(n_max + 1)])
-        real = a.real * p.real - a.imag * p.imag
-        amplitudes = (real + 1j * (a.real * p.imag + a.imag * p.real)).ravel()
+        powers = np.array([ratio**n for n in range(n_max + 1)])
+        amplitudes = _times(amplitudes[:, None], powers).ravel()
     # prune before repeating the grid over the even condensate occupations
     kept = np.abs(amplitudes) > PRUNE_TOL
     condensate_keys = np.arange(0, registry.cutoffs[condensate] + 1, 2).astype(dtype)

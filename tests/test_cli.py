@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -396,6 +397,30 @@ def test_size_guard_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FOCKENT_SIZE_GUARD", "1")
     assert main(["dynamics", "--hamiltonian", str(hop), "--initial", "1,0"]) == 3
     assert "exceeds guard" in capsys.readouterr().err
+
+
+def test_time_grid_beyond_guard_squared_exits_3_before_allocating(
+    tmp_path, monkeypatch, capsys
+):
+    # 10**8 times of a 2-dimensional sector would hold 2e8 amplitudes, past
+    # guard**2 = 2.5e7; the grid alone would take 800 MB
+    hop = write_hopping(tmp_path)
+    monkeypatch.delenv("FOCKENT_SIZE_GUARD", raising=False)
+    argv = ["dynamics", "--hamiltonian", str(hop), "--initial", "1,0"]
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--times", "0:1:100000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: trajectory (100000000 times x 2 basis vectors) "
+        "dimension 200000000 exceeds guard 25000000\n"
+    )
 
 
 def test_keys_beyond_int64_exit_3(tmp_path, capsys):

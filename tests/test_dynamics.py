@@ -5,10 +5,11 @@ plus on-site repulsion model has ground energy (U - sqrt(U^2 + 16 t^2))/2
 in the half-filled sector, and a single particle hopping between two
 modes gives S(t) = h(cos^2 t) for the starting mode.
 
-The vectorised operator kernel is checked against a matrix built one
-basis vector and one term at a time from the scalar kernels
-``creation_kernel`` and ``annihilation_kernel``; the sparse Taylor
-propagator is checked against dense ``eigh``.
+The vectorised operator kernel of ``fock_core`` is checked against a
+matrix built one basis vector and one term at a time from the scalar
+kernels ``creation_kernel`` and ``annihilation_kernel`` below, which count
+the sign by a loop over the occupied fermionic modes of each key; the
+sparse Taylor propagator is checked against dense ``eigh``.
 """
 
 import math
@@ -47,7 +48,6 @@ from fockent import (
     superpose,
 )
 from fockent.dynamics import KRYLOV_CROSSOVER, _SparseOperator, _taylor_step
-from fockent.fock_core import annihilation_kernel, creation_kernel
 
 
 def hopping_hamiltonian(tau=1.0):
@@ -257,6 +257,17 @@ def test_size_guard_env_override(monkeypatch):
     assert hamiltonian_matrix(h, 1).dimension == 2
 
 
+def test_evolve_many_refuses_trajectories_beyond_guard_squared(monkeypatch):
+    h = hopping_hamiltonian()
+    state = basis_state(h.registry, (1, 0))
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "4")
+    # 8 times of the 2-dimensional sector hold guard**2 = 16 amplitudes
+    assert len(evolve_many(state, h, np.linspace(0.0, 1.0, 8))) == 8
+    with pytest.raises(SizeGuardError) as info:
+        evolve_many(state, h, np.linspace(0.0, 1.0, 9))
+    assert (info.value.dimension, info.value.guard) == (18, 16)
+
+
 BOSON_PAYLOAD = {
     "modes": [
         {"species": "electron", "momentum": [0]},
@@ -306,6 +317,40 @@ def test_load_hamiltonian_rejects_bad_shapes():
 
 # ---------------------------------------------------------------------------
 # vectorised assembly against the scalar kernels
+
+
+def fermionic_sign(registry, key, mode):
+    # parity of occupied fermionic modes strictly below `mode`
+    count = sum(
+        registry.occupation_at(key, j) for j in range(mode) if registry.modes[j].fermionic
+    )
+    return -1.0 if count & 1 else 1.0
+
+
+def creation_kernel(registry, key, mode):
+    """(new_key, factor) of a creation operator on one key, or None."""
+    stride = registry._strides[mode]
+    cutoff = registry.cutoffs[mode]
+    n = (key // stride) % (cutoff + 1)
+    if registry.modes[mode].fermionic:
+        if n == 1:
+            return None
+        return key + stride, fermionic_sign(registry, key, mode)
+    if n == cutoff:
+        return None
+    return key + stride, math.sqrt(n + 1)
+
+
+def annihilation_kernel(registry, key, mode):
+    """Adjoint of ``creation_kernel`` on one key."""
+    stride = registry._strides[mode]
+    cutoff = registry.cutoffs[mode]
+    n = (key // stride) % (cutoff + 1)
+    if n == 0:
+        return None
+    if registry.modes[mode].fermionic:
+        return key - stride, fermionic_sign(registry, key, mode)
+    return key - stride, math.sqrt(n)
 
 
 def reference_apply(h, key, amp, out):

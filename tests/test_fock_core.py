@@ -191,6 +191,44 @@ def test_fermionic_sign_orientation():
     assert hop.amplitude((1, 0, 1)) == pytest.approx(1.0)
 
 
+def test_ladders_beyond_int64_match_exact_keys_and_factors():
+    # 64 fermionic modes and a boson of cutoff 3 pack into keys up to 2**66 - 1,
+    # held as Python ints; the expected keys, signs and sqrt factors come from
+    # integer bit arithmetic on those keys
+    reg = registry_create([generic(i) for i in range(64)] + [boson(0)], cutoffs=3)
+    rng = np.random.default_rng(11)
+    patterns = [0, 1, 2**63, 2**64 - 1] + [3 * int(x) for x in rng.integers(0, 2**62, 8)]
+    amps = {
+        pattern + n * 2**64: complex(rng.normal(), rng.normal())
+        for i, pattern in enumerate(patterns)
+        for n in ((i % 4), (i + 1) % 4)
+    }
+    state = ManyBodyState(reg, amps)
+    for mode in (0, 1, 31, 62, 63):
+        stride = 2**mode
+        sign = {k: -1.0 if bin(k % stride).count("1") % 2 else 1.0 for k in amps}
+        created = apply_creation(state, mode)
+        want = [(k + stride, a * sign[k]) for k, a in amps.items() if not k & stride]
+        assert list(created.amplitudes.items()) == want
+        assert not created.truncated
+        annihilated = apply_annihilation(state, mode)
+        want = [(k - stride, a * sign[k]) for k, a in amps.items() if k & stride]
+        assert list(annihilated.amplitudes.items()) == want
+        assert all(type(k) is int for k in (*created.amplitudes, *annihilated.amplitudes))
+    top = 2**64
+    created = apply_creation(state, 64)
+    want = [(k + top, a * math.sqrt(k // top + 1)) for k, a in amps.items() if k // top < 3]
+    assert list(created.amplitudes.items()) == want
+    assert created.truncated  # the n = 3 branches were dropped at the cutoff
+    below = ManyBodyState(reg, {k: a for k, a in amps.items() if k // top < 3})
+    assert not apply_creation(below, 64).truncated
+    annihilated = apply_annihilation(state, 64)
+    want = [(k - top, a * math.sqrt(k // top)) for k, a in amps.items() if k // top > 0]
+    assert list(annihilated.amplitudes.items()) == want
+    assert not annihilated.truncated
+    assert apply_annihilation(created, 64).truncated
+
+
 def test_pauli_exclusion_and_empty_annihilation():
     reg = fermion_registry(2)
     occupied = basis_state(reg, (1, 0))

@@ -15,6 +15,7 @@ from fockent import (
     Spin,
     TableKind,
     TruncationError,
+    apply_creation,
     bcs_projected,
     bcs_projected_x,
     bcs_registry,
@@ -252,6 +253,105 @@ def test_exciton_rejects_wrong_table_kind():
     table = PairAmplitudeTable(TableKind.BCS_G, {(0,): 1.0})
     with pytest.raises(ValueError):
         exciton_spinless(reg, table)
+
+
+# ---------------------------------------------------------------------------
+# creation-product signs on hand-built mode orders
+
+
+def explicit_state(registry, terms):
+    """Normalized sum of coefficient times apply_creation over ``modes`` in order."""
+    out = {}
+    for coefficient, modes in terms:
+        ket = vacuum_state(registry)
+        for mode in modes:
+            ket = apply_creation(ket, mode)
+        for key, amp in ket.amplitudes.items():
+            out[key] = out.get(key, 0.0) + coefficient * amp
+    return ManyBodyState(registry, out).normalize()
+
+
+def assert_same_amplitudes(got, want):
+    assert set(got.amplitudes) == set(want.amplitudes)
+    for key, amp in want.amplitudes.items():
+        assert abs(got.amplitudes[key] - amp) <= 1e-14
+
+
+def shuffled(labels, seed):
+    order = np.random.default_rng(seed).permutation(len(labels))
+    return registry_create([labels[i] for i in order])
+
+
+def exciton_terms(reg, table, spins):
+    """(A * weight, (hole, electron)) per table entry and (e spin, h spin, weight)."""
+    return [
+        (a * w, (reg.index_of(hole(kp, hs)), reg.index_of(electron(k, es))))
+        for (k, kp), a in table.values.items()
+        for es, hs, w in spins
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exciton_signs_follow_apply_creation_on_interleaved_registries(seed):
+    e_momenta, h_momenta = [(0,), (1,), (2,)], [(10,), (11,)]
+    table = random_exciton_table(e_momenta, h_momenta, np.random.default_rng(seed))
+    # holes before and between the electrons, so that some products carry -1
+    for reg in (
+        registry_create([hole(10), electron(0), hole(11), electron(1), electron(2)]),
+        shuffled(exciton_registry(e_momenta, h_momenta).modes, seed),
+    ):
+        want = explicit_state(reg, exciton_terms(reg, table, [(Spin.NONE, Spin.NONE, 1.0)]))
+        assert_same_amplitudes(exciton_spinless(reg, table), want)
+    reg = shuffled(exciton_registry(e_momenta, h_momenta, spinful=True).modes, seed)
+    s = 1.0 / math.sqrt(2.0)
+    branches = {
+        ExcitonChannel.TRIPLET_UP: [(Spin.UP, Spin.UP, 1.0)],
+        ExcitonChannel.TRIPLET_DOWN: [(Spin.DOWN, Spin.DOWN, 1.0)],
+        ExcitonChannel.TRIPLET_ZERO: [(Spin.UP, Spin.DOWN, s), (Spin.DOWN, Spin.UP, -s)],
+        ExcitonChannel.SINGLET: [(Spin.UP, Spin.DOWN, s), (Spin.DOWN, Spin.UP, s)],
+    }
+    for channel, spins in branches.items():
+        want = explicit_state(reg, exciton_terms(reg, table, spins))
+        assert_same_amplitudes(exciton_spinful(reg, table, channel), want)
+
+
+def bcs_terms(reg, g, subsets, first=()):
+    """(prod g, modes) per pair subset: ``first``, then down and up of each pair."""
+    terms = []
+    for chosen in subsets:
+        modes = list(first)
+        for k in chosen:
+            down = reg.index_of(electron(negated(k), Spin.DOWN))
+            modes += [down, reg.index_of(electron(k, Spin.UP))]
+        terms.append((math.prod(g[k] for k in chosen), modes))
+    return terms
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bcs_signs_follow_apply_creation_on_hand_built_registries(seed):
+    momenta = [(1,), (2,), (3,), (4,)]
+    g = random_bcs_table(momenta, np.random.default_rng(seed)).values
+    table = PairAmplitudeTable(TableKind.BCS_G, g)
+    # each pair's down member first, so every pair product carries -1
+    descending = registry_create(
+        [m for k in momenta for m in (electron(negated(k), Spin.DOWN), electron(k, Spin.UP))]
+    )
+    # partners apart, with members of other pairs between them
+    interleaved = shuffled(bcs_registry(momenta).modes, seed)
+    for reg in (descending, interleaved):
+        every = [c for n in range(5) for c in itertools.combinations(momenta, n)]
+        want = explicit_state(reg, bcs_terms(reg, g, every))
+        assert_same_amplitudes(bcs_unprojected(reg, table), want)
+        for n in (2, 4, 6):
+            subsets = itertools.combinations(momenta, n // 2)
+            want = explicit_state(reg, bcs_terms(reg, g, subsets))
+            assert_same_amplitudes(bcs_projected(reg, table, n), want)
+        up = reg.index_of(electron((2,), Spin.UP))
+        rest = [k for k in momenta if k != (2,)]
+        for n in (1, 3, 5):
+            subsets = itertools.combinations(rest, n // 2)
+            want = explicit_state(reg, bcs_terms(reg, g, subsets, first=(up,)))
+            assert_same_amplitudes(bcs_projected(reg, table, n, unpaired=(2,)), want)
 
 
 # ---------------------------------------------------------------------------
