@@ -15,8 +15,10 @@ by target key, and ``evolve_many`` keeps them sparse: sectors up to
 are propagated with numpy-only Taylor steps (Al-Mohy & Higham, SIAM J.
 Sci. Comput. 33, 488 (2011)).  The size guard of ``fock_core`` bounds
 the sector dimension and, squared, the amplitudes of a trajectory;
-registries whose keys are not int64 are refused.  Every result goes to
-a state through ``ManyBodyState._from_keys``.
+registries whose keys are not int64 are refused.  States are read as
+their key and amplitude arrays, split into sectors by the particle
+number of each key, and every result goes back through
+``ManyBodyState._from_keys``.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ from .fock_core import (
     registry_create,
     sector_dimension,
     _check_guard,
+    _check_int64_keys,
     _check_trajectory,
     _grouped,
-    _key_array,
+    _occupations,
     _operator_triplets,
 )
 
@@ -136,7 +139,7 @@ class SectorMatrix:
 
     registry: ModeRegistry
     total: int | None
-    keys: tuple[int, ...]
+    keys: np.ndarray
     matrix: np.ndarray
 
     @property
@@ -147,11 +150,11 @@ class SectorMatrix:
 def _sector_keys(registry: ModeRegistry, total: int | None) -> np.ndarray:
     dim = registry.full_dimension() if total is None else sector_dimension(registry, total)
     _check_guard("full space" if total is None else f"sector N={total}", dim)
+    _check_int64_keys(registry)
     if total is None:
-        return _key_array(registry, range(dim))
-    return _key_array(
-        registry, (registry.pack(occ) for occ in enumerate_sector(registry, total))
-    )
+        return np.arange(dim, dtype=np.int64)
+    packed = (registry.pack(occ) for occ in enumerate_sector(registry, total))
+    return np.fromiter(packed, dtype=np.int64, count=dim)
 
 
 def _positions(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -189,19 +192,18 @@ def hamiltonian_matrix(
     source, target, value = _operator_triplets(h.registry, keys, _terms(h))
     matrix = np.zeros((len(keys), len(keys)), dtype=complex)
     np.add.at(matrix, (_positions(keys, target), source), value)
-    return SectorMatrix(h.registry, total, tuple(keys.tolist()), matrix)
+    return SectorMatrix(h.registry, total, keys, matrix)
 
 
 def apply_hamiltonian(
     h: SecondQuantizedHamiltonian, state: ManyBodyState
 ) -> ManyBodyState:
     """H |state>, unnormalized; the state may span several sectors."""
-    keys = _key_array(h.registry, state.amplitudes)
-    amplitudes = np.fromiter(state.amplitudes.values(), dtype=complex, count=len(keys))
-    source, target, value = _operator_triplets(h.registry, keys, _terms(h))
+    _check_int64_keys(h.registry)
+    source, target, value = _operator_triplets(h.registry, state.keys, _terms(h))
     image_keys, slot = _grouped(target)
     image = np.zeros(len(image_keys), dtype=complex)
-    np.add.at(image, slot, amplitudes[source] * value)
+    np.add.at(image, slot, state.values[source] * value)
     return ManyBodyState._from_keys(h.registry, image_keys, image, state.truncated)
 
 
@@ -212,22 +214,19 @@ def energy_expectation(h: SecondQuantizedHamiltonian, state: ManyBodyState) -> f
 def _canonicalize_cluster(block: np.ndarray) -> np.ndarray:
     """Rotate a degenerate eigenspace toward occupation-sparse vectors.
 
-    Greedy: repeatedly take the basis direction with the largest weight
-    inside the remaining subspace, project, normalize, deflate.  When
-    the subspace is spanned by occupation vectors this returns exactly
+    Greedy on the block B of orthonormal columns, whose projector B B^dagger
+    is never built: take the basis direction b of largest weight (squared
+    row norm of B), normalise its projection B B[b]^dagger, deflate B by it.
+    When the subspace is spanned by occupation vectors this returns exactly
     those vectors.
     """
-    dim, count = block.shape
-    projector = block @ block.conj().T
     vectors = []
-    for _ in range(count):
-        weights = np.real(np.diag(projector))
-        b = int(np.argmax(weights))
-        v = projector[:, b].copy()
-        norm = float(np.linalg.norm(v))
-        v /= norm
+    for _ in range(block.shape[1]):
+        b = int(np.argmax(np.sum(np.abs(block) ** 2, axis=1)))
+        v = block @ block[b].conj()
+        v /= np.linalg.norm(v)
         vectors.append(v)
-        projector = projector - np.outer(v, v.conj())
+        block = block - np.outer(v, v.conj() @ block)
     return np.column_stack(vectors)
 
 
@@ -246,20 +245,13 @@ def eigenstates(
     scale = max(1.0, float(energies[-1] - energies[0]))
     threshold = DEGENERACY_RTOL * scale
 
-    clusters: list[list[int]] = [[0]] if len(energies) else []
-    for i in range(1, len(energies)):
-        if energies[i] - energies[i - 1] < threshold:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    for cluster in clusters:
+    gaps = np.flatnonzero(np.diff(energies) >= threshold) + 1
+    for cluster in np.split(np.arange(len(energies)), gaps):
         if len(cluster) > 1:
-            cols = vectors[:, cluster]
-            vectors[:, cluster] = _canonicalize_cluster(cols)
+            vectors[:, cluster] = _canonicalize_cluster(vectors[:, cluster])
 
-    keys = _key_array(h.registry, sector.keys)
     return [
-        (float(energy), ManyBodyState._from_keys(h.registry, keys, vector).normalize())
+        (float(energy), ManyBodyState._from_keys(h.registry, sector.keys, vector).normalize())
         for energy, vector in zip(energies, vectors.T)
     ]
 
@@ -342,10 +334,10 @@ def _propagate_sparse(
     return out
 
 
-def _sector_vector(keys: np.ndarray, amplitudes: Mapping[int, complex]) -> np.ndarray:
+def _sector_vector(keys: np.ndarray, present: np.ndarray, values) -> np.ndarray:
+    """The amplitudes ``values`` at the keys ``present``, laid out on ``keys``."""
     psi = np.zeros(len(keys), dtype=complex)
-    present = np.fromiter(amplitudes, dtype=np.int64, count=len(amplitudes))
-    psi[_positions(keys, present)] = list(amplitudes.values())
+    psi[_positions(keys, present)] = values
     return psi
 
 
@@ -367,27 +359,28 @@ def evolve_many(
         raise ValueError("state and Hamiltonian use different registries")
     registry = state.registry
     times = [float(t) for t in times]
-    by_sector: dict[int, dict[int, complex]] = {}
-    for key, amp in state.amplitudes.items():
-        by_sector.setdefault(registry.total_number(key), {})[key] = amp
-    _check_trajectory(registry, by_sector, len(times))
+    numbers = _occupations(registry, state.keys).sum(axis=1)
+    totals = sorted(set(numbers.tolist()))
+    _check_trajectory(registry, totals, len(times))
 
     # empty first blocks, so that a zero state evolves to zero states
     key_blocks = [np.zeros(0, dtype=np.int64)]
     column_blocks = [[np.zeros(0, dtype=complex)] * len(times)]
-    for total, amps in sorted(by_sector.items()):
+    for total in totals:
+        present = numbers == total
+        terms = (state.keys[present], state.values[present])
         if sector_dimension(registry, total) > KRYLOV_CROSSOVER:
             keys = _sector_keys(registry, total)
             source, target, value = _operator_triplets(registry, keys, _terms(h))
             operator = _SparseOperator.from_triplets(
                 _positions(keys, target), source, value, len(keys)
             )
-            evolved = _propagate_sparse(operator, _sector_vector(keys, amps), times)
+            evolved = _propagate_sparse(operator, _sector_vector(keys, *terms), times)
         else:
             sector = hamiltonian_matrix(h, total)
-            keys = _key_array(registry, sector.keys)
+            keys = sector.keys
             energies, vectors = np.linalg.eigh(sector.matrix)
-            coefficients = vectors.conj().T @ _sector_vector(keys, amps)
+            coefficients = vectors.conj().T @ _sector_vector(keys, *terms)
             evolved = [vectors @ (np.exp(-1j * energies * t) * coefficients) for t in times]
         key_blocks.append(keys)
         column_blocks.append(evolved)

@@ -3,9 +3,9 @@
 A pure state's amplitudes, split by subset occupation pattern p and
 environment key e, form a sparse matrix M[p, e] = amp(p join e), where
 "join" recombines subset and environment occupations back into
-registry order.  One vectorised kernel builds M: packed keys go into a
-numpy array of the key type of ``fock_core``, subset occupations are
-read as ``(key // stride) % radix``, and one sort per side
+registry order.  One vectorised kernel builds M from the key and
+amplitude arrays a state stores: subset occupations are read from the
+keys as ``(key // stride) % radix``, and one sort per side
 (``fock_core._grouped``) groups the terms by pattern and by environment.
 
 The entropy comes from the Schmidt coefficients of M, as the spectrum
@@ -53,7 +53,6 @@ from .fock_core import (
     OccupationVector,
     _check_guard,
     _grouped,
-    _key_dtype,
 )
 
 NORM_GATE = 1e-9
@@ -114,15 +113,12 @@ def _amplitude_matrix(state: ManyBodyState, sub: ModeSubset):
     lexicographic indices in ascending order (rows index into it), and
     cols index the ``n_envs`` present environment keys in ascending order.
     """
-    registry = state.registry
-    count = len(state.amplitudes)
-    amplitudes = np.fromiter(state.amplitudes.values(), dtype=complex, count=count)
-    n = math.sqrt(float(np.vdot(amplitudes, amplitudes).real))
+    registry, keys = state.registry, state.keys
+    n = math.sqrt(float(np.vdot(state.values, state.values).real))
     if abs(n - 1.0) > NORM_GATE:
         raise NormalizationError(f"state norm {n} deviates from 1 beyond {NORM_GATE}")
-    amplitudes /= n
+    amplitudes = state.values / n
 
-    keys = np.fromiter(state.amplitudes.keys(), dtype=_key_dtype(registry), count=count)
     pattern = 0
     environment = keys
     for i in sub:

@@ -4,14 +4,17 @@ A state lives over an ordered registry of modes.  Each mode is either
 fermionic (occupation 0 or 1) or bosonic (occupation 0..cutoff).  Basis
 vectors are occupation vectors (n_0, ..., n_{M-1}) understood as the
 ordered product of creation operators, ascending registry index, acting
-on the vacuum.  Amplitudes are stored sparsely in a dict keyed by a
-mixed-radix packing of the occupation vector, so a fermion-only registry
-degenerates to a plain bitmask.
+on the vacuum.  A state stores its terms sparsely as two read-only
+arrays: the mixed-radix packing of each occupation vector (so a
+fermion-only registry degenerates to a plain bitmask) and its complex
+amplitude.  ``ManyBodyState.amplitudes`` is a dict view built on request.
 
 Key arrays have one data type, ``_key_dtype(registry)``: int64 while
 ``full_dimension() <= KEY_LIMIT = 2**63``, Python integers above that.
 ``ManyBodyState._from_keys`` is the one way from arrays of distinct keys
-and amplitudes to a state.
+and amplitudes to a state.  Sums over terms run left to right
+(``_running_sum``) and complex products part by part (``_times``), so
+they round exactly as Python's scalar arithmetic does.
 
 Sign convention: applying a fermionic creation or annihilation operator
 at mode i picks up (-1)**(number of occupied fermionic modes with
@@ -184,9 +187,6 @@ class ModeRegistry:
             out.append(n)
         return tuple(out)
 
-    def occupation_at(self, key: int, i: int) -> int:
-        return (key // self._strides[i]) % (self.cutoffs[i] + 1)
-
     def validate_occupations(self, occupations: Sequence[int]) -> None:
         if len(occupations) != len(self.modes):
             raise ValueError(
@@ -197,9 +197,6 @@ class ModeRegistry:
                 raise ValueError(
                     f"occupation {n} out of range [0, {self.cutoffs[i]}] at mode {i}"
                 )
-
-    def total_number(self, key: int) -> int:
-        return sum(self.unpack(key))
 
 
 def registry_create(
@@ -238,13 +235,16 @@ def registry_create(
 class ManyBodyState:
     """Sparse amplitude table over occupation-number basis vectors.
 
-    Treat instances as immutable: every operation returns a new state.
-    ``truncated`` records that some amplitude was dropped at a bosonic
-    cutoff while the state was being built.
+    ``values[i]`` is the amplitude of the basis vector with the packed key
+    ``keys[i]``; keys are distinct and both arrays are read-only, so every
+    operation returns a new state.  ``truncated`` records that some
+    amplitude was dropped at a bosonic cutoff while the state was being
+    built.
     """
 
     registry: ModeRegistry
-    amplitudes: dict[int, complex]
+    keys: np.ndarray
+    values: np.ndarray
     truncated: bool = False
 
     @classmethod
@@ -254,11 +254,10 @@ class ManyBodyState:
         mapping: Mapping[Sequence[int], complex],
         normalize: bool = False,
     ) -> "ManyBodyState":
-        amps: dict[int, complex] = {}
-        for occ, a in mapping.items():
-            key = registry.pack(tuple(occ))
-            amps[key] = amps.get(key, 0.0) + complex(a)
-        state = cls(registry, _pruned(amps))
+        keys = [registry.pack(tuple(occ)) for occ in mapping]
+        values = [complex(a) for a in mapping.values()]
+        merged = _merged(np.asarray(keys, dtype=_key_dtype(registry)), np.asarray(values))
+        state = cls._from_keys(registry, *merged)
         return state.normalize() if normalize else state
 
     @classmethod
@@ -273,51 +272,55 @@ class ManyBodyState:
         keys = np.asarray(keys, dtype=_key_dtype(registry))
         amplitudes = np.asarray(amplitudes, dtype=complex)
         kept = np.abs(amplitudes) > PRUNE_TOL
-        values = (amplitudes[kept] + 0.0).tolist()
-        amps = dict(zip(keys[kept].tolist(), values))
-        if len(amps) < len(values):
+        keys, values = keys[kept], amplitudes[kept] + 0.0
+        ordered = np.sort(keys)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("packed keys repeat; each key may carry one amplitude")
-        return cls(registry, amps, truncated)
+        keys.flags.writeable = values.flags.writeable = False
+        return cls(registry, keys, values, truncated)
+
+    @property
+    def amplitudes(self) -> dict[int, complex]:
+        """A new dict {packed key: amplitude}, in array order."""
+        return dict(zip(self.keys.tolist(), self.values.tolist()))
 
     def amplitude(self, occupations: Sequence[int]) -> complex:
-        return self.amplitudes.get(self.registry.pack(tuple(occupations)), 0.0)
+        found = self.values[self.keys == self.registry.pack(tuple(occupations))]
+        return complex(found[0]) if len(found) else 0.0
 
     def items(self) -> Iterator[tuple[OccupationVector, complex]]:
-        for key, a in self.amplitudes.items():
+        for key, a in zip(self.keys.tolist(), self.values.tolist()):
             yield self.registry.unpack(key), a
 
     @property
     def num_terms(self) -> int:
-        return len(self.amplitudes)
+        return len(self.keys)
 
     @property
     def is_zero(self) -> bool:
-        return not self.amplitudes
+        return len(self.keys) == 0
 
     def norm(self) -> float:
-        return math.sqrt(sum((a.real * a.real + a.imag * a.imag) for a in self.amplitudes.values()))
+        v = self.values
+        return math.sqrt(_running_sum(v.real * v.real + v.imag * v.imag))
 
     def normalize(self) -> "ManyBodyState":
         n = self.norm()
         if n == 0.0:
             raise NormalizationError("cannot normalize a zero state")
-        inv = 1.0 / n
-        return ManyBodyState(
-            self.registry,
-            _pruned({k: a * inv for k, a in self.amplitudes.items()}),
-            self.truncated,
-        )
+        scaled = _times(self.values, 1.0 / n)
+        return ManyBodyState._from_keys(self.registry, self.keys, scaled, self.truncated)
 
     def particle_numbers(self) -> set[int]:
-        return {self.registry.total_number(k) for k in self.amplitudes}
+        return set(_occupations(self.registry, self.keys).sum(axis=1).tolist())
 
 
 def vacuum_state(registry: ModeRegistry) -> ManyBodyState:
-    return ManyBodyState(registry, {0: 1.0 + 0.0j})
+    return ManyBodyState._from_keys(registry, [0], [1.0])
 
 
 def basis_state(registry: ModeRegistry, occupations: Sequence[int]) -> ManyBodyState:
-    return ManyBodyState(registry, {registry.pack(tuple(occupations)): 1.0 + 0.0j})
+    return ManyBodyState._from_keys(registry, [registry.pack(tuple(occupations))], [1.0])
 
 
 def _key_dtype(registry: ModeRegistry) -> type:
@@ -325,8 +328,8 @@ def _key_dtype(registry: ModeRegistry) -> type:
     return np.int64 if registry.full_dimension() <= KEY_LIMIT else object
 
 
-def _key_array(registry: ModeRegistry, keys: Iterable[int]) -> np.ndarray:
-    """Packed keys as int64; a registry whose keys do not fit is refused."""
+def _check_int64_keys(registry: ModeRegistry) -> None:
+    """Refuse a registry whose packed keys do not fit int64."""
     if _key_dtype(registry) is not np.int64:
         top = registry.full_dimension()
         raise SizeGuardError(
@@ -335,7 +338,6 @@ def _key_array(registry: ModeRegistry, keys: Iterable[int]) -> np.ndarray:
             top,
             KEY_LIMIT,
         )
-    return np.fromiter(keys, dtype=np.int64)
 
 
 def size_guard() -> int:
@@ -372,8 +374,29 @@ def _grouped(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.searchsorted(distinct, values)
 
 
-def _pruned(amps: dict[int, complex]) -> dict[int, complex]:
-    return {k: a for k, a in amps.items() if abs(a) > PRUNE_TOL}
+def _merged(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in order of first appearance, each with 0.0 plus its
+    values in array order, as a dict accumulates them."""
+    distinct, slot = _grouped(keys)
+    first = np.full(len(distinct), len(keys))
+    np.minimum.at(first, slot, np.arange(len(keys)))
+    summed = np.zeros(len(distinct), dtype=complex)
+    np.add.at(summed, slot, values)
+    order = np.argsort(first)
+    return distinct[order], summed[order]
+
+
+def _running_sum(x: np.ndarray) -> np.generic:
+    """0.0 + x[0] + x[1] + ..., left to right as Python's ``sum`` adds
+    (``np.sum`` adds pairwise, which changes last bits)."""
+    return np.cumsum(np.concatenate((np.zeros(1, dtype=x.dtype), x)))[-1]
+
+
+def _times(a: np.ndarray, p) -> np.ndarray:
+    """a * p, part by part as Python multiplies complex numbers (numpy's
+    complex multiply may fuse multiply-adds, which changes last bits)."""
+    real = a.real * p.real - a.imag * p.imag
+    return real + 1j * (a.real * p.imag + a.imag * p.real)
 
 
 def _occupations(registry: ModeRegistry, keys: np.ndarray) -> np.ndarray:
@@ -465,15 +488,13 @@ def _created(registry: ModeRegistry, keys, amplitudes, modes):
 
 
 def _apply_ladder(state: ManyBodyState, mode: int, creates: bool) -> ManyBodyState:
-    registry, count = state.registry, len(state.amplitudes)
-    keys = np.fromiter(state.amplitudes, dtype=_key_dtype(registry), count=count)
-    amplitudes = np.fromiter(state.amplitudes.values(), dtype=complex, count=count)
+    registry = state.registry
     term = (1.0 + 0.0j, ((mode, creates),))
-    source, target, value = _operator_triplets(registry, keys, [term])
+    source, target, value = _operator_triplets(registry, state.keys, [term])
     # distinct sources give distinct targets, in source order
-    dropped = creates and not registry.modes[mode].fermionic and len(source) < count
+    dropped = creates and not registry.modes[mode].fermionic and len(source) < state.num_terms
     truncated = state.truncated or dropped
-    return ManyBodyState._from_keys(registry, target, amplitudes[source] * value, truncated)
+    return ManyBodyState._from_keys(registry, target, state.values[source] * value, truncated)
 
 
 def apply_creation(state: ManyBodyState, mode: int) -> ManyBodyState:
@@ -491,38 +512,36 @@ def apply_annihilation(state: ManyBodyState, mode: int) -> ManyBodyState:
 
 
 def inner_product(bra: ManyBodyState, ket: ManyBodyState) -> complex:
-    """<bra|ket> with the bra amplitudes conjugated."""
+    """<bra|ket> with the bra amplitudes conjugated, summed in the term order
+    of the state with fewer terms (the bra on a tie)."""
     if bra.registry != ket.registry:
         raise RegistryMismatchError("inner product between different registries")
-    small, large = bra.amplitudes, ket.amplitudes
-    if len(small) <= len(large):
-        return sum(a.conjugate() * large[k] for k, a in small.items() if k in large)
-    return sum(small[k].conjugate() * a for k, a in large.items() if k in small)
+    shared = np.intersect1d(bra.keys, ket.keys, assume_unique=True, return_indices=True)
+    in_bra, in_ket = shared[1:]
+    order = np.argsort(in_bra if bra.num_terms <= ket.num_terms else in_ket)
+    products = _times(bra.values[in_bra[order]].conj(), ket.values[in_ket[order]])
+    return complex(_running_sum(products))
 
 
 def number_expectation(state: ManyBodyState, mode: int) -> float:
     """<n_mode> for a normalized state."""
-    registry = state.registry
-    return sum(
-        registry.occupation_at(key, mode) * (a.real * a.real + a.imag * a.imag)
-        for key, a in state.amplitudes.items()
-    )
+    occupation = _occupations(state.registry, state.keys)[:, mode]
+    v = state.values
+    return float(_running_sum(occupation * (v.real * v.real + v.imag * v.imag)))
 
 
 def superpose(terms: Sequence[tuple[complex, ManyBodyState]]) -> ManyBodyState:
-    """Linear combination sum(c * state), pruned, unnormalized."""
+    """Linear combination sum(c * state), pruned, unnormalized; keys in order
+    of first appearance, each amplitude summed in term order."""
     if not terms:
         raise ValueError("superpose needs at least one term")
     registry = terms[0][1].registry
-    out: dict[int, complex] = {}
-    truncated = False
-    for coef, state in terms:
-        if state.registry != registry:
-            raise RegistryMismatchError("superpose over different registries")
-        truncated = truncated or state.truncated
-        for key, amp in state.amplitudes.items():
-            out[key] = out.get(key, 0.0) + coef * amp
-    return ManyBodyState(registry, _pruned(out), truncated)
+    if any(state.registry != registry for _, state in terms):
+        raise RegistryMismatchError("superpose over different registries")
+    keys = np.concatenate([state.keys for _, state in terms])
+    values = np.concatenate([_times(state.values, coef) for coef, state in terms])
+    truncated = any(state.truncated for _, state in terms)
+    return ManyBodyState._from_keys(registry, *_merged(keys, values), truncated)
 
 
 def enumerate_sector(registry: ModeRegistry, total: int) -> list[OccupationVector]:

@@ -39,6 +39,8 @@ from .fock_core import (
     _as_momentum,
     _created,
     _key_dtype,
+    _occupations,
+    _times,
     boson,
     electron,
     hole,
@@ -302,16 +304,6 @@ def _ldexp(z: complex, e: int) -> complex:
     return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
 
 
-def _times(a: np.ndarray, p) -> np.ndarray:
-    """a * p, part by part as Python multiplies complex numbers.
-
-    numpy's complex multiply may fuse multiply-adds, which changes the last
-    bit of many products.
-    """
-    real = a.real * p.real - a.imag * p.imag
-    return real + 1j * (a.real * p.imag + a.imag * p.real)
-
-
 def bcs_unprojected(registry: ModeRegistry, table: PairAmplitudeTable) -> ManyBodyState:
     """Coherent pair state: normalized product of (1 + g_k P^dagger_k) on vacuum."""
     if table.kind is not TableKind.BCS_G:
@@ -552,12 +544,11 @@ def single_particle_superposition(
 def project_particle_number(state: ManyBodyState, total: int) -> ManyBodyState:
     """Renormalized restriction of a state to one total-number sector."""
     registry = state.registry
-    kept = {
-        k: a for k, a in state.amplitudes.items() if registry.total_number(k) == total
-    }
-    if not kept:
+    kept = _occupations(registry, state.keys).sum(axis=1) == total
+    if not kept.any():
         raise NormalizationError(f"state has no amplitude in the N={total} sector")
-    return ManyBodyState(registry, kept, state.truncated).normalize()
+    terms = (state.keys[kept], state.values[kept])
+    return ManyBodyState._from_keys(registry, *terms, state.truncated).normalize()
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,8 @@ from .fock_core import (
     registry_create,
     superpose,
     Spin,
+    _occupations,
+    _times,
 )
 from .states import (
     ExcitonChannel,
@@ -660,9 +662,7 @@ def criterion_9(seed: int) -> CriterionResult:
 
     def random_state() -> ManyBodyState:
         raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return ManyBodyState(
-            registry, {key: complex(a) for key, a in enumerate(raw)}
-        ).normalize()
+        return ManyBodyState._from_keys(registry, np.arange(dim), raw).normalize()
 
     def random_subset() -> tuple[int, ...]:
         size = int(rng.integers(1, 6))
@@ -718,13 +718,10 @@ def criterion_9(seed: int) -> CriterionResult:
     for _ in range(100):
         psi = random_state()
         thetas = rng.uniform(0.0, 2.0 * math.pi, size=6)
-        amps = {}
-        for key, amp in psi.amplitudes.items():
-            angle = sum(
-                thetas[m] * registry.occupation_at(key, m) for m in range(6)
-            )
-            amps[key] = amp * complex(math.cos(angle), math.sin(angle))
-        rotated = ManyBodyState(registry, amps)
+        occupation = _occupations(registry, psi.keys)
+        angles = sum(thetas[m] * occupation[:, m] for m in range(6))
+        phases = np.cos(angles) + 1j * np.sin(angles)
+        rotated = ManyBodyState._from_keys(registry, psi.keys, _times(psi.values, phases))
         subset = random_subset()
         worst_phase = max(
             worst_phase,

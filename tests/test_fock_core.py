@@ -28,11 +28,13 @@ from fockent import (
     hole,
     inner_product,
     number_expectation,
+    project_particle_number,
     registry_create,
     sector_dimension,
     superpose,
     vacuum_state,
 )
+from fockent.fock_core import PRUNE_TOL
 
 
 def mixed_registry():
@@ -98,8 +100,6 @@ def test_pack_unpack_roundtrip():
         key = reg.pack(occ)
         assert key == dense_index(radices, occ)
         assert reg.unpack(key) == occ
-        for i in range(len(reg)):
-            assert reg.occupation_at(key, i) == occ[i]
 
 
 def test_pack_rejects_out_of_range():
@@ -203,7 +203,7 @@ def test_ladders_beyond_int64_match_exact_keys_and_factors():
         for i, pattern in enumerate(patterns)
         for n in ((i % 4), (i + 1) % 4)
     }
-    state = ManyBodyState(reg, amps)
+    state = ManyBodyState._from_keys(reg, list(amps), list(amps.values()))
     for mode in (0, 1, 31, 62, 63):
         stride = 2**mode
         sign = {k: -1.0 if bin(k % stride).count("1") % 2 else 1.0 for k in amps}
@@ -220,7 +220,8 @@ def test_ladders_beyond_int64_match_exact_keys_and_factors():
     want = [(k + top, a * math.sqrt(k // top + 1)) for k, a in amps.items() if k // top < 3]
     assert list(created.amplitudes.items()) == want
     assert created.truncated  # the n = 3 branches were dropped at the cutoff
-    below = ManyBodyState(reg, {k: a for k, a in amps.items() if k // top < 3})
+    kept = [k for k in amps if k // top < 3]
+    below = ManyBodyState._from_keys(reg, kept, [amps[k] for k in kept])
     assert not apply_creation(below, 64).truncated
     annihilated = apply_annihilation(state, 64)
     want = [(k - top, a * math.sqrt(k // top)) for k, a in amps.items() if k // top > 0]
@@ -301,7 +302,7 @@ def test_superpose_prunes_and_checks_registry():
 
 def test_normalize_zero_state_raises():
     reg = fermion_registry(2)
-    zero = ManyBodyState(reg, {})
+    zero = ManyBodyState._from_keys(reg, [], [])
     with pytest.raises(NormalizationError):
         zero.normalize()
 
@@ -346,3 +347,134 @@ def test_particle_numbers_and_vacuum():
         [(1.0, basis_state(reg, (1, 0, 0, 0))), (1.0, basis_state(reg, (0, 0, 2, 0)))]
     )
     assert mixed.particle_numbers() == {1, 2}
+
+
+# ---------------------------------------------------------------------------
+# the array-backed state against the dict implementation it replaced
+
+
+def left_sum(values):
+    """0 + v0 + v1 + ..., left to right, as Python 3.11's ``sum`` adds
+    (from 3.12 on, ``sum`` compensates float rounding)."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
+def dict_pruned(amps):
+    return {k: a for k, a in amps.items() if abs(a) > PRUNE_TOL}
+
+
+def dict_norm(amps):
+    return math.sqrt(left_sum(a.real * a.real + a.imag * a.imag for a in amps.values()))
+
+
+def dict_normalize(amps):
+    inv = 1.0 / dict_norm(amps)
+    return dict_pruned({k: a * inv for k, a in amps.items()})
+
+
+def dict_number_expectation(reg, amps, mode):
+    return left_sum(
+        reg.unpack(k)[mode] * (a.real * a.real + a.imag * a.imag) for k, a in amps.items()
+    )
+
+
+def dict_inner_product(bra, ket):
+    if len(bra) <= len(ket):
+        return left_sum(a.conjugate() * ket[k] for k, a in bra.items() if k in ket)
+    return left_sum(bra[k].conjugate() * a for k, a in ket.items() if k in bra)
+
+
+def dict_superpose(terms):
+    out = {}
+    for coef, amps in terms:
+        for key, amp in amps.items():
+            out[key] = out.get(key, 0.0) + coef * amp
+    return dict_pruned(out)
+
+
+def dict_particle_numbers(reg, amps):
+    return {sum(reg.unpack(k)) for k in amps}
+
+
+def dict_project(reg, amps, total):
+    return dict_normalize({k: a for k, a in amps.items() if sum(reg.unpack(k)) == total})
+
+
+ORACLE_REGISTRIES = {
+    "fermions": lambda: fermion_registry(6),
+    "mixed": lambda: registry_create(
+        [electron(0), boson(0), generic(1), boson(1), generic(2)], cutoffs=3
+    ),
+    # keys up to 2**66 - 1, held as Python ints in object arrays
+    "wide": lambda: registry_create([generic(i) for i in range(64)] + [boson(0)], cutoffs=3),
+}
+
+
+def random_keys(reg, rng, count):
+    keys = {}
+    while len(keys) < count:
+        keys[reg.pack([int(rng.integers(0, c + 1)) for c in reg.cutoffs])] = None
+    return list(keys)
+
+
+def sparse_random_state(reg, rng, keys):
+    """Random amplitudes on ``keys``, with exact zero parts, a term pruned at
+    construction and one pruned by ``normalize``."""
+    values = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    values[:4] = [values[0].real, 1j * values[1].imag, 3e-16, 2e-15j]
+    return ManyBodyState._from_keys(reg, keys, values)
+
+
+def items_repr(amps):
+    return repr(list(amps.items()))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_REGISTRIES))
+def test_array_state_matches_dict_oracle(name):
+    reg = ORACLE_REGISTRIES[name]()
+    rng = np.random.default_rng(8)
+    pool = random_keys(reg, rng, 60)
+    # overlapping key sets, in different orders
+    psi, phi, chi = (
+        sparse_random_state(reg, rng, keys) for keys in (pool[:40], pool[:19:-1], pool[::-3])
+    )
+    amps = psi.amplitudes
+    assert all(type(k) is int and type(a) is complex for k, a in amps.items())
+    assert len(amps) == psi.num_terms == 39
+    assert repr(psi.norm()) == repr(dict_norm(amps))
+    unit = psi.normalize()
+    assert items_repr(unit.amplitudes) == items_repr(dict_normalize(amps))
+    assert unit.num_terms == 38
+    for mode in range(len(reg)):
+        got = number_expectation(unit, mode)
+        assert repr(got) == repr(dict_number_expectation(reg, unit.amplitudes, mode))
+    numbers = unit.particle_numbers()
+    assert numbers == dict_particle_numbers(reg, unit.amplitudes)
+    for total in numbers:
+        got = project_particle_number(unit, total).amplitudes
+        assert items_repr(got) == items_repr(dict_project(reg, unit.amplitudes, total))
+    # equal term counts walk the bra; otherwise the smaller state
+    for bra, ket in ((psi, phi), (phi, psi), (psi, chi), (chi, psi), (unit, psi)):
+        want = dict_inner_product(bra.amplitudes, ket.amplitudes)
+        assert repr(inner_product(bra, ket)) == repr(complex(want))
+    terms = [(0.5, psi), (-1j, phi), (2, chi), (-0.5, psi), (0.25 + 3j, unit)]
+    want = dict_superpose([(c, s.amplitudes) for c, s in terms])
+    assert items_repr(superpose(terms).amplitudes) == items_repr(want)
+    assert superpose([(1.0, psi), (-1.0, psi)]).is_zero
+
+
+def test_state_arrays_are_read_only():
+    reg = mixed_registry()
+    keys, values = np.array([3, 0, 1]), np.array([0.6, 0.0, 0.8j])
+    state = ManyBodyState._from_keys(reg, keys, values)
+    with pytest.raises(ValueError):
+        state.keys[0] = 2
+    with pytest.raises(ValueError):
+        state.values[0] = 1.0
+    # the caller's arrays stay writable, and a dict view is a copy
+    keys[0], values[0] = 2, 1.0
+    state.amplitudes.clear()
+    assert state.amplitudes == {3: 0.6 + 0j, 1: 0.8j}

@@ -268,7 +268,7 @@ def explicit_state(registry, terms):
             ket = apply_creation(ket, mode)
         for key, amp in ket.amplitudes.items():
             out[key] = out.get(key, 0.0) + coefficient * amp
-    return ManyBodyState(registry, out).normalize()
+    return ManyBodyState._from_keys(registry, list(out), list(out.values())).normalize()
 
 
 def assert_same_amplitudes(got, want):
