@@ -13,9 +13,14 @@ owns the sign rule, and come back as (source, target, value) triplets.
 by target key, and ``evolve_many`` keeps them sparse: sectors up to
 ``KRYLOV_CROSSOVER`` basis vectors are diagonalised densely, larger ones
 are propagated with numpy-only Taylor steps (Al-Mohy & Higham, SIAM J.
-Sci. Comput. 33, 488 (2011)).  The size guard of ``fock_core`` bounds
-the sector dimension and, squared, the amplitudes of a trajectory;
-registries whose keys are not int64 are refused.  States are read as
+Sci. Comput. 33, 488 (2011)).  The sparse operator pads every row to the
+longest (ELLPACK): a (width, dimension) array of columns and one of
+values, 24 bytes a cell, so that a matvec is one gather, one product and
+one sum down the columns.  Sector keys are built as int64 arrays, one
+mode at a time, in ``enumerate_sector`` order.  The size guard of
+``fock_core`` bounds the sector dimension and, squared, the amplitudes of
+a trajectory and the cells of a padded operator; registries whose keys
+are not int64 are refused.  States are read as
 their key and amplitude arrays, split into sectors by the particle
 number of each key, and every result goes back through
 ``ManyBodyState._from_keys``.
@@ -37,10 +42,10 @@ from .fock_core import (
     ModeRegistry,
     Species,
     Spin,
-    enumerate_sector,
     inner_product,
     registry_create,
     sector_dimension,
+    size_guard,
     _check_guard,
     _check_int64_keys,
     _check_trajectory,
@@ -56,9 +61,11 @@ TENSOR_PRUNE = 1e-14
 
 # Sectors above this dimension are propagated with sparse Taylor steps,
 # smaller ones by dense eigh.  On disordered interacting rings at 50 times,
-# one BLAS thread, dense eigh was faster at dimension 252 (0.036 s vs
-# 0.038 s) and slower from 330 on (0.069 s vs 0.043 s; 1.13 s vs 0.096 s
-# at 924).
+# one BLAS thread, the two break even near dimension 210 (dense 0.017-0.019 s,
+# sparse 0.016-0.018 s); at 252 dense takes 0.028-0.030 s against
+# 0.020-0.025 s, at 330 0.053-0.068 s against 0.017-0.027 s, and at 924
+# 1.07-1.20 s against 0.049-0.053 s.  The value stays at 300: moving it would
+# move the sectors in between to the other path, and change their last bits.
 KRYLOV_CROSSOVER = 300
 
 # theta_m for m = 1..30: the largest ||A||_1 for which the degree-m Taylor
@@ -148,13 +155,31 @@ class SectorMatrix:
 
 
 def _sector_keys(registry: ModeRegistry, total: int | None) -> np.ndarray:
+    """Packed keys of the sector (or the full space), in ``enumerate_sector`` order.
+
+    Built from the last mode to the first: ``keys[r]`` holds the keys of
+    the modes seen so far with r particles, lexicographic with the
+    earliest mode most significant, and mode i puts ``n * stride + keys[r
+    - n]`` in front for each allowed n.  Totals that the modes still to
+    come cannot complete to ``total`` are left empty.
+    """
     dim = registry.full_dimension() if total is None else sector_dimension(registry, total)
     _check_guard("full space" if total is None else f"sector N={total}", dim)
     _check_int64_keys(registry)
     if total is None:
         return np.arange(dim, dtype=np.int64)
-    packed = (registry.pack(occ) for occ in enumerate_sector(registry, total))
-    return np.fromiter(packed, dtype=np.int64, count=dim)
+    empty = np.zeros(0, dtype=np.int64)
+    keys = [np.zeros(1, dtype=np.int64)] + [empty] * total
+    before = sum(registry.cutoffs)
+    for stride, cutoff in zip(reversed(registry._strides), reversed(registry.cutoffs)):
+        before -= cutoff  # the most particles the modes before this one hold
+        keys = [
+            np.concatenate([n * stride + keys[r - n] for n in range(min(cutoff, r) + 1)])
+            if r + before >= total
+            else empty
+            for r in range(total + 1)
+        ]
+    return keys[total]
 
 
 def _positions(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -256,45 +281,72 @@ def eigenstates(
     ]
 
 
+def _spectral_interval(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dimension: int
+) -> tuple[float, float]:
+    """Center c and radius r with ||H - c||_1 <= r (Gershgorin columns)."""
+    diagonal = rows == cols
+    centers = np.zeros(dimension)
+    centers[rows[diagonal]] = values[diagonal].real
+    radii = np.bincount(cols[~diagonal], np.abs(values[~diagonal]), dimension)
+    low = float(np.min(centers - radii))
+    high = float(np.max(centers + radii))
+    return (low + high) / 2, (high - low) / 2
+
+
 @dataclass(frozen=True)
 class _SparseOperator:
-    """A sector operator as (row, col, value) entries, one per element."""
+    """A sector operator in a padded-row (ELLPACK) layout.
 
-    rows: np.ndarray
+    Row r of the matrix is ``values[:, r]`` at the columns ``cols[:, r]``,
+    its elements in column order, padded to the longest row, the width,
+    with column 0 and value 0.  The two (width, dimension) arrays take 24
+    bytes a cell, against 32 bytes an element as (row, col, value)
+    triplets.  Cells per element: 1.72 on a 12-site ring at half filling
+    in real space (rows of 3 to 13 elements), 1.00 in its proper basis
+    (262 a row).  ``center`` and ``radius`` bound the spectrum
+    (``_spectral_interval``).
+    """
+
     cols: np.ndarray
     values: np.ndarray
-    dimension: int
+    center: float
+    radius: float
 
     @classmethod
     def from_triplets(
         cls, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dimension: int
     ) -> "_SparseOperator":
+        """Sum repeated (row, col) entries in array order and pad the rows.
+
+        The padded arrays are refused beyond guard**2 cells before they are
+        allocated.  The spectral bound is taken from the summed entries in
+        row-major order, before padding.
+        """
         flat, slot = _grouped(rows * dimension + cols)
         summed = np.zeros(len(flat), dtype=complex)
         np.add.at(summed, slot, values)
-        return cls(flat // dimension, flat % dimension, summed, dimension)
+        rows, cols = flat // dimension, flat % dimension
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        lengths = np.diff(starts, append=len(rows))
+        width = int(lengths.max()) if len(lengths) else 0
+        what = f"padded operator ({width} entries x {dimension} rows)"
+        _check_guard(what, width * dimension, size_guard() ** 2)
+        depth = np.arange(len(rows)) - np.repeat(starts, lengths)
+        padded_cols = np.zeros((width, dimension), dtype=np.intp)
+        padded_values = np.zeros((width, dimension), dtype=complex)
+        padded_cols[depth, rows] = cols
+        padded_values[depth, rows] = summed
+        interval = _spectral_interval(rows, cols, summed, dimension)
+        return cls(padded_cols, padded_values, *interval)
 
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
-        product = self.values * vector[self.cols]
-        real = np.bincount(self.rows, product.real, self.dimension)
-        return real + 1j * np.bincount(self.rows, product.imag, self.dimension)
-
-    def spectral_interval(self) -> tuple[float, float]:
-        """Center c and radius r with ||H - c||_1 <= r (Gershgorin columns)."""
-        diagonal = self.rows == self.cols
-        centers = np.zeros(self.dimension)
-        centers[self.rows[diagonal]] = self.values[diagonal].real
-        radii = np.bincount(
-            self.cols[~diagonal], np.abs(self.values[~diagonal]), self.dimension
-        )
-        low = float(np.min(centers - radii))
-        high = float(np.max(centers + radii))
-        return (low + high) / 2, (high - low) / 2
+        """H vector: each row's products added to 0.0 in column order, the
+        padding last, bit for bit as ``np.bincount`` over the triplets."""
+        return (self.values * np.take(vector, self.cols)).sum(axis=0)
 
 
-def _taylor_step(
-    operator: _SparseOperator, psi: np.ndarray, dt: float, center: float, radius: float
-) -> np.ndarray:
+def _taylor_step(operator: _SparseOperator, psi: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i H dt) psi by a truncated, scaled Taylor series.
 
     A = -i dt (H - center) has ||A||_1 <= |dt| radius.  The degree m and
@@ -303,6 +355,7 @@ def _taylor_step(
     substep by the unit roundoff (Al-Mohy & Higham 2011, Sec. 3); the
     shift returns as the phase exp(-i center dt).
     """
+    center, radius = operator.center, operator.radius
     norm = abs(dt) * radius
     _, m, s = min(
         (m * math.ceil(norm / theta), m, math.ceil(norm / theta))
@@ -320,7 +373,6 @@ def _propagate_sparse(
     operator: _SparseOperator, psi: np.ndarray, times: Sequence[float]
 ) -> list[np.ndarray]:
     """psi at each time, stepping from t = 0 outward through the sorted times."""
-    center, radius = operator.spectral_interval()
     out: list[np.ndarray] = [psi] * len(times)
     ascending = sorted(range(len(times)), key=times.__getitem__)
     forward = [i for i in ascending if times[i] >= 0]
@@ -328,7 +380,7 @@ def _propagate_sparse(
     for chain in (forward, backward):
         now, current = 0.0, psi
         for i in chain:
-            current = _taylor_step(operator, current, times[i] - now, center, radius)
+            current = _taylor_step(operator, current, times[i] - now)
             now = times[i]
             out[i] = current
     return out

@@ -365,13 +365,20 @@ def _grouped(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values, ascending, and the index of each entry among them.
 
     Same result as ``np.unique(values, return_inverse=True)``, at half the
-    cost on a few terms.
+    cost on a few terms.  The index is counted along the sorted order (one
+    more at each first entry of a group) and scattered back through it, so
+    no search is needed.
     """
-    ordered = values[np.argsort(values)]
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    distinct = ordered[first]
-    return distinct, np.searchsorted(distinct, values)
+    order = values.argsort()
+    ordered = values[order]
+    group = np.zeros(len(ordered), dtype=np.intp)
+    np.not_equal(ordered[1:], ordered[:-1], out=group[1:])
+    np.add.accumulate(group, out=group)
+    slot = np.empty_like(group)
+    slot[order] = group
+    distinct = np.empty(group[-1] + 1 if len(group) else 0, dtype=ordered.dtype)
+    distinct[group] = ordered
+    return distinct, slot
 
 
 def _merged(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,13 +9,15 @@ The vectorised operator kernel of ``fock_core`` is checked against a
 matrix built one basis vector and one term at a time from the scalar
 kernels ``creation_kernel`` and ``annihilation_kernel`` below, which count
 the sign by a loop over the occupied fermionic modes of each key; the
-sparse Taylor propagator is checked against dense ``eigh``.
+sparse Taylor propagator is checked against dense ``eigh``, and its
+padded-row matvec bit for bit against the triplet ``bincount`` matvec.
 """
 
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,7 @@ from fockent.dynamics import (
     KRYLOV_CROSSOVER,
     _canonicalize_cluster,
     _SparseOperator,
+    _sector_keys,
     _taylor_step,
 )
 
@@ -556,7 +559,7 @@ def test_taylor_step_matches_eigh(dim):
         np.concatenate([matrix[rows, cols] / 4, matrix[rows, cols] * 0.75]),
         dim,
     )
-    center, radius = operator.spectral_interval()
+    center, radius = operator.center, operator.radius
     energies = np.linalg.eigvalsh(matrix)
     slack = 1e-12 * (1.0 + radius)
     assert center - radius - slack <= energies[0]
@@ -564,8 +567,94 @@ def test_taylor_step_matches_eigh(dim):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
     for dt in (0.0, 1e-3, 0.37, -0.9, 4.0):
-        got = _taylor_step(operator, psi, dt, center, radius)
+        got = _taylor_step(operator, psi, dt)
         assert np.max(np.abs(got - exact_evolution(matrix, psi, dt))) <= 1e-12
+
+
+def bincount_matvec(rows, cols, values, vector):
+    """The triplet matvec: each row's products summed from 0.0 in array order."""
+    product = values * vector[cols]
+    real = np.bincount(rows, product.real, len(vector))
+    return real + 1j * np.bincount(rows, product.imag, len(vector))
+
+
+def ragged_matrix(dim=30, seed=11):
+    """Complex, not Hermitian, rows of 0 to dim entries, some rows empty."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    matrix[rng.random((dim, dim)) < rng.random((dim, 1))] = 0.0
+    matrix[[3, 4, 17]] = 0.0
+    matrix[7] = 1.0 - 2.5j
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: hamiltonian_matrix(disordered_ring(8, 0.0), 4).matrix,
+        lambda: hamiltonian_matrix(disordered_ring(8, 0.3), 4).matrix,
+        ragged_matrix,
+    ],
+    ids=["real", "flux", "ragged"],
+)
+def test_padded_matvec_matches_bincount_oracle(make):
+    matrix = make()
+    dim = len(matrix)
+    rows, cols = np.nonzero(matrix)  # row-major: the order the operator sums in
+    shuffle = np.random.default_rng(3).permutation(len(rows))
+    operator = _SparseOperator.from_triplets(
+        rows[shuffle], cols[shuffle], matrix[rows, cols][shuffle], dim
+    )
+    lengths = np.count_nonzero(matrix, axis=1)
+    assert operator.cols.shape == operator.values.shape == (lengths.max(), dim)
+    padding = np.arange(lengths.max())[:, None] >= lengths
+    assert not operator.cols[padding].any() and not operator.values[padding].any()
+
+    rng = np.random.default_rng(dim)
+    dense = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for vector in (dense, -np.eye(dim, dtype=complex)[dim // 2], np.zeros(dim, complex)):
+        got = operator @ vector
+        want = bincount_matvec(rows, cols, matrix[rows, cols], vector)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_allclose(got, matrix @ vector, rtol=0, atol=1e-12)
+
+
+def test_padded_operator_beyond_guard_squared_is_refused_before_allocating(monkeypatch):
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "100")
+    rows, cols, values = np.array([0, 0, 9]), np.array([0, 1, 2]), np.ones(3, complex)
+    # two entries in row 0: 2 x 5000 cells hold guard**2 = 10**4
+    assert _SparseOperator.from_triplets(rows, cols, values, 5000).values.shape == (2, 5000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError) as info:
+            _SparseOperator.from_triplets(rows, cols, values, 50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.dimension, info.value.guard) == (100_000, 10_000)
+    assert "padded operator (2 entries x 50000 rows)" in str(info.value)
+    assert peak < 2**18  # the padded arrays would take 2.4 MB
+
+
+@pytest.mark.parametrize(
+    "reg",
+    [
+        registry_create([generic(i) for i in range(7)]),
+        registry_create([boson(i) for i in range(3)], cutoffs=[2, 4, 1]),
+        registry_create(
+            [electron(0), boson(0), hole(1), boson(1), electron(2)], cutoffs=[2, 3]
+        ),
+    ],
+    ids=["fermions", "bosons", "mixed"],
+)
+def test_sector_keys_match_packed_enumeration(reg):
+    for total in range(sum(reg.cutoffs) + 2):
+        want = [reg.pack(occ) for occ in enumerate_sector(reg, total)]
+        got = _sector_keys(reg, total)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert len(got) == sector_dimension(reg, total)
+    assert len(want) == 0
 
 
 def disordered_ring(sites, phase, seed=1):

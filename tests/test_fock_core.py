@@ -34,7 +34,7 @@ from fockent import (
     superpose,
     vacuum_state,
 )
-from fockent.fock_core import PRUNE_TOL
+from fockent.fock_core import PRUNE_TOL, _grouped
 
 
 def mixed_registry():
@@ -478,3 +478,15 @@ def test_state_arrays_are_read_only():
     keys[0], values[0] = 2, 1.0
     state.amplitudes.clear()
     assert state.amplitudes == {3: 0.6 + 0j, 1: 0.8j}
+
+
+@pytest.mark.parametrize("size", [0, 1, 8, 64, 5000])
+def test_grouped_matches_unique(size):
+    rng = np.random.default_rng(size)
+    values = rng.integers(-3, size // 4 + 2, size)
+    distinct, slot = _grouped(values)
+    want, inverse = np.unique(values, return_inverse=True)
+    assert distinct.dtype == want.dtype and slot.dtype == inverse.dtype
+    assert distinct.tolist() == want.tolist() and slot.tolist() == inverse.tolist()
+    wide = np.array([2**70, 5, 2**70, -(2**65), 5], dtype=object)
+    assert [a.tolist() for a in _grouped(wide)] == [[-(2**65), 5, 2**70], [2, 1, 2, 0, 1]]
