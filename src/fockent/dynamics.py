@@ -8,22 +8,22 @@ tensor stored sparsely as <ij|V|lm> entries (Hermiticity pairs are
 completed at load).
 
 The terms of H go through the operator kernel of ``fock_core``, which
-owns the sign rule, and come back as (source, target, value) triplets.
-``hamiltonian_matrix`` densifies them, ``apply_hamiltonian`` sums them
-by target key, and ``evolve_many`` keeps them sparse: sectors up to
-``KRYLOV_CROSSOVER`` basis vectors are diagonalised densely, larger ones
-are propagated with numpy-only Taylor steps (Al-Mohy & Higham, SIAM J.
-Sci. Comput. 33, 488 (2011)).  The sparse operator pads every row to the
-longest (ELLPACK): a (width, dimension) array of columns and one of
-values, 24 bytes a cell, so that a matvec is one gather, one product and
-one sum down the columns.  Sector keys are built as int64 arrays, one
-mode at a time, in ``enumerate_sector`` order.  The size guard of
-``fock_core`` bounds the sector dimension and, squared, the amplitudes of
-a trajectory and the cells of a padded operator; registries whose keys
-are not int64 are refused.  States are read as
-their key and amplitude arrays, split into sectors by the particle
-number of each key, and every result goes back through
-``ManyBodyState._from_keys``.
+owns the sign rule and the sector order, and come back as (source,
+target, value) triplets.  ``_sector_triplets`` is the one sector
+assembly: ``hamiltonian_matrix`` densifies its triplets and
+``evolve_many`` keeps them sparse.  ``apply_hamiltonian`` and the sparse
+operator add duplicates with ``fock_core._summed``, the one sum by key.
+Sectors up to ``KRYLOV_CROSSOVER`` basis vectors are diagonalised
+densely, larger ones are propagated with numpy-only Taylor steps
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  The sparse
+operator pads every row to the longest (ELLPACK): a (width, dimension)
+array of columns and one of values, 24 bytes a cell, so that a matvec is
+one gather, one product and one sum down the columns.  The size guard of
+``fock_core`` bounds the sector dimension and, squared, the amplitudes
+of a trajectory and the cells of a padded operator; registries whose
+keys are not int64 are refused.  States are read as their key and
+amplitude arrays, split into sectors by the particle number of each key,
+and every result goes back through ``ManyBodyState._from_keys``.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ from .fock_core import (
     _check_guard,
     _check_int64_keys,
     _check_trajectory,
-    _grouped,
     _occupations,
     _operator_triplets,
+    _sector_keys,
+    _summed,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -154,34 +155,6 @@ class SectorMatrix:
         return len(self.keys)
 
 
-def _sector_keys(registry: ModeRegistry, total: int | None) -> np.ndarray:
-    """Packed keys of the sector (or the full space), in ``enumerate_sector`` order.
-
-    Built from the last mode to the first: ``keys[r]`` holds the keys of
-    the modes seen so far with r particles, lexicographic with the
-    earliest mode most significant, and mode i puts ``n * stride + keys[r
-    - n]`` in front for each allowed n.  Totals that the modes still to
-    come cannot complete to ``total`` are left empty.
-    """
-    dim = registry.full_dimension() if total is None else sector_dimension(registry, total)
-    _check_guard("full space" if total is None else f"sector N={total}", dim)
-    _check_int64_keys(registry)
-    if total is None:
-        return np.arange(dim, dtype=np.int64)
-    empty = np.zeros(0, dtype=np.int64)
-    keys = [np.zeros(1, dtype=np.int64)] + [empty] * total
-    before = sum(registry.cutoffs)
-    for stride, cutoff in zip(reversed(registry._strides), reversed(registry.cutoffs)):
-        before -= cutoff  # the most particles the modes before this one hold
-        keys = [
-            np.concatenate([n * stride + keys[r - n] for n in range(min(cutoff, r) + 1)])
-            if r + before >= total
-            else empty
-            for r in range(total + 1)
-        ]
-    return keys[total]
-
-
 def _positions(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Index in ``keys`` of every target key; each target must be present."""
     order = np.argsort(keys)
@@ -204,19 +177,27 @@ def _terms(h: SecondQuantizedHamiltonian):
         yield unit * 0.5 * v, ((l, False), (m, False), (j, True), (i, True))
 
 
+def _sector_triplets(h: SecondQuantizedHamiltonian, total: int | None):
+    """The one sector assembly: ``(keys, rows, cols, values)`` of the sector
+    (or the full space for None), H adding ``values`` at (``rows``,
+    ``cols``) term by term.  Size guard and int64 check come first."""
+    registry = h.registry
+    dim = registry.full_dimension() if total is None else sector_dimension(registry, total)
+    _check_guard("full space" if total is None else f"sector N={total}", dim)
+    _check_int64_keys(registry)
+    keys = np.arange(dim, dtype=np.int64) if total is None else _sector_keys(registry, total)
+    source, target, value = _operator_triplets(registry, keys, _terms(h))
+    return keys, _positions(keys, target), source, value
+
+
 def hamiltonian_matrix(
     h: SecondQuantizedHamiltonian, total: int | None
 ) -> SectorMatrix:
-    """Dense matrix of H on the fixed-N sector (or the full space for None).
-
-    All sector keys go through the operator kernel at once; column j is H
-    applied to the basis vector ``keys[j]``, and each element sums its
-    contributions in term order.
-    """
-    keys = _sector_keys(h.registry, total)
-    source, target, value = _operator_triplets(h.registry, keys, _terms(h))
+    """Dense matrix of H on the fixed-N sector (or the full space for None);
+    a negative total is an empty sector."""
+    keys, rows, cols, values = _sector_triplets(h, total)
     matrix = np.zeros((len(keys), len(keys)), dtype=complex)
-    np.add.at(matrix, (_positions(keys, target), source), value)
+    np.add.at(matrix, (rows, cols), values)
     return SectorMatrix(h.registry, total, keys, matrix)
 
 
@@ -226,9 +207,7 @@ def apply_hamiltonian(
     """H |state>, unnormalized; the state may span several sectors."""
     _check_int64_keys(h.registry)
     source, target, value = _operator_triplets(h.registry, state.keys, _terms(h))
-    image_keys, slot = _grouped(target)
-    image = np.zeros(len(image_keys), dtype=complex)
-    np.add.at(image, slot, state.values[source] * value)
+    image_keys, image, _ = _summed(target, state.values[source] * value)
     return ManyBodyState._from_keys(h.registry, image_keys, image, state.truncated)
 
 
@@ -263,9 +242,11 @@ def eigenstates(
     Near-degenerate clusters (gap below 1e-10 times the spectral
     spread) are re-mixed toward occupation-sparse combinations so that
     a Hamiltonian diagonal in the registry basis yields occupation
-    eigenvectors even inside degeneracies.
+    eigenvectors even inside degeneracies.  An empty sector has none.
     """
     sector = hamiltonian_matrix(h, total)
+    if sector.dimension == 0:
+        return []
     energies, vectors = np.linalg.eigh(sector.matrix)
     scale = max(1.0, float(energies[-1] - energies[0]))
     threshold = DEGENERACY_RTOL * scale
@@ -323,9 +304,7 @@ class _SparseOperator:
         allocated.  The spectral bound is taken from the summed entries in
         row-major order, before padding.
         """
-        flat, slot = _grouped(rows * dimension + cols)
-        summed = np.zeros(len(flat), dtype=complex)
-        np.add.at(summed, slot, values)
+        flat, summed, _ = _summed(rows * dimension + cols, values)
         rows, cols = flat // dimension, flat % dimension
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         lengths = np.diff(starts, append=len(rows))
@@ -422,11 +401,8 @@ def evolve_many(
         present = numbers == total
         terms = (state.keys[present], state.values[present])
         if sector_dimension(registry, total) > KRYLOV_CROSSOVER:
-            keys = _sector_keys(registry, total)
-            source, target, value = _operator_triplets(registry, keys, _terms(h))
-            operator = _SparseOperator.from_triplets(
-                _positions(keys, target), source, value, len(keys)
-            )
+            keys, *triplets = _sector_triplets(h, total)
+            operator = _SparseOperator.from_triplets(*triplets, len(keys))
             evolved = _propagate_sparse(operator, _sector_vector(keys, *terms), times)
         else:
             sector = hamiltonian_matrix(h, total)

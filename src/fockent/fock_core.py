@@ -12,9 +12,12 @@ amplitude.  ``ManyBodyState.amplitudes`` is a dict view built on request.
 Key arrays have one data type, ``_key_dtype(registry)``: int64 while
 ``full_dimension() <= KEY_LIMIT = 2**63``, Python integers above that.
 ``ManyBodyState._from_keys`` is the one way from arrays of distinct keys
-and amplitudes to a state.  Sums over terms run left to right
-(``_running_sum``) and complex products part by part (``_times``), so
-they round exactly as Python's scalar arithmetic does.
+and amplitudes to a state, ``_summed`` the one sum of values by key, and
+``_sector_keys`` the one builder of a fixed-N sector's keys, in the one
+sector order (``enumerate_sector`` is its unpacked view).  Sums over
+terms run left to right (``_running_sum``, ``_summed``) and complex
+products part by part (``_times``), so they round exactly as Python's
+scalar arithmetic does.
 
 Sign convention: applying a fermionic creation or annihilation operator
 at mode i picks up (-1)**(number of occupied fermionic modes with
@@ -381,14 +384,21 @@ def _grouped(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, slot
 
 
+def _summed(keys: np.ndarray, values: np.ndarray):
+    """The one sum by key: distinct keys, ascending, each with 0.0 plus its
+    values in array order, and the index of each entry among the keys."""
+    distinct, slot = _grouped(keys)
+    summed = np.zeros(len(distinct), dtype=complex)
+    np.add.at(summed, slot, values)
+    return distinct, summed, slot
+
+
 def _merged(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys in order of first appearance, each with 0.0 plus its
     values in array order, as a dict accumulates them."""
-    distinct, slot = _grouped(keys)
+    distinct, summed, slot = _summed(keys, values)
     first = np.full(len(distinct), len(keys))
     np.minimum.at(first, slot, np.arange(len(keys)))
-    summed = np.zeros(len(distinct), dtype=complex)
-    np.add.at(summed, slot, values)
     order = np.argsort(first)
     return distinct[order], summed[order]
 
@@ -551,36 +561,42 @@ def superpose(terms: Sequence[tuple[complex, ManyBodyState]]) -> ManyBodyState:
     return ManyBodyState._from_keys(registry, *_merged(keys, values), truncated)
 
 
-def enumerate_sector(registry: ModeRegistry, total: int) -> list[OccupationVector]:
-    """All occupation vectors with the given total particle number.
+def _sector_keys(registry: ModeRegistry, total: int) -> np.ndarray:
+    """Packed keys of the sector with ``total`` particles, in the key type.
 
-    Deterministic order: lexicographic with mode 0 most significant.
+    The one sector order: lexicographic in the occupations, mode 0 most
+    significant.  Built from the last mode to the first: ``keys[r]`` holds
+    the keys of the modes seen so far with r particles, and mode i puts
+    ``n * stride + keys[r - n]`` in front for each allowed n.  Totals that
+    the modes still to come cannot complete to ``total`` are left empty.
     """
-    out: list[OccupationVector] = []
-    cutoffs = registry.cutoffs
-    M = len(cutoffs)
-    suffix_max = [0] * (M + 1)
-    for i in range(M - 1, -1, -1):
-        suffix_max[i] = suffix_max[i + 1] + cutoffs[i]
+    empty = np.zeros(0, dtype=_key_dtype(registry))
+    if total < 0:
+        return empty
+    keys = [np.zeros(1, dtype=empty.dtype)] + [empty] * total
+    before = sum(registry.cutoffs)
+    for stride, cutoff in zip(reversed(registry._strides), reversed(registry.cutoffs)):
+        before -= cutoff  # the most particles the modes before this one hold
+        keys = [
+            np.concatenate([n * stride + keys[r - n] for n in range(min(cutoff, r) + 1)])
+            if r + before >= total
+            else empty
+            for r in range(total + 1)
+        ]
+    return keys[total]
 
-    def rec(i: int, remaining: int, prefix: list[int]) -> None:
-        if i == M:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        if remaining > suffix_max[i]:
-            return
-        for n in range(0, min(cutoffs[i], remaining) + 1):
-            prefix.append(n)
-            rec(i + 1, remaining - n, prefix)
-            prefix.pop()
 
-    rec(0, total, [])
-    return out
+def enumerate_sector(registry: ModeRegistry, total: int) -> list[OccupationVector]:
+    """All occupation vectors with the given total particle number, in
+    ``_sector_keys`` order (lexicographic, mode 0 most significant)."""
+    occupations = _occupations(registry, _sector_keys(registry, total))
+    return list(map(tuple, occupations.tolist()))
 
 
 def sector_dimension(registry: ModeRegistry, total: int) -> int:
     """Count of occupation vectors with the given total, without materializing."""
+    if total < 0:
+        return 0
     ways = [1] + [0] * total
     for c in registry.cutoffs:
         new = [0] * (total + 1)

@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .analytic import compositions, multinomial
 from .errors import NormalizationError, TruncationError
 from .fock_core import (
     PRUNE_TOL,
@@ -492,8 +493,6 @@ def bogoliubov_projected(
                 f"pair cutoff at {q} below required {half}"
             )
         pair_modes.append((strides[q_idx] + strides[nq_idx], table.values[q]))
-
-    from .analytic import compositions, multinomial
 
     keys, amplitudes = [], []
     for pattern in compositions(half, 1 + len(pair_modes)):

@@ -44,13 +44,13 @@ from .fock_core import (
     apply_creation,
     basis_state,
     electron,
-    enumerate_sector,
     inner_product,
     number_expectation,
     registry_create,
     superpose,
     Spin,
     _occupations,
+    _sector_keys,
     _times,
 )
 from .states import (
@@ -329,7 +329,7 @@ def criterion_3(seed: int) -> CriterionResult:
     worst = 0.0
     for _ in range(50):
         total = int(rng.integers(1, 6))
-        keys = [registry.pack(occ) for occ in enumerate_sector(registry, total)]
+        keys = _sector_keys(registry, total)
         raw = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
         state = ManyBodyState._from_keys(registry, keys, raw).normalize()
         for mode in range(6):

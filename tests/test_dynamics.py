@@ -13,6 +13,7 @@ sparse Taylor propagator is checked against dense ``eigh``, and its
 padded-row matvec bit for bit against the triplet ``bincount`` matvec.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -54,9 +55,9 @@ from fockent.dynamics import (
     KRYLOV_CROSSOVER,
     _canonicalize_cluster,
     _SparseOperator,
-    _sector_keys,
     _taylor_step,
 )
+from fockent.fock_core import _key_dtype, _sector_keys
 
 
 def hopping_hamiltonian(tau=1.0):
@@ -636,25 +637,52 @@ def test_padded_operator_beyond_guard_squared_is_refused_before_allocating(monke
     assert peak < 2**18  # the padded arrays would take 2.4 MB
 
 
+def bruteforce_sector(reg, total):
+    """Sorted occupation vectors with ``total`` particles: every multiset of
+    ``total`` modes, kept where no mode holds more than its cutoff."""
+    placements = itertools.combinations_with_replacement(range(len(reg)), total)
+    vectors = (tuple(modes.count(i) for i in range(len(reg))) for modes in placements)
+    return sorted(v for v in vectors if all(n <= c for n, c in zip(v, reg.cutoffs)))
+
+
 @pytest.mark.parametrize(
-    "reg",
+    "reg, totals",
     [
-        registry_create([generic(i) for i in range(7)]),
-        registry_create([boson(i) for i in range(3)], cutoffs=[2, 4, 1]),
-        registry_create(
-            [electron(0), boson(0), hole(1), boson(1), electron(2)], cutoffs=[2, 3]
+        (registry_create([generic(i) for i in range(7)]), range(9)),
+        (registry_create([boson(i) for i in range(3)], cutoffs=[2, 4, 1]), range(9)),
+        (
+            registry_create(
+                [electron(0), boson(0), hole(1), boson(1), electron(2)], cutoffs=[2, 3]
+            ),
+            range(10),
         ),
+        # 2**70 basis vectors: keys are Python integers
+        (registry_create([generic(i) for i in range(70)]), range(3)),
     ],
-    ids=["fermions", "bosons", "mixed"],
+    ids=["fermions", "bosons", "mixed", "fermions70"],
 )
-def test_sector_keys_match_packed_enumeration(reg):
-    for total in range(sum(reg.cutoffs) + 2):
-        want = [reg.pack(occ) for occ in enumerate_sector(reg, total)]
+def test_sector_keys_match_packed_enumeration(reg, totals):
+    # every total up to one past capacity (N <= 2 on 70 modes), where it is empty
+    for total in totals:
+        want = bruteforce_sector(reg, total)
         got = _sector_keys(reg, total)
-        assert got.dtype == np.int64
-        assert got.tolist() == want
-        assert len(got) == sector_dimension(reg, total)
-    assert len(want) == 0
+        assert got.dtype == _key_dtype(reg)
+        assert got.tolist() == [reg.pack(occ) for occ in want]
+        assert enumerate_sector(reg, total) == want
+        assert sector_dimension(reg, total) == len(want)
+    assert (len(want) == 0) == (total > sum(reg.cutoffs))
+
+
+@pytest.mark.parametrize("total", [-1, -4, 5], ids=["minus1", "minus4", "above"])
+def test_negative_and_overfull_sectors_are_empty(total):
+    h = hubbard_dimer()
+    reg = h.registry
+    assert sector_dimension(reg, total) == 0
+    assert enumerate_sector(reg, total) == []
+    assert _sector_keys(reg, total).tolist() == []
+    sector = hamiltonian_matrix(h, total)
+    assert sector.keys.tolist() == [] and sector.matrix.shape == (0, 0)
+    assert eigenstates(h, total) == []
 
 
 def disordered_ring(sites, phase, seed=1):
