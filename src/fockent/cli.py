@@ -142,6 +142,11 @@ def run_fermi(args):
 
 
 def run_exciton(args):
+    if min(args.electrons, args.holes) < 1:
+        raise ValueError(
+            f"need at least one electron and one hole momentum, "
+            f"got --electrons {args.electrons} --holes {args.holes}"
+        )
     e_momenta = [(k,) for k in range(args.electrons)]
     h_momenta = [(k,) for k in range(args.holes)]
     draw = partial(states.random_exciton_table, e_momenta, h_momenta)
@@ -187,6 +192,10 @@ def run_qh(args):
 
 
 def run_bcs(args):
+    if args.modes < 0:
+        raise ValueError(f"--modes must be nonnegative, got {args.modes}")
+    if args.unprojected and args.unpaired is not None:
+        raise ValueError("--unpaired applies to the projected state only")
     draw = partial(states.random_bcs_table, [(k,) for k in range(1, args.modes + 1)])
     path = None if args.g == "random" else args.g
     table, meta = _amplitude_table(path, TableKind.BCS_G, draw, args.seed)
@@ -206,6 +215,8 @@ def run_bcs(args):
 
 
 def run_bogoliubov(args):
+    if args.pairs < 0:
+        raise ValueError(f"--pairs must be nonnegative, got {args.pairs}")
     if args.unprojected:
         kind, draw = TableKind.BOGOLIUBOV_UV, states.random_uv_table
     else:

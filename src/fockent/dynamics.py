@@ -1,18 +1,19 @@
-"""Number-conserving second-quantized Hamiltonians on small sectors.
+"""Number-conserving second-quantized Hamiltonians on fixed-N sectors.
 
-H = sum_ij (T + T')_ij a^dagger_i a_j
+H = sum_ij T_ij a^dagger_i a_j
     + (1/2) sum_ijlm V_ijlm a^dagger_i a^dagger_j a_m a_l
 
-with T the one-body matrix, T' an external field, and V the two-body
-tensor stored sparsely as <ij|V|lm> entries (Hermiticity pairs are
-completed at load).
+with T the one single-particle matrix (an external field given apart is
+added into it once, at construction, so the proper basis is T's
+eigenbasis) and V the two-body tensor stored sparsely as <ij|V|lm>
+entries (Hermiticity pairs are completed at load).
 
 The terms of H go through the operator kernel of ``fock_core``, which
-owns the sign rule and the sector order, and come back as (source,
-target, value) triplets.  ``_sector_triplets`` is the one sector
-assembly: ``hamiltonian_matrix`` densifies its triplets and
-``evolve_many`` keeps them sparse.  ``apply_hamiltonian`` and the sparse
-operator add duplicates with ``fock_core._summed``, the one sum by key.
+owns the sign rule and the sector order.  ``_sector_entries`` is the one
+sector product: it adds up each (row, col) of the resulting triplets with
+``fock_core._summed``, the one sum by key, into distinct row-major
+entries, which ``hamiltonian_matrix`` scatters and ``evolve_many`` pads.
+There is no full-space matrix.  ``apply_hamiltonian`` uses ``_summed`` too.
 Sectors up to ``KRYLOV_CROSSOVER`` basis vectors are diagonalised
 densely, larger ones are propagated with numpy-only Taylor steps
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  The sparse
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -49,6 +50,10 @@ from .fock_core import (
     _check_guard,
     _check_int64_keys,
     _check_trajectory,
+    _json_complex,
+    _json_expect,
+    _json_int,
+    _json_ints,
     _occupations,
     _operator_triplets,
     _sector_keys,
@@ -87,32 +92,28 @@ TwoBodyKey = tuple[int, int, int, int]
 
 @dataclass
 class SecondQuantizedHamiltonian:
-    """One-body + external matrices and a sparse Hermitian two-body tensor."""
+    """The single-particle matrix T + T' and a sparse Hermitian two-body tensor.
+
+    ``external`` (T') is an init-only argument: it is checked like
+    ``one_body`` and added into it once, so ``one_body`` holds T + T'.
+    """
 
     registry: ModeRegistry
     one_body: np.ndarray
-    external: np.ndarray | None = None
+    external: InitVar[np.ndarray | None] = None
     two_body: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, external: np.ndarray | None) -> None:
         m = len(self.registry)
-        self.one_body = np.asarray(self.one_body, dtype=complex)
-        if self.one_body.shape != (m, m):
-            raise ValueError(f"one_body must be {m}x{m}")
-        if self.external is None:
-            self.external = np.zeros((m, m), dtype=complex)
-        else:
-            self.external = np.asarray(self.external, dtype=complex)
-            if self.external.shape != (m, m):
-                raise ValueError(f"external must be {m}x{m}")
-        for name, mat in (("one_body", self.one_body), ("external", self.external)):
+        external = np.zeros((m, m)) if external is None else external
+        one_body, external = (np.asarray(x, dtype=complex) for x in (self.one_body, external))
+        for name, mat in (("one_body", one_body), ("external", external)):
+            if mat.shape != (m, m):
+                raise ValueError(f"{name} must be {m}x{m}")
             if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
                 raise ValueError(f"{name} matrix is not Hermitian")
+        self.one_body = one_body + external
         self.two_body = _complete_two_body(self.two_body, m)
-
-    @property
-    def total_one_body(self) -> np.ndarray:
-        return self.one_body + self.external
 
 
 def _complete_two_body(entries: Mapping, num_modes: int) -> dict:
@@ -143,10 +144,9 @@ def _complete_two_body(entries: Mapping, num_modes: int) -> dict:
 
 @dataclass
 class SectorMatrix:
-    """Dense Hamiltonian block on one total-number sector (or the full space)."""
+    """Dense Hamiltonian block on one total-number sector."""
 
     registry: ModeRegistry
-    total: int | None
     keys: np.ndarray
     matrix: np.ndarray
 
@@ -164,41 +164,40 @@ def _positions(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def _terms(h: SecondQuantizedHamiltonian):
     """Yield (coefficient, operators) for each term of H.
 
-    One-body terms come first, nonzero entries of T + T' row by row, then
+    One-body terms come first, nonzero entries of T row by row, then
     the two-body entries in dict order.  ``operators`` lists (mode,
     creates) in the order the operators act on a ket.  The coefficient is
     the unit amplitude of a basis vector times t, or times 0.5 and v.
     """
     unit = 1.0 + 0.0j
-    t = h.total_one_body
+    t = h.one_body
     for i, j in zip(*np.nonzero(t)):
         yield unit * complex(t[i, j]), ((int(j), False), (int(i), True))
     for (i, j, l, m), v in h.two_body.items():
         yield unit * 0.5 * v, ((l, False), (m, False), (j, True), (i, True))
 
 
-def _sector_triplets(h: SecondQuantizedHamiltonian, total: int | None):
-    """The one sector assembly: ``(keys, rows, cols, values)`` of the sector
-    (or the full space for None), H adding ``values`` at (``rows``,
-    ``cols``) term by term.  Size guard and int64 check come first."""
+def _sector_entries(h: SecondQuantizedHamiltonian, total: int):
+    """The one sector product: ``(keys, rows, cols, values)``, the distinct
+    entries of H on the sector in row-major order, each 0.0 plus its terms
+    in term order.  Size guard and int64 check come first."""
     registry = h.registry
-    dim = registry.full_dimension() if total is None else sector_dimension(registry, total)
-    _check_guard("full space" if total is None else f"sector N={total}", dim)
+    dim = sector_dimension(registry, total)
+    _check_guard(f"sector N={total}", dim)
     _check_int64_keys(registry)
-    keys = np.arange(dim, dtype=np.int64) if total is None else _sector_keys(registry, total)
+    keys = _sector_keys(registry, total)
     source, target, value = _operator_triplets(registry, keys, _terms(h))
-    return keys, _positions(keys, target), source, value
+    flat, summed, _ = _summed(_positions(keys, target) * dim + source, value)
+    return keys, flat // dim, flat % dim, summed
 
 
-def hamiltonian_matrix(
-    h: SecondQuantizedHamiltonian, total: int | None
-) -> SectorMatrix:
-    """Dense matrix of H on the fixed-N sector (or the full space for None);
-    a negative total is an empty sector."""
-    keys, rows, cols, values = _sector_triplets(h, total)
+def hamiltonian_matrix(h: SecondQuantizedHamiltonian, total: int) -> SectorMatrix:
+    """Dense matrix of H on the fixed-N sector; a negative total is an
+    empty sector."""
+    keys, rows, cols, values = _sector_entries(h, total)
     matrix = np.zeros((len(keys), len(keys)), dtype=complex)
-    np.add.at(matrix, (rows, cols), values)
-    return SectorMatrix(h.registry, total, keys, matrix)
+    matrix[rows, cols] = values
+    return SectorMatrix(h.registry, keys, matrix)
 
 
 def apply_hamiltonian(
@@ -234,9 +233,7 @@ def _canonicalize_cluster(block: np.ndarray) -> np.ndarray:
     return np.column_stack(vectors)
 
 
-def eigenstates(
-    h: SecondQuantizedHamiltonian, total: int | None
-) -> list[tuple[float, ManyBodyState]]:
+def eigenstates(h: SecondQuantizedHamiltonian, total: int) -> list[tuple[float, ManyBodyState]]:
     """Eigenpairs of the sector matrix, energies ascending.
 
     Near-degenerate clusters (gap below 1e-10 times the spectral
@@ -295,17 +292,15 @@ class _SparseOperator:
     radius: float
 
     @classmethod
-    def from_triplets(
+    def from_entries(
         cls, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dimension: int
     ) -> "_SparseOperator":
-        """Sum repeated (row, col) entries in array order and pad the rows.
+        """Pad distinct entries, given in row-major order, to the rows.
 
         The padded arrays are refused beyond guard**2 cells before they are
-        allocated.  The spectral bound is taken from the summed entries in
-        row-major order, before padding.
+        allocated.  The spectral bound is taken from the entries, before
+        padding.
         """
-        flat, summed, _ = _summed(rows * dimension + cols, values)
-        rows, cols = flat // dimension, flat % dimension
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         lengths = np.diff(starts, append=len(rows))
         width = int(lengths.max()) if len(lengths) else 0
@@ -315,8 +310,8 @@ class _SparseOperator:
         padded_cols = np.zeros((width, dimension), dtype=np.intp)
         padded_values = np.zeros((width, dimension), dtype=complex)
         padded_cols[depth, rows] = cols
-        padded_values[depth, rows] = summed
-        interval = _spectral_interval(rows, cols, summed, dimension)
+        padded_values[depth, rows] = values
+        interval = _spectral_interval(rows, cols, values, dimension)
         return cls(padded_cols, padded_values, *interval)
 
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
@@ -401,8 +396,8 @@ def evolve_many(
         present = numbers == total
         terms = (state.keys[present], state.values[present])
         if sector_dimension(registry, total) > KRYLOV_CROSSOVER:
-            keys, *triplets = _sector_triplets(h, total)
-            operator = _SparseOperator.from_triplets(*triplets, len(keys))
+            keys, *entries = _sector_entries(h, total)
+            operator = _SparseOperator.from_entries(*entries, len(keys))
             evolved = _propagate_sparse(operator, _sector_vector(keys, *terms), times)
         else:
             sector = hamiltonian_matrix(h, total)
@@ -430,13 +425,13 @@ class ProperBasisReport:
 def check_proper_basis(
     h: SecondQuantizedHamiltonian, tol: float = PROPER_TOL
 ) -> ProperBasisReport:
-    """Diagonalize one_body + external and transform the two-body tensor.
+    """Diagonalize one_body and transform the two-body tensor.
 
     The rotation U satisfies T = U diag(e) U^dagger; new-basis operators
     are a^dagger_mu = sum_i U[i, mu] a^dagger_i, and the transformed
     tensor is V'_abcd = sum conj(U[i,a]) conj(U[j,b]) V_ijlm U[l,c] U[m,d].
     """
-    t = h.total_one_body
+    t = h.one_body
     off = t - np.diag(np.diag(t))
     off_max = float(np.max(np.abs(off))) if off.size else 0.0
     if off_max <= tol:
@@ -470,23 +465,16 @@ def check_proper_basis(
 # JSON interface
 
 
-def _num(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        re, im = value
-        return complex(float(re), float(im))
-    return complex(float(value), 0.0)
-
-
 def _matrix_from_json(rows, m: int, name: str) -> np.ndarray:
-    mat = np.zeros((m, m), dtype=complex)
-    if len(rows) != m:
-        raise ValueError(f"{name} must have {m} rows")
-    for i, row in enumerate(rows):
-        if len(row) != m:
-            raise ValueError(f"{name} row {i} must have {m} entries")
-        for j, value in enumerate(row):
-            mat[i, j] = _num(value)
-    return mat
+    rows = _json_expect(rows, "array", name)
+    rows = [_json_expect(row, "array", f"{name} row {i}") for i, row in enumerate(rows)]
+    if len(rows) != m or any(len(row) != m for row in rows):
+        raise ValueError(f"{name} must be an array of {m} rows of {m} entries")
+    entries = [
+        [_json_complex(value, f"{name} entry ({i}, {j})") for j, value in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    return np.array(entries, dtype=complex).reshape(m, m)
 
 
 def load_hamiltonian(source: str | Path | Mapping) -> SecondQuantizedHamiltonian:
@@ -495,33 +483,36 @@ def load_hamiltonian(source: str | Path | Mapping) -> SecondQuantizedHamiltonian
     Schema: {"modes": [{"species", "momentum", "spin", "extra", "cutoff"}],
     "one_body": [[...]], "external": [[...]],
     "two_body": [{"ijlm": [i,j,l,m], "value": [re,im]}]}.
-    Matrix entries are numbers or [re, im] pairs; "external" and
-    "two_body" may be omitted.
+    Matrix entries and values are numbers or [re, im] pairs; "external"
+    (added into "one_body") and "two_body" may be omitted.  A wrongly
+    shaped field raises ValueError.
     """
     if isinstance(source, (str, Path)):
         payload = json.loads(Path(source).read_text())
     else:
         payload = source
+    payload = _json_expect(payload, "object", "Hamiltonian")
     labels = []
     cutoffs: dict[int, int] = {}
-    for pos, spec in enumerate(payload["modes"]):
+    for pos, spec in enumerate(_json_expect(payload["modes"], "array", "modes")):
+        spec = _json_expect(spec, "object", f"mode {pos}")
         species = Species(spec.get("species", "generic"))
-        momentum = tuple(int(x) for x in spec.get("momentum", []))
+        momentum = _json_ints(spec.get("momentum", []), f"mode {pos} momentum")
         spin = Spin(spec.get("spin", "none"))
         extra = spec.get("extra")
+        extra = None if extra is None else _json_int(extra, f"mode {pos} extra")
         labels.append(ModeLabel(species, momentum, spin, extra))
         if species is Species.BOSON:
-            cutoffs[pos] = int(spec.get("cutoff", 1))
+            cutoffs[pos] = _json_int(spec.get("cutoff", 1), f"mode {pos} cutoff")
     registry = registry_create(labels, cutoffs or None)
     m = len(registry)
     one_body = _matrix_from_json(payload["one_body"], m, "one_body")
-    external = (
-        _matrix_from_json(payload["external"], m, "external")
-        if "external" in payload
-        else None
-    )
-    two_body = {
-        tuple(int(x) for x in entry["ijlm"]): _num(entry["value"])
-        for entry in payload.get("two_body", [])
-    }
+    external = payload.get("external")
+    if external is not None:
+        external = _matrix_from_json(external, m, "external")
+    two_body = {}
+    for n, entry in enumerate(_json_expect(payload.get("two_body", []), "array", "two_body")):
+        entry = _json_expect(entry, "object", f"two_body entry {n}")
+        value = _json_complex(entry["value"], f"two_body entry {n} value")
+        two_body[_json_ints(entry["ijlm"], f"two_body entry {n} ijlm")] = value
     return SecondQuantizedHamiltonian(registry, one_body, external, two_body)

@@ -29,12 +29,19 @@ of keys (``apply_creation``, ``apply_annihilation`` and ``dynamics``),
 and ``_created`` applies creation products to the terms of a state (the
 pair and exciton builders).  ``size_guard()`` (FOCKENT_SIZE_GUARD,
 default 5000) bounds dense dimensions; ``_check_guard`` is the one check.
+
+The JSON loaders of ``states`` and ``dynamics`` read their fields with
+the ``_json_*`` readers at the end of this module (``_json_complex`` is
+the one reader of a complex number), so a wrongly shaped field is
+refused with a one-line ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -158,14 +165,6 @@ class ModeRegistry:
 
     def __len__(self) -> int:
         return len(self.modes)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModeRegistry):
-            return NotImplemented
-        return self.modes == other.modes and self.cutoffs == other.cutoffs
-
-    def __hash__(self) -> int:
-        return hash((self.modes, self.cutoffs))
 
     def index_of(self, label: ModeLabel) -> int:
         try:
@@ -607,3 +606,38 @@ def sector_dimension(registry: ModeRegistry, total: int) -> int:
                     new[r + n] += w
         ways = new
     return ways[total]
+
+
+# ---------------------------------------------------------------------------
+# JSON readers
+
+
+def _json_expect(value, kind: str, what: str):
+    """``value`` if it is a JSON ``kind``, "array" or "object"."""
+    if not isinstance(value, {"array": (list, tuple), "object": Mapping}[kind]):
+        raise ValueError(f"{what} must be an {kind}, got {reprlib.repr(value)}")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")
+    return int(value)
+
+
+def _json_ints(value, what: str) -> tuple[int, ...]:
+    return tuple(_json_int(x, what) for x in _json_expect(value, "array", what))
+
+
+def _json_complex(value, what: str) -> complex:
+    """The one reader of a JSON complex number: a number or an [re, im] pair."""
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    parts = value if pair else (value, 0.0)
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in parts):
+        raise ValueError(
+            f"{what} must be a number or an [re, im] pair, got {reprlib.repr(value)}"
+        )
+    try:
+        return complex(float(parts[0]), float(parts[1]))
+    except OverflowError:
+        raise ValueError(f"{what} {reprlib.repr(value)} is beyond the float range") from None

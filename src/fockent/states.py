@@ -39,6 +39,9 @@ from .fock_core import (
     Spin,
     _as_momentum,
     _created,
+    _json_complex,
+    _json_expect,
+    _json_ints,
     _key_dtype,
     _occupations,
     _times,
@@ -154,26 +157,26 @@ def table_payload(table: PairAmplitudeTable) -> dict:
 
 
 def load_amplitude_table(source: str | Path | Mapping) -> PairAmplitudeTable:
-    """Read a table from a JSON file path or an already-parsed mapping."""
+    """Read a table from a JSON file path or an already-parsed mapping; a
+    wrongly shaped field raises ValueError."""
     if isinstance(source, (str, Path)):
         payload = json.loads(Path(source).read_text())
     else:
         payload = source
+    payload = _json_expect(payload, "object", "amplitude table")
     kind = TableKind(payload["kind"])
     values: dict = {}
-    for entry in payload["entries"]:
-        k = tuple(int(x) for x in entry["k"])
+    for i, entry in enumerate(_json_expect(payload["entries"], "array", "entries")):
+        entry = _json_expect(entry, "object", f"entry {i}")
+        k = _json_ints(entry["k"], f"entry {i} k")
         if kind is TableKind.EXCITON_A:
-            kp = tuple(int(x) for x in entry["kp"])
-            re, im = entry["value"]
-            values[(k, kp)] = complex(re, im)
+            kp = _json_ints(entry["kp"], f"entry {i} kp")
+            values[(k, kp)] = _json_complex(entry["value"], f"entry {i} value")
         elif kind is TableKind.BOGOLIUBOV_UV:
-            ur, ui = entry["u"]
-            vr, vi = entry["v"]
-            values[k] = (complex(ur, ui), complex(vr, vi))
+            u = _json_complex(entry["u"], f"entry {i} u")
+            values[k] = (u, _json_complex(entry["v"], f"entry {i} v"))
         else:
-            re, im = entry["value"]
-            values[k] = complex(re, im)
+            values[k] = _json_complex(entry["value"], f"entry {i} value")
     return PairAmplitudeTable(kind, values)
 
 

@@ -328,6 +328,42 @@ def test_invalid_configuration_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: |amplitude|^2 of ") and err.count("\n") == 1, err
 
+    # wrongly shaped JSON: a one-line error, not a TypeError traceback
+    hamiltonian = {"modes": [{"species": "electron", "momentum": [0]}], "one_body": [[0.0]]}
+    dynamics = ["dynamics", "--initial", "1", "--times", "0", "--hamiltonian"]
+    malformed = [
+        (["bcs", "--g"], {"kind": "bcs_g", "entries": [{"k": 1, "value": 0.5}]}),
+        (["bcs", "--g"], {"kind": "bcs_g", "entries": [{"k": [1], "value": ["0.5", 0.0]}]}),
+        (["bcs", "--g"], {"kind": "bcs_g", "entries": [{"k": [1], "value": [0.5, "0"]}]}),
+        (["exciton", "--table"], {"kind": "exciton_A", "entries": [{"k": [0], "kp": 0}]}),
+        (["bogoliubov", "--c"], {"kind": "bogoliubov_c", "entries": 5}),
+        (["bcs", "--g"], [{"k": [1], "value": 0.5}]),
+        (dynamics, {**hamiltonian, "one_body": 5}),
+        (dynamics, {**hamiltonian, "one_body": [[{"re": 0.0}]]}),
+        (dynamics, [hamiltonian]),
+    ]
+    for argv, payload in malformed:
+        path.write_text(json.dumps(payload))
+        assert main(argv + [str(path)]) == 2, (argv, payload)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    # scenario flags out of range, or that the chosen state does not use
+    for argv in (
+        ["exciton", "--electrons", "0"],
+        ["exciton", "--holes", "0"],
+        ["exciton", "--electrons", "-2"],
+        ["bogoliubov", "--pairs", "-2"],
+        ["bogoliubov", "--pairs", "-1", "--unprojected"],
+        ["bcs", "--modes", "-1", "--unprojected"],
+        ["bcs", "--unprojected", "--unpaired", "3"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the boundary cases still run
+    for argv in (["bogoliubov", "--pairs", "0"], ["fermi", "--modes", "0"]):
+        assert main(argv + ["--out", str(tmp_path / "edge.csv")]) == 0, argv
+
 
 @pytest.mark.parametrize("flags", [[], ["--n", "4"], ["--unprojected"]])
 def test_bcs_large_finite_amplitudes(tmp_path, flags):

@@ -8,9 +8,11 @@ modes gives S(t) = h(cos^2 t) for the starting mode.
 The vectorised operator kernel of ``fock_core`` is checked against a
 matrix built one basis vector and one term at a time from the scalar
 kernels ``creation_kernel`` and ``annihilation_kernel`` below, which count
-the sign by a loop over the occupied fermionic modes of each key; the
-sparse Taylor propagator is checked against dense ``eigh``, and its
-padded-row matvec bit for bit against the triplet ``bincount`` matvec.
+the sign by a loop over the occupied fermionic modes of each key; sector
+matrices bit for bit against a dense ``np.add.at`` over the kernel's
+triplets; the sparse Taylor propagator is checked against dense ``eigh``,
+and its padded-row matvec bit for bit against the triplet ``bincount``
+matvec.
 """
 
 import itertools
@@ -56,8 +58,9 @@ from fockent.dynamics import (
     _canonicalize_cluster,
     _SparseOperator,
     _taylor_step,
+    _terms,
 )
-from fockent.fock_core import _key_dtype, _sector_keys
+from fockent.fock_core import _key_dtype, _operator_triplets, _sector_keys, _summed
 
 
 def hopping_hamiltonian(tau=1.0):
@@ -123,17 +126,6 @@ def test_hopping_matrix_single_particle_sector():
     assert sector.matrix[a, a] == 0.0
     eigenvalues = np.linalg.eigvalsh(sector.matrix)
     assert eigenvalues == pytest.approx([-1.0, 1.0])
-
-
-def test_full_space_matrix_is_sector_block_diagonal():
-    h = hopping_hamiltonian()
-    full = hamiltonian_matrix(h, None)
-    assert full.dimension == 4
-    reg = h.registry
-    for i, ki in enumerate(full.keys):
-        for j, kj in enumerate(full.keys):
-            if sum(reg.unpack(ki)) != sum(reg.unpack(kj)):
-                assert full.matrix[i, j] == 0.0
 
 
 def test_apply_hamiltonian_matches_sector_matrix():
@@ -278,7 +270,7 @@ def test_check_proper_basis_passes_diagonal_and_fixes_hopping():
     report = check_proper_basis(hop)
     assert not report.proper
     assert report.off_diagonal == pytest.approx(1.0)
-    t = hop.total_one_body
+    t = hop.one_body
     u = report.rotation
     rotated = u.conj().T @ t @ u
     assert np.max(np.abs(rotated - np.diag(np.diag(rotated)))) < 1e-12
@@ -342,8 +334,9 @@ def test_load_hamiltonian_round_trip(tmp_path):
     h = load_hamiltonian(payload)
     assert h.registry.modes[2] == boson(0)
     assert h.registry.cutoffs == (1, 1, 3)
+    # external is added into one_body
     assert h.one_body[0, 1] == -0.5j
-    assert h.total_one_body[0, 0] == 0.25
+    assert h.one_body[0, 0] == 0.25
     assert h.two_body[(0, 1, 0, 1)] == 2.0
     assert h.two_body[(0, 1, 0, 1)].conjugate() == h.two_body[(0, 1, 0, 1)]
 
@@ -357,11 +350,31 @@ def test_load_hamiltonian_round_trip(tmp_path):
 
 
 def test_load_hamiltonian_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        load_hamiltonian(
-            {"modes": [{"species": "electron", "momentum": [0]}], "one_body": []}
-        )
-
+    mode = {"species": "electron", "momentum": [0]}
+    good = {"modes": [mode], "one_body": [[0.0]]}
+    assert load_hamiltonian(good).one_body.tolist() == [[0.0]]
+    bad = [
+        {**good, "one_body": []},
+        {**good, "one_body": 5},
+        {**good, "one_body": [5]},
+        {**good, "one_body": [[{"re": 1.0}]]},
+        {**good, "one_body": [["1.0"]]},
+        {**good, "one_body": [[[1.0, 0.0, 0.0]]]},
+        {**good, "external": [[True]]},
+        {**good, "modes": 5},
+        {**good, "modes": [5]},
+        {**good, "modes": [{**mode, "momentum": 0}]},
+        {**good, "modes": [{"species": "boson", "cutoff": [2]}]},
+        {**good, "two_body": {"ijlm": [0, 0, 0, 0]}},
+        {**good, "two_body": [{"ijlm": 0, "value": 1.0}]},
+        {**good, "two_body": [{"ijlm": [0] * 4, "value": "1"}]},
+        [good],
+    ]
+    # a one-line ValueError (exit 2 from the command line), never a TypeError
+    for payload in bad:
+        with pytest.raises(ValueError) as info:
+            load_hamiltonian(payload)
+        assert "\n" not in str(info.value), payload
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +418,7 @@ def annihilation_kernel(registry, key, mode):
 def reference_apply(h, key, amp, out):
     """Add H applied to amp |key> into ``out``, one term and one scalar kernel at a time."""
     terms = []
-    t = h.total_one_body
+    t = h.one_body
     m = len(h.registry)
     for i in range(m):
         for j in range(m):
@@ -428,10 +441,7 @@ def reference_apply(h, key, amp, out):
 
 def reference_matrix(h, total):
     reg = h.registry
-    if total is None:
-        keys = list(range(reg.full_dimension()))
-    else:
-        keys = [reg.pack(occ) for occ in enumerate_sector(reg, total)]
+    keys = [reg.pack(occ) for occ in enumerate_sector(reg, total)]
     index = {k: i for i, k in enumerate(keys)}
     matrix = np.zeros((len(keys), len(keys)), dtype=complex)
     for col, key in enumerate(keys):
@@ -463,7 +473,7 @@ def mixed_hamiltonian(seed=5):
 
 def test_assembly_is_bit_identical_to_scalar_kernels_on_dimer():
     h = hubbard_dimer()
-    for total in (None, 0, 1, 2, 3, 4):
+    for total in (0, 1, 2, 3, 4):
         keys, want = reference_matrix(h, total)
         sector = hamiltonian_matrix(h, total)
         assert tuple(sector.keys.tolist()) == keys
@@ -473,9 +483,9 @@ def test_assembly_is_bit_identical_to_scalar_kernels_on_dimer():
 @pytest.mark.parametrize(
     "make, totals",
     [
-        (lambda: load_hamiltonian(BOSON_PAYLOAD), (None, 0, 1, 2, 3, 4, 5)),
-        (mixed_hamiltonian, (None, 1, 2, 4, 7)),
-        (lambda: check_proper_basis(mixed_hamiltonian(8)).transformed, (None, 3)),
+        (lambda: load_hamiltonian(BOSON_PAYLOAD), (0, 1, 2, 3, 4, 5)),
+        (mixed_hamiltonian, (1, 2, 4, 7)),
+        (lambda: check_proper_basis(mixed_hamiltonian(8)).transformed, (3,)),
     ],
     ids=["bosonic", "mixed-complex", "dense-tensor"],
 )
@@ -487,6 +497,44 @@ def test_assembly_matches_scalar_kernels(make, totals):
         sector = hamiltonian_matrix(h, total)
         assert tuple(sector.keys.tolist()) == keys
         assert np.max(np.abs(sector.matrix - want), initial=0.0) <= 1e-14
+
+
+def add_at_matrix(h, total):
+    """Oracle: a dense ``np.add.at`` over the kernel's triplets, the row of
+    each target found by a dict; also the counts of triplets and of cells."""
+    keys = _sector_keys(h.registry, total)
+    source, target, value = _operator_triplets(h.registry, keys, _terms(h))
+    index = {key: i for i, key in enumerate(keys.tolist())}
+    rows = np.array([index[key] for key in target.tolist()], dtype=np.intp)
+    matrix = np.zeros((len(keys), len(keys)), dtype=complex)
+    np.add.at(matrix, (rows, source), value)
+    return keys, matrix, len(value), len(set(zip(rows.tolist(), source.tolist())))
+
+
+@pytest.mark.parametrize(
+    "make, totals",
+    [
+        (hubbard_dimer, (-1, 0, 1, 2, 3, 4)),
+        (lambda: disordered_ring(8, 0.0), (3, 4)),
+        (lambda: disordered_ring(8, 0.3), (3, 4)),
+        (lambda: check_proper_basis(disordered_ring(10, 0.3)).transformed, (5,)),
+        (lambda: load_hamiltonian(BOSON_PAYLOAD), (-1, 0, 1, 2, 3, 4, 5)),
+    ],
+    ids=["dimer", "ring-real", "ring-flux", "ring-proper", "mixed-external"],
+)
+def test_sector_matrix_is_bit_identical_to_add_at_oracle(make, totals):
+    # a cell takes several triplets (the two V entries of a bond, one-body
+    # and V terms on the diagonal, ~850 per row in the proper basis): they
+    # must be added from 0.0 in term order, as np.add.at adds them
+    h = make()
+    triplets = cells = 0
+    for total in totals:
+        keys, want, count, distinct = add_at_matrix(h, total)
+        sector = hamiltonian_matrix(h, total)
+        assert sector.keys.tolist() == keys.tolist()
+        np.testing.assert_array_equal(sector.matrix.view(np.uint64), want.view(np.uint64))
+        triplets, cells = triplets + count, cells + distinct
+    assert triplets > cells
 
 
 def test_apply_hamiltonian_across_sectors_matches_scalar_kernels():
@@ -548,18 +596,19 @@ def random_sparse_hermitian(dim, rng):
     return a + a.conj().T + np.diag(rng.normal(size=dim) * 3.0)
 
 
+def padded_operator(rows, cols, values, dim):
+    """The padded operator of triplets, summed by (row, col) into distinct
+    row-major entries as ``_sector_entries`` sums them."""
+    flat, summed, _ = _summed(rows * dim + cols, values)
+    return _SparseOperator.from_entries(flat // dim, flat % dim, summed, dim)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 7, 40])
 def test_taylor_step_matches_eigh(dim):
     rng = np.random.default_rng(dim)
     matrix = random_sparse_hermitian(dim, rng)
     rows, cols = np.nonzero(matrix)
-    # every element split in two entries: duplicates must be summed
-    operator = _SparseOperator.from_triplets(
-        np.concatenate([rows, rows]),
-        np.concatenate([cols, cols]),
-        np.concatenate([matrix[rows, cols] / 4, matrix[rows, cols] * 0.75]),
-        dim,
-    )
+    operator = padded_operator(rows, cols, matrix[rows, cols], dim)
     center, radius = operator.center, operator.radius
     energies = np.linalg.eigvalsh(matrix)
     slack = 1e-12 * (1.0 + radius)
@@ -603,9 +652,7 @@ def test_padded_matvec_matches_bincount_oracle(make):
     dim = len(matrix)
     rows, cols = np.nonzero(matrix)  # row-major: the order the operator sums in
     shuffle = np.random.default_rng(3).permutation(len(rows))
-    operator = _SparseOperator.from_triplets(
-        rows[shuffle], cols[shuffle], matrix[rows, cols][shuffle], dim
-    )
+    operator = padded_operator(rows[shuffle], cols[shuffle], matrix[rows, cols][shuffle], dim)
     lengths = np.count_nonzero(matrix, axis=1)
     assert operator.cols.shape == operator.values.shape == (lengths.max(), dim)
     padding = np.arange(lengths.max())[:, None] >= lengths
@@ -624,11 +671,11 @@ def test_padded_operator_beyond_guard_squared_is_refused_before_allocating(monke
     monkeypatch.setenv("FOCKENT_SIZE_GUARD", "100")
     rows, cols, values = np.array([0, 0, 9]), np.array([0, 1, 2]), np.ones(3, complex)
     # two entries in row 0: 2 x 5000 cells hold guard**2 = 10**4
-    assert _SparseOperator.from_triplets(rows, cols, values, 5000).values.shape == (2, 5000)
+    assert padded_operator(rows, cols, values, 5000).values.shape == (2, 5000)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError) as info:
-            _SparseOperator.from_triplets(rows, cols, values, 50_000)
+            padded_operator(rows, cols, values, 50_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

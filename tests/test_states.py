@@ -111,6 +111,12 @@ def test_load_rejects_unknown_kind():
         load_amplitude_table({"kind": "nonsense", "entries": []})
 
 
+def test_load_reads_plain_numbers_as_real_values():
+    pair = {"kind": "bcs_g", "entries": [{"k": [1], "value": [0.5, 0.0]}]}
+    plain = {"kind": "bcs_g", "entries": [{"k": [1], "value": 0.5}]}
+    assert load_amplitude_table(plain).values == load_amplitude_table(pair).values
+
+
 def test_random_tables_are_seeded_and_valid():
     a = random_exciton_table([(0,)], [(0,), (1,)], np.random.default_rng(9))
     b = random_exciton_table([(0,)], [(0,), (1,)], np.random.default_rng(9))
