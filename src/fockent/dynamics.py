@@ -15,14 +15,16 @@ sector product: it adds up each (row, col) of the resulting triplets with
 entries, which ``hamiltonian_matrix`` scatters and ``evolve_many`` pads.
 There is no full-space matrix.  ``apply_hamiltonian`` uses ``_summed`` too.
 Sectors up to ``KRYLOV_CROSSOVER`` basis vectors are diagonalised
-densely, larger ones are propagated with numpy-only Taylor steps
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  The sparse
-operator pads every row to the longest (ELLPACK): a (width, dimension)
+densely, larger ones are propagated by one numpy-only Chebyshev
+recurrence for all times (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+(1984)), its Bessel coefficients from Miller's backward recurrence.  The
+sparse operator pads every row to the longest (ELLPACK): a (width, dimension)
 array of columns and one of values, 24 bytes a cell, so that a matvec is
 one gather, one product and one sum down the columns.  The size guard of
 ``fock_core`` bounds the sector dimension and, squared, the amplitudes
-of a trajectory and the cells of a padded operator; registries whose
-keys are not int64 are refused.  States are read as their key and
+of a trajectory, the cells of a padded operator and the Chebyshev
+coefficients of a trajectory; registries whose keys are not int64 are
+refused.  States are read as their key and
 amplitude arrays, split into sectors by the particle number of each key,
 and every result goes back through ``ManyBodyState._from_keys``.
 """
@@ -65,27 +67,24 @@ DEGENERACY_RTOL = 1e-10
 PROPER_TOL = 1e-12
 TENSOR_PRUNE = 1e-14
 
-# Sectors above this dimension are propagated with sparse Taylor steps,
-# smaller ones by dense eigh.  On disordered interacting rings at 50 times,
-# one BLAS thread, the two break even near dimension 210 (dense 0.017-0.019 s,
-# sparse 0.016-0.018 s); at 252 dense takes 0.028-0.030 s against
-# 0.020-0.025 s, at 330 0.053-0.068 s against 0.017-0.027 s, and at 924
-# 1.07-1.20 s against 0.049-0.053 s.  The value stays at 300: moving it would
-# move the sectors in between to the other path, and change their last bits.
-KRYLOV_CROSSOVER = 300
+# Sectors above this dimension are propagated by the sparse Chebyshev
+# recurrence, smaller ones by dense eigh.  On disordered interacting flux
+# rings at 50 times on [0, 5], one BLAS thread, best of 7 (dense against
+# Chebyshev): 5.2-5.3 ms against 6.1-6.8 ms at dimension 70, 4.8-6.0 against
+# 4.6-6.3 at 84, 6.8-9.0 against 5.4-7.2 at 120, 34.9 against 9.8 at 252.
+# The two break even near 100.
+KRYLOV_CROSSOVER = 100
 
-# theta_m for m = 1..30: the largest ||A||_1 for which the degree-m Taylor
-# polynomial T_m(A) = exp(A + E) with ||E|| <= 2**-53 ||A|| (Higham,
-# "Functions of Matrices", Table A.3; Al-Mohy & Higham 2011, Table 3.1).
-# Degrees up to 55 would allow longer steps (theta_55 = 9.9), but the terms
-# of the series grow to about exp(theta_m) before they cancel, so a step
-# rounds to about exp(theta_m) * 2**-53: 4e-15 at m = 30, 2e-12 at m = 55.
-TAYLOR_THETA = (
-    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2,
-    8.96e-2, 1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1,
-    9.31e-1, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86,
-    3.08, 3.31, 3.54,
-)
+# The sparse propagator adds its recurrence vectors into the trajectory this
+# many at a time, with one matrix product per block.  One at a time (rank-1
+# updates), evolve_many on a 12-site ring at 50 times took 52 ms against 23.
+
+# Miller's backward recurrence for J_k starts this many orders above the
+# Chebyshev degree.  It leaves an error of about J_{start+1}(x) in each order;
+# the degree's tail bound alone keeps that below the roundoff, and the margin
+# keeps it so for any degree a caller asks for.
+MILLER_MARGIN = 20
+CHEBYSHEV_BLOCK = 16
 
 TwoBodyKey = tuple[int, int, int, int]
 
@@ -96,6 +95,7 @@ class SecondQuantizedHamiltonian:
 
     ``external`` (T') is an init-only argument: it is checked like
     ``one_body`` and added into it once, so ``one_body`` holds T + T'.
+    A NaN or infinite entry of T, T' or V, or of T + T', raises ValueError.
     """
 
     registry: ModeRegistry
@@ -110,9 +110,14 @@ class SecondQuantizedHamiltonian:
         for name, mat in (("one_body", one_body), ("external", external)):
             if mat.shape != (m, m):
                 raise ValueError(f"{name} must be {m}x{m}")
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} matrix has a non-finite entry")
             if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
                 raise ValueError(f"{name} matrix is not Hermitian")
-        self.one_body = one_body + external
+        with np.errstate(over="ignore"):
+            self.one_body = one_body + external
+        if not np.isfinite(self.one_body).all():
+            raise ValueError("one_body + external overflows the float range")
         self.two_body = _complete_two_body(self.two_body, m)
 
 
@@ -124,6 +129,8 @@ def _complete_two_body(entries: Mapping, num_modes: int) -> dict:
         if len(key) != 4 or not all(0 <= x < num_modes for x in key):
             raise ValueError(f"two-body key {key} out of range for {num_modes} modes")
         value = complex(value)
+        if not np.isfinite(value):
+            raise ValueError(f"two-body entry at {key} is not finite: {value}")
         if value == 0:
             continue
         if key in completed and abs(completed[key] - value) > HERMITICITY_TOL:
@@ -283,7 +290,8 @@ class _SparseOperator:
     triplets.  Cells per element: 1.72 on a 12-site ring at half filling
     in real space (rows of 3 to 13 elements), 1.00 in its proper basis
     (262 a row).  ``center`` and ``radius`` bound the spectrum
-    (``_spectral_interval``).
+    (``_spectral_interval``), so that H~ = (H - center) / radius, the
+    argument of the Chebyshev recurrence, has ||H~||_2 <= 1.
     """
 
     cols: np.ndarray
@@ -320,44 +328,120 @@ class _SparseOperator:
         return (self.values * np.take(vector, self.cols)).sum(axis=0)
 
 
-def _taylor_step(operator: _SparseOperator, psi: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) psi by a truncated, scaled Taylor series.
+def _chebyshev_degree(x: float) -> int:
+    """A degree K with 2 sum_{k>K} (x/2)^k / k! <= 2**-53, the least the
+    bound below allows.
 
-    A = -i dt (H - center) has ||A||_1 <= |dt| radius.  The degree m and
-    the number of substeps s minimise the products m * s subject to
-    |dt| radius / s <= theta_m, which bounds the backward error of each
-    substep by the unit roundoff (Al-Mohy & Higham 2011, Sec. 3); the
-    shift returns as the phase exp(-i center dt).
+    |J_k(x)| <= (|x|/2)^k / k! and ||T_k(H~)||_2 <= 1, so this bounds the
+    error of the Chebyshev expansion of exp(-i x H~) cut after T_K by the
+    unit roundoff.  Above K = |x|/2 the terms fall faster than a geometric
+    series of ratio |x|/(2(K+2)), whose sum bounds the tail; that bound
+    decreases with K and is bisected.  Below it one term is at least 1.  A
+    non-finite x (a time or a spectral radius that is NaN or infinite) is
+    refused, and so is |x| >= 2**52, where the bound's arithmetic would
+    round away (its degree would exceed any size guard anyway).
     """
-    center, radius = operator.center, operator.radius
-    norm = abs(dt) * radius
-    _, m, s = min(
-        (m * math.ceil(norm / theta), m, math.ceil(norm / theta))
-        for m, theta in enumerate(TAYLOR_THETA, start=1)
-    )
-    for _ in range(s):
-        term = psi
-        for j in range(1, m + 1):
-            term = (-1j * dt / (s * j)) * (operator @ term - center * term)
-            psi = psi + term
-    return np.exp(-1j * center * dt) * psi
+    if not abs(x) < 2.0**52:
+        raise ValueError(f"cannot propagate: ||H|| t is {x}, not below 2**52")
+    half = abs(x) / 2
+    if half == 0.0:
+        return 0
+
+    def bounded(degree: int) -> bool:
+        log_tail = (
+            math.log(2.0)
+            + (degree + 1) * math.log(half)
+            - math.lgamma(degree + 2)
+            - math.log1p(-half / (degree + 2))
+        )
+        return log_tail <= -53 * math.log(2.0)
+
+    low = math.floor(half)
+    if bounded(low):
+        return low
+    high = 2 * low + 64
+    while not bounded(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if bounded(middle) else (middle, high)
+    return high
+
+
+def _bessel_table(x: np.ndarray, degree: int) -> np.ndarray:
+    """J_k(x) for each real x (rows) and k = 0..degree (columns).
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, from
+    J_{n+1} = 0 and J_n = 1 at n = degree + MILLER_MARGIN, gives a multiple
+    of J_0..J_degree for every row at once, and J_0 + 2 sum_k J_2k = 1
+    fixes it.  A row that passes 2**600 is scaled by 2**-600, the orders
+    already stored with it, so nothing overflows; orders that underflow
+    are far below the roundoff.  Below |x| = 2**-300 one step of 2k/x could
+    overflow; there J_0 = 1, J_1 = x/2 and J_k = 0 beyond, to double
+    precision, and the recurrence runs on 1 instead.  It runs on |x|, and
+    J_k(-x) = (-1)^k J_k(x).
+    """
+    size = np.abs(x)
+    tiny = size < 2.0**-300
+    z = np.where(tiny, 1.0, size)
+    table = np.zeros((len(x), degree + 1))
+    total, above, here = np.zeros(len(x)), np.zeros(len(x)), np.ones(len(x))
+    for k in range(degree + MILLER_MARGIN, 0, -1):
+        if k <= degree:
+            table[:, k] = here
+        if k % 2 == 0:
+            total += 2 * here
+        above, here = here, (2 * k / z) * here - above
+        large = np.abs(here) > 2.0**600
+        if large.any():
+            for part in (table, total, above, here):
+                part[large] *= 2.0**-600
+    table[:, 0] = here
+    table /= (total + here)[:, None]
+    table[tiny] = 0.0
+    table[tiny, 0] = 1.0
+    table[tiny, 1:2] = size[tiny][:, None] / 2
+    table[x < 0, 1::2] *= -1.0
+    return table
 
 
 def _propagate_sparse(
     operator: _SparseOperator, psi: np.ndarray, times: Sequence[float]
-) -> list[np.ndarray]:
-    """psi at each time, stepping from t = 0 outward through the sorted times."""
-    out: list[np.ndarray] = [psi] * len(times)
-    ascending = sorted(range(len(times)), key=times.__getitem__)
-    forward = [i for i in ascending if times[i] >= 0]
-    backward = [i for i in reversed(ascending) if times[i] < 0]
-    for chain in (forward, backward):
-        now, current = 0.0, psi
-        for i in chain:
-            current = _taylor_step(operator, current, times[i] - now)
-            now = times[i]
-            out[i] = current
-    return out
+) -> np.ndarray:
+    """psi at each time, one row each, from one Chebyshev recurrence.
+
+    With H~ = (H - center) / radius, ||H~||_2 <= 1 and (Jacobi-Anger)
+    exp(-i H t) = exp(-i center t) sum_k (2 - delta_k0) (-i)^k J_k(radius t) T_k(H~)
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The vectors
+    v_k = T_k(H~) psi, from v_0 = psi, v_1 = H~ psi and
+    v_{k+1} = 2 H~ v_k - v_{k-1}, do not depend on t, so one recurrence of
+    ``_chebyshev_degree(radius max|t|)`` matvecs serves every time, of either
+    sign.  Every ``CHEBYSHEV_BLOCK`` vectors are added into the trajectory
+    with one matrix product.  The table of (times x (degree + 1))
+    coefficients is refused beyond guard**2 entries before it is allocated.
+    """
+    times = np.asarray(times, dtype=float)
+    center, radius = operator.center, operator.radius
+    degree = _chebyshev_degree(radius * float(np.max(np.abs(times), initial=0.0)))
+    what = f"Chebyshev coefficients ({len(times)} times x {degree + 1} orders)"
+    _check_guard(what, len(times) * (degree + 1), size_guard() ** 2)
+    orders = np.arange(degree + 1)
+    units = np.array([1, -1j, -1, 1j])[orders % 4] * np.where(orders == 0, 1, 2)
+    bessel = _bessel_table(radius * times, degree)
+    coefficients = np.exp(-1j * center * times)[:, None] * (units * bessel)
+
+    trajectory = np.zeros((len(times), len(psi)), dtype=complex)
+    block = np.empty((CHEBYSHEV_BLOCK, len(psi)), dtype=complex)
+    previous, current = psi, psi
+    for k in range(degree + 1):
+        if k > 0:
+            image = (operator @ current - center * current) / radius
+            previous, current = current, image if k == 1 else 2 * image - previous
+        row = k % CHEBYSHEV_BLOCK
+        block[row] = current
+        if row == CHEBYSHEV_BLOCK - 1 or k == degree:
+            trajectory += coefficients[:, k - row : k + 1] @ block[: row + 1]
+    return trajectory
 
 
 def _sector_vector(keys: np.ndarray, present: np.ndarray, values) -> np.ndarray:
@@ -374,12 +458,12 @@ def evolve_many(
 
     A sector of dimension up to ``KRYLOV_CROSSOVER`` is diagonalised
     densely, and each time rotates the phases of its eigencoefficients.  A
-    larger sector stays sparse: the state is propagated from t = 0
-    outward through the sorted times, backward for negative ones, by
-    Taylor steps whose degree and substep count follow from a bound on
-    ||H dt||_1, so that no dense matrix is built.  Times may come in any
-    order and with either sign.  A trajectory of more than guard**2
-    amplitudes is refused before anything is allocated.
+    larger sector stays sparse: one Chebyshev recurrence on the padded
+    operator, of a degree set by the largest |t| and a bound on the
+    spectrum, gives the state at every time (``_propagate_sparse``), so
+    that no dense matrix is built.  Times may come in any order and with
+    either sign.  A trajectory of more than guard**2 amplitudes is refused
+    before anything is allocated.
     """
     if state.registry != h.registry:
         raise ValueError("state and Hamiltonian use different registries")
@@ -483,9 +567,10 @@ def load_hamiltonian(source: str | Path | Mapping) -> SecondQuantizedHamiltonian
     Schema: {"modes": [{"species", "momentum", "spin", "extra", "cutoff"}],
     "one_body": [[...]], "external": [[...]],
     "two_body": [{"ijlm": [i,j,l,m], "value": [re,im]}]}.
-    Matrix entries and values are numbers or [re, im] pairs; "external"
-    (added into "one_body") and "two_body" may be omitted.  A wrongly
-    shaped field raises ValueError.
+    Matrix entries and values are finite numbers or [re, im] pairs;
+    "external" (added into "one_body") and "two_body" may be omitted.  A
+    wrongly shaped or non-finite field, or a repeated "ijlm", raises
+    ValueError.
     """
     if isinstance(source, (str, Path)):
         payload = json.loads(Path(source).read_text())
@@ -514,5 +599,8 @@ def load_hamiltonian(source: str | Path | Mapping) -> SecondQuantizedHamiltonian
     for n, entry in enumerate(_json_expect(payload.get("two_body", []), "array", "two_body")):
         entry = _json_expect(entry, "object", f"two_body entry {n}")
         value = _json_complex(entry["value"], f"two_body entry {n} value")
-        two_body[_json_ints(entry["ijlm"], f"two_body entry {n} ijlm")] = value
+        ijlm = _json_ints(entry["ijlm"], f"two_body entry {n} ijlm")
+        if ijlm in two_body:
+            raise ValueError(f"two_body entry {n} repeats ijlm {list(ijlm)}")
+        two_body[ijlm] = value
     return SecondQuantizedHamiltonian(registry, one_body, external, two_body)

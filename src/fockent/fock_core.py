@@ -32,8 +32,9 @@ default 5000) bounds dense dimensions; ``_check_guard`` is the one check.
 
 The JSON loaders of ``states`` and ``dynamics`` read their fields with
 the ``_json_*`` readers at the end of this module (``_json_complex`` is
-the one reader of a complex number), so a wrongly shaped field is
-refused with a one-line ValueError.
+the one reader of a complex number, which refuses NaN and infinities),
+so a wrongly shaped or non-finite field is refused with a one-line
+ValueError; so is a repeated entry.
 """
 
 from __future__ import annotations
@@ -630,7 +631,8 @@ def _json_ints(value, what: str) -> tuple[int, ...]:
 
 
 def _json_complex(value, what: str) -> complex:
-    """The one reader of a JSON complex number: a number or an [re, im] pair."""
+    """The one reader of a JSON complex number: a number or an [re, im] pair,
+    finite (Python's json reads NaN, Infinity and 1e999 as floats)."""
     pair = isinstance(value, (list, tuple)) and len(value) == 2
     parts = value if pair else (value, 0.0)
     if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in parts):
@@ -638,6 +640,9 @@ def _json_complex(value, what: str) -> complex:
             f"{what} must be a number or an [re, im] pair, got {reprlib.repr(value)}"
         )
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        z = complex(float(parts[0]), float(parts[1]))
     except OverflowError:
         raise ValueError(f"{what} {reprlib.repr(value)} is beyond the float range") from None
+    if not np.isfinite(z):
+        raise ValueError(f"{what} {reprlib.repr(value)} is not a finite number")
+    return z

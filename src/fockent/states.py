@@ -158,7 +158,8 @@ def table_payload(table: PairAmplitudeTable) -> dict:
 
 def load_amplitude_table(source: str | Path | Mapping) -> PairAmplitudeTable:
     """Read a table from a JSON file path or an already-parsed mapping; a
-    wrongly shaped field raises ValueError."""
+    wrongly shaped or non-finite field, or a repeated key, raises
+    ValueError."""
     if isinstance(source, (str, Path)):
         payload = json.loads(Path(source).read_text())
     else:
@@ -168,15 +169,16 @@ def load_amplitude_table(source: str | Path | Mapping) -> PairAmplitudeTable:
     values: dict = {}
     for i, entry in enumerate(_json_expect(payload["entries"], "array", "entries")):
         entry = _json_expect(entry, "object", f"entry {i}")
-        k = _json_ints(entry["k"], f"entry {i} k")
+        key = _json_ints(entry["k"], f"entry {i} k")
         if kind is TableKind.EXCITON_A:
-            kp = _json_ints(entry["kp"], f"entry {i} kp")
-            values[(k, kp)] = _json_complex(entry["value"], f"entry {i} value")
-        elif kind is TableKind.BOGOLIUBOV_UV:
+            key = (key, _json_ints(entry["kp"], f"entry {i} kp"))
+        if key in values:
+            raise ValueError(f"entry {i} repeats the key {key}")
+        if kind is TableKind.BOGOLIUBOV_UV:
             u = _json_complex(entry["u"], f"entry {i} u")
-            values[k] = (u, _json_complex(entry["v"], f"entry {i} v"))
+            values[key] = (u, _json_complex(entry["v"], f"entry {i} v"))
         else:
-            values[k] = _json_complex(entry["value"], f"entry {i} value")
+            values[key] = _json_complex(entry["value"], f"entry {i} value")
     return PairAmplitudeTable(kind, values)
 
 

@@ -306,27 +306,30 @@ def test_invalid_configuration_exits_2(tmp_path, capsys):
     assert main(["bcs", "--g", str(tmp_path / "missing.json")]) == 2
     assert main(["bcs", "--modes", "2", "--n", "6"]) == 2
     capsys.readouterr()
-    # a non-finite entry, or a |g|^2 beyond the float range, is refused on loading
-    nan = float("nan")
+    # a |g|^2 beyond the float range is refused on loading, and a non-finite
+    # entry (NaN, Infinity) by the JSON number reader
+    nan, big, value = float("nan"), "|amplitude|^2 of ", "entry 0 value "
     cases = [
-        (["bcs", "--unprojected", "--g"], "bcs_g", {"value": [1e200, 0.0]}),
-        (["bcs", "--g"], "bcs_g", {"value": [1e200, 0.0]}),
-        (["bcs", "--g"], "bcs_g", {"value": [nan, 0.0]}),
-        (["bcs", "--unprojected", "--g"], "bcs_g", {"value": [0.5, float("inf")]}),
-        (["exciton", "--table"], "exciton_A", {"kp": [0], "value": [nan, 0.0]}),
-        (["bogoliubov", "--c"], "bogoliubov_c", {"value": [nan, 0.0]}),
+        (["bcs", "--unprojected", "--g"], "bcs_g", {"value": [1e200, 0.0]}, big),
+        (["bcs", "--g"], "bcs_g", {"value": [1e200, 0.0]}, big),
+        (["bcs", "--g"], "bcs_g", {"value": [nan, 0.0]}, value),
+        (["bcs", "--unprojected", "--g"], "bcs_g", {"value": [0.5, float("inf")]}, value),
+        (["exciton", "--table"], "exciton_A", {"kp": [0], "value": [nan, 0.0]}, value),
+        (["bogoliubov", "--c"], "bogoliubov_c", {"value": [nan, 0.0]}, value),
         (
             ["bogoliubov", "--unprojected", "--c"],
             "bogoliubov_uv",
             {"u": [1.0, 0.0], "v": [nan, 0.0]},
+            "entry 0 v ",
         ),
     ]
     path = tmp_path / "table.json"
-    for argv, kind, entry in cases:
+    for argv, kind, entry, message in cases:
         path.write_text(json.dumps({"kind": kind, "entries": [{"k": [1], **entry}]}))
         assert main(argv + [str(path)]) == 2, (argv, entry)
         err = capsys.readouterr().err
-        assert err.startswith("error: |amplitude|^2 of ") and err.count("\n") == 1, err
+        assert err.startswith("error: " + message) and err.count("\n") == 1, err
+        assert ("not a finite number" in err) == (message.startswith("entry")), err
 
     # wrongly shaped JSON: a one-line error, not a TypeError traceback
     hamiltonian = {"modes": [{"species": "electron", "momentum": [0]}], "one_body": [[0.0]]}
@@ -363,6 +366,65 @@ def test_invalid_configuration_exits_2(tmp_path, capsys):
     # the boundary cases still run
     for argv in (["bogoliubov", "--pairs", "0"], ["fermi", "--modes", "0"]):
         assert main(argv + ["--out", str(tmp_path / "edge.csv")]) == 0, argv
+
+
+def test_non_finite_or_repeated_entries_exit_2(tmp_path, capsys):
+    # an 11-site ring at N = 5 (dimension 462) takes the sparse path, whose
+    # degree search would not end on a NaN bound; the loader refuses first
+    sites = 11
+    one_body = [[0.0] * sites for _ in range(sites)]
+    for i in range(sites):
+        one_body[i][(i + 1) % sites] = one_body[(i + 1) % sites][i] = -1.0
+    two_body = [
+        {"ijlm": [i, (i + 1) % sites, i, (i + 1) % sites], "value": 2.0} for i in range(sites)
+    ]
+    modes = [{"momentum": [i]} for i in range(sites)]
+    good = {"modes": modes, "one_body": one_body, "two_body": two_body}
+
+    def edited(field, row, col, value):
+        payload = json.loads(json.dumps(good))
+        payload.setdefault(field, [[0.0] * sites for _ in range(sites)])
+        payload[field][row][col] = value
+        return payload
+
+    nan, inf = float("nan"), float("inf")
+    # finite entries whose sum T + T' overflows
+    overflow = edited("external", 3, 3, 1e308)
+    overflow["one_body"][3][3] = 1e308
+    bad = [
+        edited("one_body", 0, 0, nan),
+        edited("one_body", 0, 1, inf),
+        edited("one_body", 2, 2, [0.0, -inf]),
+        edited("external", 3, 3, nan),
+        overflow,
+        {**good, "two_body": two_body + [{"ijlm": [0, 2, 0, 2], "value": nan}]},
+        {**good, "two_body": two_body + [{"ijlm": [0, 2, 0, 2], "value": [0.0, inf]}]},
+        {**good, "two_body": two_body + [{"ijlm": [0, 1, 0, 1], "value": 5.0}]},
+    ]
+    path = tmp_path / "h.json"
+    argv = ["dynamics", "--hamiltonian", str(path), "--initial", "1,0,1,0,1,0,1,0,1,0,0"]
+    path.write_text(json.dumps(good))
+    assert main(argv + ["--times", "0,1", "--out", str(tmp_path / "ok.csv")]) == 0
+    for payload in bad:
+        path.write_text(json.dumps(payload))
+        assert main(argv) == 2, payload
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err == "error: two_body entry 11 repeats ijlm [0, 1, 0, 1]\n"
+
+    # a repeated key of an amplitude table
+    tables = [
+        (["bcs", "--g"], {"kind": "bcs_g", "entries": [{"k": [1], "value": 1.0}] * 2}),
+        (
+            ["exciton", "--table"],
+            {"kind": "exciton_A", "entries": [{"k": [0], "kp": [1], "value": 1.0}] * 2},
+        ),
+    ]
+    for argv, payload in tables:
+        path.write_text(json.dumps(payload))
+        assert main(argv + [str(path)]) == 2, payload
+        err = capsys.readouterr().err
+        assert err.startswith("error: entry 1 repeats the key ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("flags", [[], ["--n", "4"], ["--unprojected"]])

@@ -10,9 +10,9 @@ matrix built one basis vector and one term at a time from the scalar
 kernels ``creation_kernel`` and ``annihilation_kernel`` below, which count
 the sign by a loop over the occupied fermionic modes of each key; sector
 matrices bit for bit against a dense ``np.add.at`` over the kernel's
-triplets; the sparse Taylor propagator is checked against dense ``eigh``,
-and its padded-row matvec bit for bit against the triplet ``bincount``
-matvec.
+triplets; the sparse Chebyshev propagator is checked against dense
+``eigh`` and its Bessel coefficients against ``mpmath.besselj``, and its
+padded-row matvec bit for bit against the triplet ``bincount`` matvec.
 """
 
 import itertools
@@ -23,6 +23,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -55,9 +56,11 @@ from fockent import (
 from fockent.dynamics import (
     DEGENERACY_RTOL,
     KRYLOV_CROSSOVER,
+    _bessel_table,
     _canonicalize_cluster,
+    _chebyshev_degree,
+    _propagate_sparse,
     _SparseOperator,
-    _taylor_step,
     _terms,
 )
 from fockent.fock_core import _key_dtype, _operator_triplets, _sector_keys, _summed
@@ -377,6 +380,31 @@ def test_load_hamiltonian_rejects_bad_shapes():
         assert "\n" not in str(info.value), payload
 
 
+def test_load_hamiltonian_refuses_a_repeated_ijlm():
+    payload = {**BOSON_PAYLOAD, "two_body": BOSON_PAYLOAD["two_body"] * 2}
+    with pytest.raises(ValueError, match=r"two_body entry 1 repeats ijlm \[0, 1, 0, 1\]"):
+        load_hamiltonian(payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_entries_are_refused(bad):
+    reg = registry_create([electron(0), electron(1)])
+    entry = np.array([[bad, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="one_body matrix has a non-finite entry"):
+        SecondQuantizedHamiltonian(reg, entry)
+    with pytest.raises(ValueError, match="external matrix has a non-finite entry"):
+        SecondQuantizedHamiltonian(reg, np.zeros((2, 2)), external=entry)
+    with pytest.raises(ValueError, match="two-body entry at"):
+        SecondQuantizedHamiltonian(reg, np.zeros((2, 2)), two_body={(0, 1, 0, 1): bad})
+    big = np.array([[1e308, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="one_body \\+ external overflows"):
+        SecondQuantizedHamiltonian(reg, big, external=big)
+    # the JSON reader refuses them first
+    value = [bad.real, bad.imag] if isinstance(bad, complex) else bad
+    with pytest.raises(ValueError, match="is not a finite number"):
+        load_hamiltonian({**BOSON_PAYLOAD, "two_body": [{"ijlm": [0, 1, 0, 1], "value": value}]})
+
+
 # ---------------------------------------------------------------------------
 # vectorised assembly against the scalar kernels
 
@@ -582,7 +610,7 @@ def test_packed_keys_beyond_int64_raise_size_guard():
 
 
 # ---------------------------------------------------------------------------
-# sparse Taylor propagation against dense eigh
+# sparse Chebyshev propagation against dense eigh
 
 
 def exact_evolution(matrix, psi, t):
@@ -604,7 +632,7 @@ def padded_operator(rows, cols, values, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 40])
-def test_taylor_step_matches_eigh(dim):
+def test_chebyshev_propagation_matches_eigh(dim):
     rng = np.random.default_rng(dim)
     matrix = random_sparse_hermitian(dim, rng)
     rows, cols = np.nonzero(matrix)
@@ -616,9 +644,70 @@ def test_taylor_step_matches_eigh(dim):
     assert energies[-1] <= center + radius + slack
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
-    for dt in (0.0, 1e-3, 0.37, -0.9, 4.0):
-        got = _taylor_step(operator, psi, dt)
-        assert np.max(np.abs(got - exact_evolution(matrix, psi, dt))) <= 1e-12
+    # one recurrence for every time, unsorted and of either sign
+    times = [0.37, 0.0, 40.0, -0.9, 1e-3, 4.0]
+    trajectory = _propagate_sparse(operator, psi, times)
+    assert trajectory.shape == (len(times), dim)
+    assert np.array_equal(trajectory[1], psi)
+    for t, got in zip(times, trajectory):
+        assert np.max(np.abs(got - exact_evolution(matrix, psi, t))) <= 1e-12
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-3, 0.5, 62.0, -62.0, 500.0])
+def test_bessel_table_matches_mpmath(x):
+    degree = _chebyshev_degree(x)
+    got = _bessel_table(np.array([x, 0.5, x]), degree)
+    want = [float(mpmath.besselj(k, x)) for k in range(degree + 1)]
+    assert np.max(np.abs(got[0] - want)) <= 1e-15
+    assert np.array_equal(got[0], got[2])
+    # the tail bound of the degree: 2 (|x|/2)^(K+1) / (K+1)! is below 2**-53
+    assert 2 * mpmath.mpf(abs(x) / 2) ** (degree + 1) / mpmath.factorial(degree + 1) <= 2.0**-53
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**52, -1e300])
+def test_chebyshev_degree_refuses_a_non_finite_or_huge_bound(bad):
+    with pytest.raises(ValueError):
+        _chebyshev_degree(bad)
+    operator = padded_operator(np.array([0, 1]), np.array([1, 0]), np.ones(2, complex), 2)
+    with pytest.raises(ValueError):
+        _propagate_sparse(operator, np.array([1.0, 0.0], complex), [0.0, bad])
+
+
+def test_chebyshev_table_beyond_guard_squared_is_refused_before_allocating(monkeypatch):
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "100")
+    rng = np.random.default_rng(40)
+    matrix = random_sparse_hermitian(40, rng)
+    rows, cols = np.nonzero(matrix)
+    operator = padded_operator(rows, cols, matrix[rows, cols], 40)
+    psi = np.eye(40, dtype=complex)[0]
+    assert _propagate_sparse(operator, psi, [0.0, 50.0]).shape == (2, 40)
+    degree = _chebyshev_degree(operator.radius * 1e5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError) as info:
+            _propagate_sparse(operator, psi, [0.0, 1e5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.dimension, info.value.guard) == (2 * (degree + 1), 10_000)
+    assert f"Chebyshev coefficients (2 times x {degree + 1} orders)" in str(info.value)
+    assert peak < 2**18  # the table would take about 170 MB
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.3], ids=["real", "flux"])
+def test_matvecs_per_trajectory_on_the_benchmark_ring(monkeypatch, phase):
+    # a 12-site disordered ring at half filling, as the dynamics benchmark
+    # runs it, at 50 times on [0, 5]
+    calls = []
+    matvec = _SparseOperator.__matmul__
+    monkeypatch.setattr(
+        _SparseOperator, "__matmul__", lambda self, v: calls.append(1) or matvec(self, v)
+    )
+    h = disordered_ring(12, phase)
+    start = basis_state(h.registry, [1, 0] * 6)
+    trajectory = evolve_many(start, h, np.linspace(0.0, 5.0, 50))
+    assert len(trajectory) == 50 and trajectory[0].amplitudes == start.amplitudes
+    assert 0 < len(calls) <= 130
 
 
 def bincount_matvec(rows, cols, values, vector):

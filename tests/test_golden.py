@@ -2,9 +2,10 @@
 
 Each case runs ``fockent <argv> --out <table>`` in a fresh interpreter
 with one BLAS thread and pins the SHA-256 of the table, its
-``.meta.json`` sidecar (empty when none is written) and stdout.  The dynamics cases run on a Hubbard dimer (dense
-eigh) and on an 11-site interacting ring at N = 5 (dimension 462, sparse
-Taylor propagation).  A digest may change only together with a line in
+``.meta.json`` sidecar (empty when none is written) and stdout.  The
+dynamics cases run on a Hubbard dimer (dense eigh) and on an 11-site
+interacting ring at N = 5 (dimension 462, sparse Chebyshev propagation).
+A digest may change only together with a line in
 CHANGES.md that says why.  The digests were recorded with Python 3.11
 and numpy 2.4.6 (OpenBLAS 0.3.31) on x86-64; another numpy or BLAS build
 may round the last digit differently.
@@ -123,7 +124,7 @@ GOLDEN = {
             "--subset",
             "0,1,2,3,4",
         ],
-        "21dffa3d763680f897b4f00e9110b9d06356c55153d491c725e3a66ea977a490",
+        "9d61737d98eab725565b662390fd1feaf7e7f4c3adfde127e6376334340396b2",
     ),
 }
 

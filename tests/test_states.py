@@ -117,6 +117,15 @@ def test_load_reads_plain_numbers_as_real_values():
     assert load_amplitude_table(plain).values == load_amplitude_table(pair).values
 
 
+@pytest.mark.parametrize("kind", list(TableKind))
+def test_load_refuses_a_repeated_key(kind):
+    entry = {"k": [1], "kp": [2], "value": 0.6, "u": 1.25, "v": 0.75}
+    other = {**entry, "value": 0.8, **({"kp": [3]} if kind is TableKind.EXCITON_A else {"k": [2]})}
+    assert len(load_amplitude_table({"kind": kind.value, "entries": [entry, other]}).values) == 2
+    with pytest.raises(ValueError, match="entry 2 repeats the key"):
+        load_amplitude_table({"kind": kind.value, "entries": [entry, other, entry]})
+
+
 def test_random_tables_are_seeded_and_valid():
     a = random_exciton_table([(0,)], [(0,), (1,)], np.random.default_rng(9))
     b = random_exciton_table([(0,)], [(0,), (1,)], np.random.default_rng(9))
