@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import fockent
+import fockent.entanglement as entanglement
 from fockent import (
     ManyBodyState,
     NormalizationError,
@@ -345,6 +346,81 @@ def test_kernel_matches_loop_oracle(name):
         complement = tuple(i for i in range(size) if i not in subset)
         if complement:
             assert abs(mode_entanglement(state, complement) - entropy) <= 1e-12, subset
+
+
+def block_states():
+    """Number-definite states whose Gram matrices exceed BLOCK_CROSSOVER, and
+    an indefinite-number state with as many terms as the fermionic one."""
+    rng = np.random.default_rng(83)
+    fermions = registry_create([generic(i) for i in range(12)])
+    bosons = registry_create([boson(i) for i in range(6)], cutoffs=3)
+    fixed = random_sector_state(fermions, 6, rng)
+    keys = rng.choice(fermions.full_dimension(), size=len(fixed.keys), replace=False)
+    values = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    return {
+        "fermions_fixed_n": fixed,
+        "bosons_fixed_n": random_sector_state(bosons, 6, rng),
+        "fermions_indefinite_n": ManyBodyState._from_keys(
+            fermions, np.sort(keys), values / np.linalg.norm(values)
+        ),
+    }
+
+
+def block_subsets(size):
+    """Half chain, strided, interleaved pairs and a single mode."""
+    half = tuple(range(size // 2))
+    interleaved = tuple(i for i in range(size) if i % 4 < 2)
+    return [half, tuple(range(0, size, 2)), interleaved, (size // 2,)]
+
+
+@pytest.mark.parametrize("name", list(block_states()))
+def test_number_blocks_match_reshape_oracle(name, monkeypatch):
+    state = block_states()[name]
+    size = len(state.registry)
+    for subset in block_subsets(size):
+        entropy = mode_entanglement(state, subset)
+        assert abs(entropy - spectrum_entropy(rdm_oracle(state, subset))) <= 1e-12, subset
+        complement = tuple(i for i in range(size) if i not in subset)
+        assert abs(mode_entanglement(state, complement) - entropy) <= 1e-12, subset
+        if name == "fermions_indefinite_n":
+            # one block: the same single eigvalsh as with the blocks switched off
+            with monkeypatch.context() as dense:
+                dense.setattr(entanglement, "BLOCK_CROSSOVER", math.inf)
+                assert mode_entanglement(state, subset) == entropy, subset
+
+
+def test_eigensolver_calls_follow_number_blocks(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(entanglement.np.linalg, "eigvalsh", counting)
+    # the half chain of a 12-mode, N = 6 state, as in the dynamics benchmark:
+    # Gram side 64 splits into blocks of 1, 6, 15, 20, 15, 6 and 1 patterns
+    half_filled = block_states()["fermions_fixed_n"]
+    mode_entanglement(half_filled, range(6))
+    assert calls == [(2, 6, 6), (2, 15, 15), (1, 20, 20)]
+
+    calls.clear()
+    mode_entanglement(half_filled, range(3))
+    assert calls == [(8, 8)]
+
+    # a pair mode's occupation fixes its partner's, so every environment
+    # holds one term: the Gram matrix is diagonal and needs no eigensolver
+    registry = bogoliubov_registry([1, 2], condensate_cutoff=2, pair_cutoff=40)
+    uv = {(q,): (1.0 / math.sqrt(1.0 - 0.25), 0.5 / math.sqrt(1.0 - 0.25)) for q in (1, 2)}
+    state = bogoliubov_unprojected(
+        registry, PairAmplitudeTable(TableKind.BOGOLIUBOV_UV, uv), cutoff=40
+    )
+    calls.clear()
+    entropy = mode_entanglement(state, (1,))
+    assert calls == []
+    monkeypatch.setattr(entanglement, "BLOCK_CROSSOVER", math.inf)
+    assert mode_entanglement(state, (1,)) == entropy
+    assert calls == [(41, 41)]
 
 
 def test_dense_rdm_is_guarded_before_allocation(monkeypatch):
