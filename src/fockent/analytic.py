@@ -14,14 +14,9 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import SizeGuardError
-from .fock_core import Momentum, _as_momentum
+from .fock_core import Momentum, _as_momentum, _check_guard
 
 BOUNDS_TOL = 1e-12
-
-# exact-enumeration guards for the condensate distributions
-MAX_HALF_N = 8
-MAX_PAIR_MODES = 6
 
 
 def binary_entropy(p: float) -> float:
@@ -207,16 +202,14 @@ def _boxes(c: Mapping[Momentum, complex], q) -> tuple[list[complex], int]:
 
 
 def _guard_condensate(total_number: int, num_pairs: int) -> None:
+    """Refuse odd N, and more than ``size_guard()`` patterns: the
+    C(N/2 + M, M) ways to put N/2 pair quanta into the condensate and M
+    pair modes, which ``bogoliubov_exact`` walks."""
     if total_number % 2 != 0:
         raise ValueError("total particle number must be even")
     half = total_number // 2
-    if half > MAX_HALF_N or num_pairs > MAX_PAIR_MODES:
-        raise SizeGuardError(
-            f"exact condensate enumeration limited to N/2 <= {MAX_HALF_N} and "
-            f"<= {MAX_PAIR_MODES} pair modes (got N/2={half}, pairs={num_pairs})",
-            dimension=half,
-            guard=MAX_HALF_N,
-        )
+    patterns = math.comb(half + num_pairs, num_pairs)
+    _check_guard(f"exact condensate enumeration (N/2={half}, {num_pairs} pairs)", patterns)
 
 
 def bogoliubov_exact(

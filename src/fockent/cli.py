@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import states, verification
+from . import analytic, states, verification
 from .dynamics import check_proper_basis, evolve_many, load_hamiltonian
 from .entanglement import mode_entanglement
 from .errors import (
@@ -240,6 +240,8 @@ def run_bogoliubov(args):
         registry = states.bogoliubov_registry(
             qs, condensate_cutoff=args.n, pair_cutoff=args.n // 2
         )
+        # the rows' exact distributions are refused before the state is built
+        analytic._guard_condensate(args.n, len(qs))
         state = states.bogoliubov_projected(registry, table, args.n)
         rows = verification.bogoliubov_rows(state, table, args.n)
     return verification.BOGOLIUBOV_COLUMNS, rows, meta

@@ -10,23 +10,24 @@ entries (Hermiticity pairs are completed at load).
 
 The terms of H go through the operator kernel of ``fock_core``, which
 owns the sign rule and the sector order.  ``_sector_entries`` is the one
-sector product: it adds up each (row, col) of the resulting triplets with
-``fock_core._summed``, the one sum by key, into distinct row-major
+sector product: it adds up each (row, col) of the resulting triplets
+with ``fock_core._summed``, the one sum by key, into distinct row-major
 entries, which ``hamiltonian_matrix`` scatters and ``evolve_many`` pads.
-There is no full-space matrix.  ``apply_hamiltonian`` uses ``_summed`` too.
-Sectors up to ``KRYLOV_CROSSOVER`` basis vectors are diagonalised
+There is no full-space matrix, and no other product of H with a state.
+Sectors up to ``DENSE_CROSSOVER`` basis vectors are diagonalised
 densely, larger ones are propagated by one numpy-only Chebyshev
 recurrence for all times (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
 (1984)), its Bessel coefficients from Miller's backward recurrence.  The
-sparse operator pads every row to the longest (ELLPACK): a (width, dimension)
-array of columns and one of values, 24 bytes a cell, so that a matvec is
-one gather, one product and one sum down the columns.  The size guard of
-``fock_core`` bounds the sector dimension and, squared, the amplitudes
-of a trajectory, the cells of a padded operator and the Chebyshev
-coefficients of a trajectory; registries whose keys are not int64 are
-refused.  States are read as their key and
-amplitude arrays, split into sectors by the particle number of each key,
-and every result goes back through ``ManyBodyState._from_keys``.
+sparse operator pads every row to the longest (ELLPACK): a (width,
+dimension) array of columns and one of values, 24 bytes a cell, so that
+a matvec is one gather, one product and one sum down the columns.  The
+size guard of ``fock_core`` bounds the sector dimension and, squared,
+the amplitudes of a trajectory, the cells of a padded operator, the
+Chebyshev coefficients of a trajectory and the dense two-body tensor of
+``check_proper_basis``; registries whose keys are not int64 are refused.
+States are read as their key and amplitude arrays, split into sectors by
+the particle number of each key, and every result goes back through
+``ManyBodyState._from_keys``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .fock_core import (
     ModeRegistry,
     Species,
     Spin,
-    inner_product,
     registry_create,
     sector_dimension,
     size_guard,
@@ -73,7 +73,7 @@ TENSOR_PRUNE = 1e-14
 # Chebyshev): 5.2-5.3 ms against 6.1-6.8 ms at dimension 70, 4.8-6.0 against
 # 4.6-6.3 at 84, 6.8-9.0 against 5.4-7.2 at 120, 34.9 against 9.8 at 252.
 # The two break even near 100.
-KRYLOV_CROSSOVER = 100
+DENSE_CROSSOVER = 100
 
 # The sparse propagator adds its recurrence vectors into the trajectory this
 # many at a time, with one matrix product per block.  One at a time (rank-1
@@ -187,12 +187,12 @@ def _terms(h: SecondQuantizedHamiltonian):
 def _sector_entries(h: SecondQuantizedHamiltonian, total: int):
     """The one sector product: ``(keys, rows, cols, values)``, the distinct
     entries of H on the sector in row-major order, each 0.0 plus its terms
-    in term order.  Size guard and int64 check come first."""
+    in term order.  The int64 check comes first, then the size guard of
+    ``_sector_keys``."""
     registry = h.registry
-    dim = sector_dimension(registry, total)
-    _check_guard(f"sector N={total}", dim)
     _check_int64_keys(registry)
     keys = _sector_keys(registry, total)
+    dim = len(keys)
     source, target, value = _operator_triplets(registry, keys, _terms(h))
     flat, summed, _ = _summed(_positions(keys, target) * dim + source, value)
     return keys, flat // dim, flat % dim, summed
@@ -205,20 +205,6 @@ def hamiltonian_matrix(h: SecondQuantizedHamiltonian, total: int) -> SectorMatri
     matrix = np.zeros((len(keys), len(keys)), dtype=complex)
     matrix[rows, cols] = values
     return SectorMatrix(h.registry, keys, matrix)
-
-
-def apply_hamiltonian(
-    h: SecondQuantizedHamiltonian, state: ManyBodyState
-) -> ManyBodyState:
-    """H |state>, unnormalized; the state may span several sectors."""
-    _check_int64_keys(h.registry)
-    source, target, value = _operator_triplets(h.registry, state.keys, _terms(h))
-    image_keys, image, _ = _summed(target, state.values[source] * value)
-    return ManyBodyState._from_keys(h.registry, image_keys, image, state.truncated)
-
-
-def energy_expectation(h: SecondQuantizedHamiltonian, state: ManyBodyState) -> float:
-    return float(inner_product(state, apply_hamiltonian(h, state)).real)
 
 
 def _canonicalize_cluster(block: np.ndarray) -> np.ndarray:
@@ -456,7 +442,7 @@ def evolve_many(
 ) -> list[ManyBodyState]:
     """exp(-i H t) |state> for each t, sector by sector.
 
-    A sector of dimension up to ``KRYLOV_CROSSOVER`` is diagonalised
+    A sector of dimension up to ``DENSE_CROSSOVER`` is diagonalised
     densely, and each time rotates the phases of its eigencoefficients.  A
     larger sector stays sparse: one Chebyshev recurrence on the padded
     operator, of a degree set by the largest |t| and a bound on the
@@ -479,7 +465,7 @@ def evolve_many(
     for total in totals:
         present = numbers == total
         terms = (state.keys[present], state.values[present])
-        if sector_dimension(registry, total) > KRYLOV_CROSSOVER:
+        if sector_dimension(registry, total) > DENSE_CROSSOVER:
             keys, *entries = _sector_entries(h, total)
             operator = _SparseOperator.from_entries(*entries, len(keys))
             evolved = _propagate_sparse(operator, _sector_vector(keys, *terms), times)
@@ -514,6 +500,8 @@ def check_proper_basis(
     The rotation U satisfies T = U diag(e) U^dagger; new-basis operators
     are a^dagger_mu = sum_i U[i, mu] a^dagger_i, and the transformed
     tensor is V'_abcd = sum conj(U[i,a]) conj(U[j,b]) V_ijlm U[l,c] U[m,d].
+    The dense m**4 tensor is refused beyond guard**2 entries before it is
+    allocated.
     """
     t = h.one_body
     off = t - np.diag(np.diag(t))
@@ -523,6 +511,7 @@ def check_proper_basis(
 
     energies, rotation = np.linalg.eigh(t)
     m = len(h.registry)
+    _check_guard(f"dense two-body tensor ({m}**4 entries)", m**4, size_guard() ** 2)
     dense = np.zeros((m, m, m, m), dtype=complex)
     for (i, j, l, mm), v in h.two_body.items():
         dense[i, j, l, mm] = v

@@ -75,8 +75,8 @@ BLOCK_CELLS = 4096
 
 # A Gram matrix of up to this side takes one dense eigvalsh; a larger one
 # whose rows each carry one subset particle number takes the number-block
-# spectrum.  Spectrum step alone (number check and blocks against one
-# eigvalsh) on random fixed-N states, one BLAS thread, best of 9: 8 against
+# spectrum.  Spectrum step alone (one eigvalsh against the number check and
+# blocks) on random fixed-N states, one BLAS thread, best of 9: 8 against
 # 30 us at side 8, 18 against 48 at 16, 59-90 against 61-95 at 32, 101
 # against 102 at 33, 146 against 120 at 43, 257 against 115 at 64; on
 # diagonal Gram matrices (one boson mode), 11 against 34 at 32, 66 against 40

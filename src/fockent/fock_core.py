@@ -14,7 +14,8 @@ Key arrays have one data type, ``_key_dtype(registry)``: int64 while
 ``ManyBodyState._from_keys`` is the one way from arrays of distinct keys
 and amplitudes to a state, ``_summed`` the one sum of values by key, and
 ``_sector_keys`` the one builder of a fixed-N sector's keys, in the one
-sector order (``enumerate_sector`` is its unpacked view).  Sums over
+sector order (``enumerate_sector`` is its unpacked view); it owns the
+sector check, so no sector larger than ``size_guard()`` is built.  Sums over
 terms run left to right (``_running_sum``, ``_summed``) and complex
 products part by part (``_times``), so they round exactly as Python's
 scalar arithmetic does.
@@ -569,7 +570,9 @@ def _sector_keys(registry: ModeRegistry, total: int) -> np.ndarray:
     the keys of the modes seen so far with r particles, and mode i puts
     ``n * stride + keys[r - n]`` in front for each allowed n.  Totals that
     the modes still to come cannot complete to ``total`` are left empty.
+    A sector larger than ``size_guard()`` is refused before it is built.
     """
+    _check_guard(f"sector N={total}", sector_dimension(registry, total))
     empty = np.zeros(0, dtype=_key_dtype(registry))
     if total < 0:
         return empty

@@ -14,7 +14,9 @@ Every builder computes packed keys as sums of registry strides (typed
 by ``fock_core``'s key rule) and passes keys and amplitudes to
 ``ManyBodyState._from_keys``.  The fermion-pair and exciton states take
 the keys and signs of their creation products from ``fock_core``'s
-``_created``, so the signs follow registry order.
+``_created``, so the signs follow registry order.  The pair-state
+builders refuse more than guard**2 terms (``fock_core``'s size guard,
+squared) before they allocate.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .fock_core import (
     Momentum,
     Spin,
     _as_momentum,
+    _check_guard,
     _created,
     _json_complex,
     _json_expect,
@@ -51,6 +54,7 @@ from .fock_core import (
     generic,
     negated,
     registry_create,
+    size_guard,
 )
 
 PAIR_TAIL_TOL = 1e-14
@@ -320,6 +324,8 @@ def bcs_unprojected(registry: ModeRegistry, table: PairAmplitudeTable) -> ManyBo
     # finite, and pruning after each pair is relative to the largest term
     largest = 1.0
     for k in table.pair_indices():
+        what = f"coherent pair state (terms with pair {k})"
+        _check_guard(what, 2 * len(keys), size_guard() ** 2)
         up, down = _bcs_pair_modes(registry, k)
         paired_keys, paired = _created(registry, keys, amplitudes, [down, up])
         g = table.values[k]
@@ -365,6 +371,9 @@ def bcs_projected(
         raise ValueError(
             f"cannot place {num_pairs} pairs into {len(available)} available pair modes"
         )
+
+    what = f"projected pair state ({num_pairs} of {len(available)} pairs)"
+    _check_guard(what, math.comb(len(available), num_pairs), size_guard() ** 2)
 
     # prod(g) per subset as a product of mantissas in [0.5, 1) times a power
     # of two, so no product overflows or underflows; one exact shift then puts
@@ -453,6 +462,11 @@ def bogoliubov_unprojected(
             )
         pairs.append((registry._strides[q_idx] + registry._strides[nq_idx], ratio, n_max))
 
+    evens = registry.cutoffs[condensate] // 2 + 1
+    grid = math.prod(n_max + 1 for _, _, n_max in pairs) * evens
+    what = f"pair grid ({len(pairs)} pairs x {evens} condensate occupations)"
+    _check_guard(what, grid, size_guard() ** 2)
+
     # the pair grid, first pair slowest; each amplitude multiplies the factors
     # ratio**n in pair order, through _times
     dtype = _key_dtype(registry)
@@ -498,6 +512,9 @@ def bogoliubov_projected(
                 f"pair cutoff at {q} below required {half}"
             )
         pair_modes.append((strides[q_idx] + strides[nq_idx], table.values[q]))
+    num_pairs = len(pair_modes)
+    what = f"projected condensate state (N/2={half}, {num_pairs} pairs)"
+    _check_guard(what, math.comb(half + num_pairs, num_pairs), size_guard() ** 2)
 
     keys, amplitudes = [], []
     for pattern in compositions(half, 1 + len(pair_modes)):

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, plus CLI determinism.
+"""Acceptance suite: one test per criterion, plus CLI determinism and the
+package's export list.
 
 Each criterion prints its own pass/fail line (also visible through
 ``fockent verify``); the final test reruns the full verification
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+import fockent
 from fockent import verification
 
 SEED = 42
@@ -39,3 +41,15 @@ def test_criterion_10_verify_command_is_deterministic():
     assert second.returncode == 0
     assert first.stdout == second.stdout
     assert "9/9 criteria passed" in first.stdout
+
+
+def test_package_exports_are_consistent():
+    names = fockent.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(fockent, name), name
+    # H acts on states only through the sector matrices
+    for removed in ("apply_hamiltonian", "energy_expectation"):
+        assert removed not in names
+        assert not hasattr(fockent, removed)
+        assert not hasattr(fockent.dynamics, removed)

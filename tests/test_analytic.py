@@ -277,12 +277,22 @@ def test_condensate_distributions_match_bruteforce_state():
         assert dist1 == pytest.approx(x1, abs=1e-12)
 
 
-def test_condensate_guard_rejects_large_instances():
+def test_condensate_guard_rejects_large_instances(monkeypatch):
+    # the oracle walks C(N/2 + M, M) patterns, refused above size_guard()
+    monkeypatch.delenv("FOCKENT_SIZE_GUARD", raising=False)
     c = {(q,): 0.1 for q in range(1, 8)}
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError) as info:
+        bogoliubov_exact(c, 20)
+    assert (info.value.dimension, info.value.guard) == (19448, 5000)
+    # 36 patterns (7 pairs at N = 4), and 3,003 (6 pairs at N = 16)
+    assert bogoliubov_exact(c, 4).sum() == pytest.approx(1.0)
+    assert len(bogoliubov_exact({(q,): 0.1 for q in range(1, 7)}, 16)) == 9
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "35")
+    with pytest.raises(SizeGuardError) as info:
         bogoliubov_exact(c, 4)
-    with pytest.raises(SizeGuardError):
-        bogoliubov_exact({(1,): 0.1}, 20)
+    assert (info.value.dimension, info.value.guard) == (36, 35)
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "36")
+    assert bogoliubov_exact(c, 4).sum() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         bogoliubov_exact({(1,): 0.1}, 3)
 

@@ -521,6 +521,26 @@ def test_time_grid_beyond_guard_squared_exits_3_before_allocating(
     )
 
 
+def test_condensate_oracle_beyond_guard_exits_3_before_the_state(monkeypatch, capsys):
+    # the rows' exact distributions walk C(12 + 10, 10) = 646,646 patterns;
+    # the projected state of as many terms is not built first
+    monkeypatch.delenv("FOCKENT_SIZE_GUARD", raising=False)
+    tracemalloc.start()
+    try:
+        code = main(["bogoliubov", "--pairs", "10", "--n", "24"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: exact condensate enumeration (N/2=12, 10 pairs) "
+        "dimension 646646 exceeds guard 5000\n"
+    )
+
+
 def test_keys_beyond_int64_exit_3(tmp_path, capsys):
     # 64 modes at N=1 is a 64-dimensional sector, but its packed keys reach 2**63
     modes = 64

@@ -29,18 +29,15 @@ import pytest
 
 import fockent
 from fockent import (
-    ManyBodyState,
     SecondQuantizedHamiltonian,
     SizeGuardError,
     Spin,
-    apply_hamiltonian,
     basis_state,
     binary_entropy,
     boson,
     check_proper_basis,
     eigenstates,
     electron,
-    energy_expectation,
     enumerate_sector,
     evolve_many,
     generic,
@@ -55,7 +52,7 @@ from fockent import (
 )
 from fockent.dynamics import (
     DEGENERACY_RTOL,
-    KRYLOV_CROSSOVER,
+    DENSE_CROSSOVER,
     _bessel_table,
     _canonicalize_cluster,
     _chebyshev_degree,
@@ -131,25 +128,26 @@ def test_hopping_matrix_single_particle_sector():
     assert eigenvalues == pytest.approx([-1.0, 1.0])
 
 
-def test_apply_hamiltonian_matches_sector_matrix():
-    h = hubbard_dimer()
-    rng = np.random.default_rng(97)
-    sector = hamiltonian_matrix(h, 2)
-    v = rng.standard_normal(sector.dimension) + 1j * rng.standard_normal(sector.dimension)
-    v /= np.linalg.norm(v)
-    state = ManyBodyState._from_keys(h.registry, sector.keys, v)
-    image = apply_hamiltonian(h, state)
-    want = sector.matrix @ v
-    for i, key in enumerate(sector.keys):
-        assert image.amplitudes.get(key, 0.0) == pytest.approx(complex(want[i]), abs=1e-12)
-    assert energy_expectation(h, state) == pytest.approx(np.vdot(v, want).real)
+def sector_vector(sector, state):
+    """The amplitudes of ``state`` on the keys of one sector matrix."""
+    return np.array([state.amplitudes.get(key, 0.0) for key in sector.keys.tolist()])
+
+
+def sector_energy(sectors, state):
+    """<state|H|state> as the sum of psi^dagger M psi over sector matrices M."""
+    energy = 0.0
+    for sector in sectors:
+        psi = sector_vector(sector, state)
+        energy += np.vdot(psi, sector.matrix @ psi).real
+    return energy
 
 
 def test_hamiltonian_conserves_particle_number():
     h = hubbard_dimer()
-    state = basis_state(h.registry, (1, 1, 0, 0))
-    image = apply_hamiltonian(h, state)
-    assert image.particle_numbers() == {2}
+    keys = _sector_keys(h.registry, 2)
+    _, target, _ = _operator_triplets(h.registry, keys, _terms(h))
+    assert len(target) > 0
+    assert set(target.tolist()) <= set(keys.tolist())
 
 
 def test_hubbard_dimer_ground_energy():
@@ -164,7 +162,8 @@ def test_hubbard_dimer_ground_energy():
     assert sum(abs(e) < 1e-10 for e in energies) == 3
     ground = pairs[0][1]
     assert ground.norm() == pytest.approx(1.0)
-    assert energy_expectation(h, ground) == pytest.approx(want, abs=1e-12)
+    energy = sector_energy([hamiltonian_matrix(h, 2)], ground)
+    assert energy == pytest.approx(want, abs=1e-12)
 
 
 def test_eigenstates_canonicalize_degenerate_levels():
@@ -227,10 +226,12 @@ def test_evolution_conserves_norm_and_energy():
     start = basis_state(h.registry, (1, 1, 0, 0))
     times = np.linspace(0.0, 4.0, 9)
     trajectory = evolve_many(start, h, times)
+    sectors = [hamiltonian_matrix(h, 2)]
     for t, state in zip(times, trajectory):
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
-        assert energy_expectation(h, state) == pytest.approx(
-            energy_expectation(h, start), abs=1e-11
+        assert state.particle_numbers() == {2}
+        assert sector_energy(sectors, state) == pytest.approx(
+            sector_energy(sectors, start), abs=1e-11
         )
     assert abs(inner_product(trajectory[0], start)) == pytest.approx(1.0, abs=1e-12)
     single = evolve_many(start, h, [times[3]])[0]
@@ -565,7 +566,7 @@ def test_sector_matrix_is_bit_identical_to_add_at_oracle(make, totals):
     assert triplets > cells
 
 
-def test_apply_hamiltonian_across_sectors_matches_scalar_kernels():
+def test_sector_products_across_sectors_match_scalar_kernels():
     h = mixed_hamiltonian()
     reg = h.registry
     rng = np.random.default_rng(3)
@@ -579,10 +580,15 @@ def test_apply_hamiltonian_across_sectors_matches_scalar_kernels():
     want = {}
     for key, amp in state.amplitudes.items():
         reference_apply(h, key, amp, want)
-    got = apply_hamiltonian(h, state).amplitudes
-    assert set(got) == {k for k, v in want.items() if abs(v) > 1e-15}
-    for key, value in want.items():
-        assert abs(got.get(key, 0.0) - value) <= 1e-14
+    # H |state>, sector by sector: every image key lies in a sector of the state
+    seen = set()
+    for total in state.particle_numbers():
+        sector = hamiltonian_matrix(h, total)
+        got = sector.matrix @ sector_vector(sector, state)
+        expected = [want.get(key, 0.0) for key in sector.keys.tolist()]
+        assert np.max(np.abs(got - expected)) <= 1e-14
+        seen.update(sector.keys.tolist())
+    assert set(want) <= seen
 
 
 def test_packed_keys_beyond_int64_raise_size_guard():
@@ -593,15 +599,18 @@ def test_packed_keys_beyond_int64_raise_size_guard():
         return SecondQuantizedHamiltonian(reg, one_body)
 
     widest = chain(63)
-    top = basis_state(widest.registry, (0,) * 62 + (1,))
-    assert max(hamiltonian_matrix(widest, 1).keys) == 2**62
-    assert apply_hamiltonian(widest, top).amplitudes == {1: -1.0}
+    sector = hamiltonian_matrix(widest, 1)
+    keys = sector.keys.tolist()
+    assert max(keys) == 2**62
+    # H takes the top key 2**62 to key 1 alone, with the hopping -1
+    column = sector.matrix[:, keys.index(2**62)]
+    assert column[keys.index(1)] == -1.0
+    assert np.count_nonzero(column) == 1
 
     h = chain(64)
     state = basis_state(h.registry, (0,) * 63 + (1,))
     for call in (
         lambda: hamiltonian_matrix(h, 1),
-        lambda: apply_hamiltonian(h, state),
         lambda: evolve_many(state, h, [0.5]),
     ):
         with pytest.raises(SizeGuardError) as info:
@@ -809,6 +818,43 @@ def test_sector_keys_match_packed_enumeration(reg, totals):
     assert (len(want) == 0) == (total > sum(reg.cutoffs))
 
 
+def test_sector_keys_are_guarded_before_allocation(monkeypatch):
+    monkeypatch.delenv("FOCKENT_SIZE_GUARD", raising=False)
+    reg = registry_create([generic(i) for i in range(40)])
+    # C(40, 20) keys would take 1.1 TB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError) as raised:
+            enumerate_sector(reg, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    keys = math.comb(40, 20)
+    assert (raised.value.dimension, raised.value.guard) == (keys, 5000)
+    assert str(raised.value) == f"sector N=20 dimension {keys} exceeds guard 5000"
+    assert peak < 100_000
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "780")
+    assert len(_sector_keys(reg, 2)) == 780
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "779")
+    with pytest.raises(SizeGuardError):
+        _sector_keys(reg, 2)
+
+
+def test_proper_basis_tensor_is_guarded_before_allocation(monkeypatch):
+    h = disordered_ring(40, 0.0)
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "10")
+    # the dense 40**4 tensor would take 41 MB, and einsum as much again
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError) as raised:
+            check_proper_basis(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (raised.value.dimension, raised.value.guard) == (40**4, 100)
+    assert peak < 100_000
+
+
 @pytest.mark.parametrize("total", [-1, -4, 5], ids=["minus1", "minus4", "above"])
 def test_negative_and_overfull_sectors_are_empty(total):
     h = hubbard_dimer()
@@ -838,7 +884,7 @@ def disordered_ring(sites, phase, seed=1):
 def test_evolve_many_above_crossover_matches_eigh(phase):
     h = disordered_ring(11, phase)
     reg = h.registry
-    assert sector_dimension(reg, 4) > KRYLOV_CROSSOVER >= sector_dimension(reg, 1)
+    assert sector_dimension(reg, 4) > DENSE_CROSSOVER >= sector_dimension(reg, 1)
     # a sparse sector (N=4) and a dense one (N=1) in one state
     start = superpose(
         [
@@ -849,17 +895,16 @@ def test_evolve_many_above_crossover_matches_eigh(phase):
     times = [2.0, -1.5, 0.0, 0.25, 2.0, -0.1]
     trajectory = evolve_many(start, h, times)
 
-    sectors = {total: hamiltonian_matrix(h, total) for total in (1, 4)}
-    energy = energy_expectation(h, start)
+    sectors = [hamiltonian_matrix(h, total) for total in (1, 4)]
+    energy = sector_energy(sectors, start)
     for t, state in zip(times, trajectory):
-        for sector in sectors.values():
-            psi = np.array([start.amplitudes.get(k, 0.0) for k in sector.keys])
-            want = exact_evolution(sector.matrix, psi, t)
-            got = np.array([state.amplitudes.get(k, 0.0) for k in sector.keys])
+        for sector in sectors:
+            want = exact_evolution(sector.matrix, sector_vector(sector, start), t)
+            got = sector_vector(sector, state)
             assert np.max(np.abs(got - want)) <= 1e-12
         assert state.particle_numbers() == {1, 4}
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
-        assert energy_expectation(h, state) == pytest.approx(energy, abs=1e-11)
+        assert sector_energy(sectors, state) == pytest.approx(energy, abs=1e-11)
 
     back = evolve_many(trajectory[0], h, [-2.0])[0]
     keys = set(back.amplitudes) | set(start.amplitudes)

@@ -46,8 +46,10 @@ from fockent import (
     reduced_density_matrix,
     registry_create,
     superpose,
+    uniform_registry,
     von_neumann_entropy,
 )
+from fockent.fock_core import _sector_keys
 
 
 def mixed_registry():
@@ -421,6 +423,57 @@ def test_eigensolver_calls_follow_number_blocks(monkeypatch):
     monkeypatch.setattr(entanglement, "BLOCK_CROSSOVER", math.inf)
     assert mode_entanglement(state, (1,)) == entropy
     assert calls == [(41, 41)]
+
+
+def signed_entropy_oracle(state, subset):
+    """Entropy of a fermionic state with the subset's modes moved to the front.
+
+    A basis vector is the product of creation operators in ascending mode
+    order on the vacuum.  Moving each occupied subset mode past the occupied
+    environment modes below it gives a factor -1 per such pair; the signed
+    amplitudes then form a (subset pattern x environment pattern) matrix,
+    whose squared singular values are the Schmidt spectrum.
+    """
+    registry = state.registry
+    sub = sorted(subset)
+    env = [i for i in range(len(registry)) if i not in sub]
+    rows, cols, entries = {}, {}, []
+    for occ, amp in state.items():
+        crossings = sum(occ[a] * occ[b] for a in sub for b in env if b < a)
+        row = rows.setdefault(tuple(occ[i] for i in sub), len(rows))
+        col = cols.setdefault(tuple(occ[j] for j in env), len(cols))
+        entries.append((row, col, (-1) ** crossings * amp))
+    matrix = np.zeros((len(rows), len(cols)), dtype=complex)
+    for row, col, amp in entries:
+        matrix[row, col] += amp
+    weights = np.linalg.svd(matrix, compute_uv=False) ** 2
+    weights = weights[weights > 0.0]
+    return float(-np.sum(weights * np.log(weights)))
+
+
+# mode_entanglement traces without the reordering sign: 0.7307 against 0.8350
+UNSIGNED_TRACE = pytest.mark.xfail(strict=True, reason="trace ignores the fermionic sign")
+
+
+@pytest.mark.parametrize(
+    "subset",
+    [
+        (0, 1),
+        (0, 3),
+        (1, 2),
+        (2, 3),
+        pytest.param((0, 2), marks=UNSIGNED_TRACE),
+        pytest.param((1, 3), marks=UNSIGNED_TRACE),
+    ],
+    ids=["0-1", "0-3", "1-2", "2-3", "0-2", "1-3"],
+)
+def test_mode_pairs_match_signed_oracle(subset):
+    registry = uniform_registry(4)
+    keys = _sector_keys(registry, 2)
+    values = np.random.default_rng(0).normal(size=len(keys))
+    state = ManyBodyState._from_keys(registry, keys, values).normalize()
+    want = signed_entropy_oracle(state, subset)
+    assert mode_entanglement(state, subset) == pytest.approx(want, abs=1e-12)
 
 
 def test_dense_rdm_is_guarded_before_allocation(monkeypatch):

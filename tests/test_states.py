@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fockent import (
     ManyBodyState,
     NormalizationError,
     PairAmplitudeTable,
+    SizeGuardError,
     Spin,
     TableKind,
     TruncationError,
@@ -618,3 +620,49 @@ def test_vacuum_projection_of_pair_states():
     table = random_bcs_table(momenta, np.random.default_rng(2))
     empty = bcs_projected(reg, table, 0)
     assert abs(inner_product(empty, vacuum_state(reg))) == pytest.approx(1.0)
+
+
+def oversized_builds():
+    """(builder, arguments, count refused at guard**2 = 100) for each state
+    builder, on instances that would take gigabytes or hours unguarded."""
+    pairs = [(k,) for k in range(1, 41)]
+    g = PairAmplitudeTable(TableKind.BCS_G, dict.fromkeys(pairs, 1.0))
+    g30 = PairAmplitudeTable(TableKind.BCS_G, dict.fromkeys(pairs[:30], 1.0))
+    u, v = 2 / math.sqrt(3), 1 / math.sqrt(3)
+    uv = PairAmplitudeTable(TableKind.BOGOLIUBOV_UV, dict.fromkeys(pairs[:10], (u, v)))
+    c = PairAmplitudeTable(TableKind.BOGOLIUBOV_C, dict.fromkeys(pairs[:10], 0.1))
+    return {
+        # 2**30 terms; the pair that would double 64 terms to 128 is refused
+        "bcs_unprojected": (bcs_unprojected, (bcs_registry(pairs[:30]), g30), 128),
+        # C(40, 20) pair subsets
+        "bcs_projected": (bcs_projected, (bcs_registry(pairs), g, 40), math.comb(40, 20)),
+        # 7**10 pair occupations times 7 even condensate occupations
+        "bogoliubov_unprojected": (
+            bogoliubov_unprojected,
+            (bogoliubov_registry(pairs[:10], 12, 6), uv, 6),
+            7**11,
+        ),
+        # C(20 + 10, 10) patterns
+        "bogoliubov_projected": (
+            bogoliubov_projected,
+            (bogoliubov_registry(pairs[:10], 40, 20), c, 40),
+            math.comb(30, 10),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["bcs_unprojected", "bcs_projected", "bogoliubov_unprojected", "bogoliubov_projected"]
+)
+def test_state_builders_are_guarded_before_allocation(name, monkeypatch):
+    build, args, count = oversized_builds()[name]
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "10")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError) as raised:
+            build(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (raised.value.dimension, raised.value.guard) == (count, 100)
+    assert peak < 100_000
