@@ -201,12 +201,19 @@ def _boxes(c: Mapping[Momentum, complex], q) -> tuple[list[complex], int]:
     return [1.0] + [complex(c[k]) for k in keys], pos
 
 
-def _guard_condensate(total_number: int, num_pairs: int) -> None:
-    """Refuse odd N, and more than ``size_guard()`` patterns: the
-    C(N/2 + M, M) ways to put N/2 pair quanta into the condensate and M
-    pair modes, which ``bogoliubov_exact`` walks."""
+def _check_pair_number(total_number: int) -> None:
+    """Refuse a negative or odd total particle number N."""
+    if total_number < 0:
+        raise ValueError(f"total particle number {total_number} is negative")
     if total_number % 2 != 0:
         raise ValueError("total particle number must be even")
+
+
+def _guard_condensate(total_number: int, num_pairs: int) -> None:
+    """Refuse negative or odd N, and more than ``size_guard()`` patterns:
+    the C(N/2 + M, M) ways to put N/2 pair quanta into the condensate and
+    M pair modes, which ``bogoliubov_exact`` walks."""
+    _check_pair_number(total_number)
     half = total_number // 2
     patterns = math.comb(half + num_pairs, num_pairs)
     _check_guard(f"exact condensate enumeration (N/2={half}, {num_pairs} pairs)", patterns)
@@ -275,8 +282,7 @@ def bogoliubov_approx(
     |C^2 - sum |c|^2| over those other modes measures the neglected cross
     terms.
     """
-    if total_number % 2 != 0:
-        raise ValueError("total particle number must be even")
+    _check_pair_number(total_number)
     half = total_number // 2
     amplitudes, pos = _boxes(c, q)
     weight = abs(amplitudes[pos]) ** 2

@@ -237,11 +237,12 @@ def run_bogoliubov(args):
         state = states.bogoliubov_unprojected(registry, table, cutoff=cutoff)
         rows = verification.bogoliubov_rows(state, table, cutoff=cutoff)
     else:
+        # a negative or odd N, and rows whose exact distributions walk more
+        # patterns than the guard allows, are refused before anything is built
+        analytic._guard_condensate(args.n, len(qs))
         registry = states.bogoliubov_registry(
             qs, condensate_cutoff=args.n, pair_cutoff=args.n // 2
         )
-        # the rows' exact distributions are refused before the state is built
-        analytic._guard_condensate(args.n, len(qs))
         state = states.bogoliubov_projected(registry, table, args.n)
         rows = verification.bogoliubov_rows(state, table, args.n)
     return verification.BOGOLIUBOV_COLUMNS, rows, meta

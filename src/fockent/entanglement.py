@@ -3,31 +3,42 @@
 A pure state's amplitudes, split by subset occupation pattern p and
 environment key e, form a sparse matrix M[p, e] = amp(p join e), where
 "join" recombines subset and environment occupations back into
-registry order.  One vectorised kernel builds M from the key and
-amplitude arrays a state stores: subset occupations are read from the
-keys as ``(key // stride) % radix``, and one sort per side
+registry order.  One vectorised kernel (``_split``) places every term of
+a key array in M: subset occupations are read from the keys as
+``(key // stride) % radix``, and one sort per side
 (``fock_core._grouped``) groups the terms by pattern and by environment.
 
 The entropy comes from the Schmidt coefficients of M, as the spectrum
 of the Gram matrix of its smaller side (M M^dagger over the present
-patterns, or M^T M^* over the present environments).  The Gram matrix
-is summed over dense blocks of columns whose size follows the number of
-terms, so the patterns x environments matrix is never allocated.  Its
-dimension, at most the number of terms, must not exceed ``size_guard()``;
-the guard and its check live in ``fock_core``.
+patterns, or M^T M^* over the present environments).  Its dimension, at
+most the number of terms, must not exceed ``size_guard()``; the guard
+and its check live in ``fock_core``, and the guard applies to the full
+Gram side on every call.
 
 When every environment key carries a single subset particle number n_A,
 as in every state of fixed particle number, M and its Gram matrix are
 block-diagonal in n_A (the blocks of symmetry-resolved entanglement;
 Goldstein & Sela, PRL 120, 200602 (2018)).  This is checked on the
-terms, never assumed.  A Gram matrix larger than ``BLOCK_CROSSOVER``
-that passes the check has its spectrum taken one number block at a
-time: blocks of one size share one batched ``eigvalsh`` and a 1 x 1
-block is its own eigenvalue.  Smaller Gram matrices, and those of states
-that mix numbers in one environment (the condensate mode of an
-unprojected Bogoliubov state, a random state of indefinite number), take
-one ``eigvalsh``.  The guard still applies to the full Gram side, not to
-the largest block.
+terms, never assumed.  Above ``BLOCK_CROSSOVER`` Gram rows, a state that
+passes the check has each block's Gram matrix formed on its own: the
+blocks of one size are stacked in one (blocks x size x width) buffer,
+multiplied by one batched product and diagonalised by one batched
+``eigvalsh``, and a 1 x 1 block is the compensated sum of its row's
+|a|^2, read straight from the terms.  Smaller Gram matrices, and those
+of states that mix numbers in one environment (the condensate mode of
+an unprojected Bogoliubov state, a random state of indefinite number),
+are one block: the full Gram matrix and one ``eigvalsh``.  Every product
+is summed over dense chunks of columns whose size follows the number of
+terms, so memory stays linear in the terms plus the Gram matrix, and the
+patterns x environments matrix is never allocated.
+
+The key work depends only on the registry, the keys and the subset, and
+every state of a trajectory has the same keys.  A small memo keeps the
+layouts (``_Layout``) of the last few subsets that take the block path,
+each moved into a memory map of its own at its first reuse; a layout is
+reused when the registry is the same object and the keys are equal to
+the memo's own copy of them.  The norm gate, the guard and the
+crossover are checked on every call, hit or miss.
 
 The reduced density matrix is the pattern-side Gram matrix laid out on
 every subset pattern, ordered lexicographically (lowest subset mode most
@@ -53,16 +64,19 @@ S = -sum(lambda * ln(lambda)), with 0 ln 0 = 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import mmap
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NormalizationError, NumericalInvariantError
 from .fock_core import (
     ManyBodyState,
+    ModeRegistry,
     OccupationVector,
     _check_guard,
     _grouped,
@@ -70,18 +84,25 @@ from .fock_core import (
 
 NORM_GATE = 1e-9
 EIGENVALUE_FLOOR = -1e-9
-# Smallest dense block, in cells, that the Gram accumulation works on.
+# Smallest dense block, in cells, that a Gram product works on.
 BLOCK_CELLS = 4096
 
-# A Gram matrix of up to this side takes one dense eigvalsh; a larger one
-# whose rows each carry one subset particle number takes the number-block
-# spectrum.  Spectrum step alone (one eigvalsh against the number check and
-# blocks) on random fixed-N states, one BLAS thread, best of 9: 8 against
-# 30 us at side 8, 18 against 48 at 16, 59-90 against 61-95 at 32, 101
-# against 102 at 33, 146 against 120 at 43, 257 against 115 at 64; on
-# diagonal Gram matrices (one boson mode), 11 against 34 at 32, 66 against 40
-# at 40.  The two break even near 32.
+# A Gram matrix of up to this side is one block: the full Gram matrix and
+# one dense eigvalsh.  A larger one whose rows each carry one subset
+# particle number is formed and diagonalised one number block at a time,
+# and only its layout is kept by the memo.  Whole call with a kept layout
+# on random fixed-N states, one BLAS thread, best of 200: 41-49 against
+# 47-67 us at side 16, 89-116 against 63-89 at 32, 331-337 against 122 at
+# 64.  The blocks break even below 32, but a lower crossover would change
+# the last bits of every Gram matrix of side 17 to 32, the 11-site golden
+# ring's among them.
 BLOCK_CROSSOVER = 32
+
+# The memo keeps the layouts of at most this many subsets, holding at most
+# this many terms together (40 bytes each); a layout of more terms is not
+# kept.
+MEMO_ENTRIES = 8
+MEMO_TERMS = 1 << 19
 
 ModeSubset = tuple[int, ...]
 
@@ -128,21 +149,23 @@ class ReducedDensityMatrix:
             raise NumericalInvariantError(f"negative eigenvalue {smallest}")
 
 
-def _amplitude_matrix(state: ManyBodyState, sub: ModeSubset):
-    """Sparse amplitude matrix M[pattern, environment], scaled to unit norm.
-
-    Returns ``(amplitudes, rows, cols, patterns, n_envs, number)``:
-    M[rows, cols] = amplitudes, ``patterns`` holds the present subset
-    patterns as lexicographic indices in ascending order (rows index into
-    it), cols index the ``n_envs`` present environment keys in ascending
-    order, and ``number`` is each term's subset particle number.
-    """
-    registry, keys = state.registry, state.keys
+def _norm(state: ManyBodyState) -> float:
+    """The state's norm, behind the norm gate."""
     n = math.sqrt(float(np.vdot(state.values, state.values).real))
     if abs(n - 1.0) > NORM_GATE:
         raise NormalizationError(f"state norm {n} deviates from 1 beyond {NORM_GATE}")
-    amplitudes = state.values / n
+    return n
 
+
+def _split(registry: ModeRegistry, keys: np.ndarray, sub: ModeSubset):
+    """Place each term of ``keys`` in the amplitude matrix M[pattern, environment].
+
+    Returns ``(rows, cols, patterns, n_envs, number)``: term i sits at
+    M[rows[i], cols[i]], ``patterns`` holds the present subset patterns as
+    lexicographic indices in ascending order (rows index into it), cols
+    index the ``n_envs`` present environment keys in ascending order, and
+    ``number`` is each term's subset particle number.
+    """
     pattern = number = 0
     environment = keys
     for i in sub:
@@ -151,9 +174,11 @@ def _amplitude_matrix(state: ManyBodyState, sub: ModeSubset):
         pattern = pattern * radix + occupation
         number = number + occupation
         environment = environment - occupation * stride
+    del occupation
     patterns, rows = _grouped(pattern)
+    del pattern
     envs, cols = _grouped(environment)
-    return amplitudes, rows, cols, patterns, len(envs), np.asarray(number, dtype=np.intp)
+    return rows, cols, patterns, len(envs), np.asarray(number, dtype=np.intp)
 
 
 def _gram(
@@ -181,30 +206,226 @@ def _number_of(index: np.ndarray, size: int, number: np.ndarray) -> np.ndarray |
     gives each term's row, or None when some row holds terms of two numbers."""
     label = np.empty(size, dtype=number.dtype)
     label[index] = number
-    return label if np.array_equal(label[index], number) else None
+    return label if (label[index] == number).all() else None
 
 
-def _block_spectrum(gram: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """Ascending spectrum of a Gram matrix that is block-diagonal in ``label``.
+def _ranks(label: np.ndarray) -> np.ndarray:
+    """Rank of each entry among the entries of its label, in index order."""
+    order = label.argsort(kind="stable")
+    counts = np.bincount(label)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(label))
+    rank -= (counts.cumsum() - counts)[label]
+    return rank
 
-    Blocks of one size share one batched ``eigvalsh``; a 1 x 1 block is
-    its own eigenvalue.
+
+class _Blocks(NamedTuple):
+    """Number-block layout of the terms, ordered run by run in ``take``.
+
+    The first ``singles`` terms are the 1 x 1 blocks, one run each, of
+    ``counts`` terms from ``starts``.  The others are in ``groups``: each
+    (size, width, chunks) holds the blocks of one size, widest first.
+    Its chunk (start, end, count) fills a (count x size x width) buffer
+    with the terms ``take[singles:][start:end]`` at the flat
+    ``positions[start:end]``: the columns [c * width, (c + 1) * width) of
+    the first ``count`` blocks, the ones that reach that far.
     """
-    order = np.argsort(label, kind="stable")
-    ends = np.cumsum(np.bincount(label)).tolist()
-    by_size: dict[int, list[np.ndarray]] = {}
-    for start, end in zip([0] + ends, ends):
-        if end > start:
-            by_size.setdefault(end - start, []).append(order[start:end])
-    spectrum = []
-    for size, members in by_size.items():
-        index = np.array(members)
-        if size == 1:
-            spectrum.append(gram[index[:, 0], index[:, 0]].real)
-        else:
-            blocks = gram[index[:, :, None], index[:, None, :]]
-            spectrum.append(np.linalg.eigvalsh(blocks).ravel())
-    return np.sort(np.concatenate(spectrum))
+
+    take: np.ndarray
+    positions: np.ndarray
+    singles: int
+    starts: np.ndarray
+    counts: np.ndarray
+    groups: list[tuple[int, int, list[tuple[int, int, int]]]]
+
+
+def _number_blocks(rows, cols, n_rows, n_cols, number) -> _Blocks | None:
+    """Layout of the n_A blocks of M[rows, cols], or None when a row or a
+    column holds terms of two subset particle numbers."""
+    label = _number_of(rows, n_rows, number)
+    col_label = _number_of(cols, n_cols, number)
+    if label is None or col_label is None:
+        return None
+    size = np.bincount(label).tolist()
+    top = len(size)
+    width, terms = (np.bincount(x, minlength=top).tolist() for x in (col_label, number))
+    # block n (the rows of subset number n) gets the first cell of its slot
+    # among the blocks of its size, widest first, the chunk width of its
+    # size and its first run; the 1 x 1 blocks come first, one run each
+    present = sorted((n for n in range(top) if size[n]), key=lambda n: (size[n], -width[n]))
+    base, chunk_width, first = [0] * top, width[:], [0] * top
+    runs, groups = 0, []
+    for s, members in itertools.groupby(present, key=size.__getitem__):
+        members = list(members)
+        if s == 1:
+            for n in members:
+                first[n], runs = runs, runs + 1
+            continue
+        count, extent = len(members), width[members[0]]
+        cells = max(sum(terms[n] for n in members), count * s * s, BLOCK_CELLS)
+        w = min(cells // (count * s), extent)
+        for i, n in enumerate(members):
+            base[n], chunk_width[n], first[n] = i * s, w, runs
+        reach = [sum(width[n] > c for n in members) for c in range(0, extent, w)]
+        groups.append((s, w, runs, reach))
+        runs += len(reach)
+    positions = None
+    if groups:
+        run, width_of, positions = np.array([first, chunk_width, base])[:, number]
+        # ranks among the rows, then among the columns, of each one's block
+        rank = _ranks(np.concatenate((label, col_label + top)))
+        chunk, offset = np.divmod(rank[n_rows:][cols], width_of)
+        run += chunk
+        positions += rank[rows]
+        positions *= width_of
+        positions += offset
+    else:
+        run = np.array(first)[number]
+    take = run.argsort(kind="stable")
+    bounds = [0] + np.bincount(run, minlength=runs).cumsum().tolist()
+    ones = size.count(1)
+    singles = bounds[ones]
+    ends = [end - singles for end in bounds[ones:]]
+    groups = [
+        (s, w, [(ends[r - ones + c], ends[r - ones + c + 1], k) for c, k in enumerate(reach)])
+        for s, w, r, reach in groups
+    ]
+    starts = np.array(bounds[:ones], dtype=np.intp)
+    counts = np.diff(bounds[: ones + 1])
+    positions = take[:0] if positions is None else positions[take[singles:]]
+    return _Blocks(take, positions, singles, starts, counts, groups)
+
+
+def _run_sums(parts: list[np.ndarray], starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each run of ``counts`` entries from ``starts`` over the
+    arrays ``parts`` of nonnegative values, which are overwritten.
+
+    Compensated by an error-free split: each value is cut at the grid
+    spacing of a power of two 2**e >= 2 x the run's count of values x its
+    largest value, so the high parts sum exactly in any order and only the
+    small low parts are rounded.  Runs of one entry in two parts need no
+    split: one addition rounds exactly.
+    """
+    if len(parts) == 2 and len(starts) == len(parts[0]):
+        return parts[0] + parts[1]
+    top = np.maximum.reduce([np.maximum.reduceat(x, starts) for x in parts])
+    _, exponent = np.frexp(2.0 * len(parts) * counts * top)
+    grid = np.repeat(np.ldexp(1.0, exponent), counts)
+    cut = np.empty_like(grid)
+    high = low = 0.0
+    for x in parts:
+        np.add(grid, x, out=cut)
+        cut -= grid
+        x -= cut
+        high = high + np.add.reduceat(cut, starts)
+        low = low + np.add.reduceat(x, starts)
+    return high + low
+
+
+def _blockwise_spectrum(values: np.ndarray, norm: float, blocks: _Blocks) -> np.ndarray:
+    """Ascending spectrum of G = M M^dagger for the amplitudes values / norm,
+    one number block at a time."""
+    take, positions, singles, starts, counts, groups = blocks
+    parts = []
+    if singles:
+        scaled = values[take[:singles]]
+        scaled /= norm
+        squares = [np.square(scaled.real), np.square(scaled.imag)]
+        del scaled
+        parts.append(_run_sums(squares, starts, counts))
+    amplitudes = values[take[singles:]] / norm
+    for size, width, chunks in groups:
+        for i, (start, end, count) in enumerate(chunks):
+            buffer = np.zeros((count, size, width), dtype=complex)
+            buffer.reshape(-1)[positions[start:end]] = amplitudes[start:end]
+            product = buffer @ buffer.conj().transpose(0, 2, 1)
+            if i:
+                gram[:count] += product
+            else:
+                gram = product
+        parts.append(np.linalg.eigvalsh(gram).ravel())
+    return np.sort(np.concatenate(parts))
+
+
+class _Layout:
+    """The key work of one (registry, keys, subset).
+
+    Term i sits at (rows[i], cols[i]) of the smaller side's amplitude
+    matrix, ``n_rows`` <= ``n_cols``; ``blocks`` is its number-block
+    layout, built on first use.
+    """
+
+    def __init__(self, registry: ModeRegistry, keys: np.ndarray, sub: ModeSubset) -> None:
+        rows, cols, patterns, n_cols, self.number = _split(registry, keys, sub)
+        n_rows = len(patterns)
+        if n_rows > n_cols:
+            rows, cols, n_rows, n_cols = cols, rows, n_cols, n_rows
+        self.rows, self.cols, self.n_rows, self.n_cols = rows, cols, n_rows, n_cols
+        self.mapped = False
+
+    @functools.cached_property
+    def blocks(self) -> _Blocks | None:
+        blocks = _number_blocks(self.rows, self.cols, self.n_rows, self.n_cols, self.number)
+        del self.number  # needed only here
+        return blocks
+
+    def keep(self, keys: np.ndarray) -> np.ndarray:
+        """Move the layout's arrays, and a copy of ``keys`` that is
+        returned, into one anonymous memory map, read-only.
+
+        A layout the memo keeps across calls outlives the ones that built
+        it.  Kept on the malloc heap, its arrays split the free space that
+        the next large temporary (a LAPACK workspace, say) needs, and the
+        heap grows instead: 3 MB more max RSS on the dynamics benchmark.
+        """
+        self.mapped = True
+        blocks = self.blocks
+        arrays = [keys, self.rows, self.cols]
+        if blocks is not None:
+            arrays += [blocks.take, blocks.positions]
+        ends = np.cumsum([len(a) for a in arrays])
+        kept = np.frombuffer(mmap.mmap(-1, 8 * int(ends[-1])), dtype=np.int64)
+        np.concatenate(arrays, out=kept)
+        kept.flags.writeable = False
+        keys, self.rows, self.cols, *moved = np.split(kept, ends[:-1])
+        if blocks is not None:
+            self.blocks = blocks._replace(take=moved[0], positions=moved[1])
+        return keys
+
+
+# the memo: subset -> (registry, own copy of the keys, layout), least
+# recently used first
+_layouts: dict[ModeSubset, tuple[ModeRegistry, np.ndarray, _Layout]] = {}
+
+
+def _memo_terms() -> int:
+    return sum(len(keys) for _, keys, _ in _layouts.values())
+
+
+def _layout(registry: ModeRegistry, keys: np.ndarray, sub: ModeSubset) -> _Layout:
+    """The memo's layout of ``sub`` if it was built for this registry object
+    and equal keys, else a new one, kept while the memo's bounds allow.
+
+    Only layouts of int64 keys and more than ``BLOCK_CROSSOVER`` Gram rows
+    are kept: moving every layout into memory maps took the scenarios
+    benchmark, whose many small states are rarely reused, half as long
+    again.  A kept layout moves (``_Layout.keep``) only at its first reuse,
+    since the move costs about a third of a 12-site half-chain call.
+    """
+    kept = _layouts.pop(sub, None)
+    if kept is not None and kept[0] is registry and np.array_equal(kept[1], keys):
+        _, copy, layout = kept
+        if not layout.mapped:
+            copy = layout.keep(copy)
+        _layouts[sub] = (registry, copy, layout)
+        return layout
+    del kept  # a stale layout goes before its successor is built
+    layout = _Layout(registry, keys, sub)
+    if layout.n_rows > BLOCK_CROSSOVER and keys.dtype == np.int64 and len(keys) <= MEMO_TERMS:
+        _layouts[sub] = (registry, keys.copy(), layout)
+        while len(_layouts) > MEMO_ENTRIES or _memo_terms() > MEMO_TERMS:
+            del _layouts[next(iter(_layouts))]
+    return layout
 
 
 def _entropy(eigenvalues: np.ndarray) -> float:
@@ -227,8 +448,9 @@ def reduced_density_matrix(state: ManyBodyState, subset: Sequence[int]) -> Reduc
     dim = math.prod(registry.radix(i) for i in sub)
     _check_guard("reduced density matrix", dim)
 
-    amplitudes, rows, cols, patterns, n_envs, _ = _amplitude_matrix(state, sub)
-    gram = _gram(amplitudes, rows, cols, len(patterns), n_envs)
+    norm = _norm(state)
+    rows, cols, patterns, n_envs, _ = _split(registry, state.keys, sub)
+    gram = _gram(state.values / norm, rows, cols, len(patterns), n_envs)
     present = patterns.astype(np.intp)
     matrix = np.zeros((dim, dim), dtype=complex)
     matrix[np.ix_(present, present)] = gram.conj()
@@ -246,21 +468,18 @@ def mode_entanglement(state: ManyBodyState, subset: Sequence[int]) -> float:
 
     Taken from the Gram matrix of the smaller side of the amplitude
     matrix; raises SizeGuardError when that side exceeds ``size_guard()``.
-    Above ``BLOCK_CROSSOVER`` rows, a Gram matrix whose environments each
-    carry one subset particle number is diagonalised one number block at
-    a time; any other takes one dense ``eigvalsh``.
+    Above ``BLOCK_CROSSOVER`` rows, a state whose environments each carry
+    one subset particle number has its Gram matrix formed and
+    diagonalised one number block at a time; any other takes the full
+    Gram matrix and one dense ``eigvalsh``.
     """
     sub = normalize_subset(len(state.registry), subset)
-    amplitudes, rows, cols, patterns, n_envs, number = _amplitude_matrix(state, sub)
-    n_rows, n_cols = len(patterns), n_envs
-    if n_rows > n_cols:
-        rows, cols, n_rows, n_cols = cols, rows, n_cols, n_rows
-    _check_guard("Gram matrix", n_rows)
-    gram = _gram(amplitudes, rows, cols, n_rows, n_cols)
-    if n_rows > BLOCK_CROSSOVER:
-        label = _number_of(rows, n_rows, number)
-        if label is not None and _number_of(cols, n_cols, number) is not None:
-            return _entropy(_block_spectrum(gram, label))
+    norm = _norm(state)
+    layout = _layout(state.registry, state.keys, sub)
+    _check_guard("Gram matrix", layout.n_rows)
+    if layout.n_rows > BLOCK_CROSSOVER and layout.blocks is not None:
+        return _entropy(_blockwise_spectrum(state.values, norm, layout.blocks))
+    gram = _gram(state.values / norm, layout.rows, layout.cols, layout.n_rows, layout.n_cols)
     return _entropy(np.linalg.eigvalsh(gram))
 
 

@@ -297,6 +297,18 @@ def test_condensate_guard_rejects_large_instances(monkeypatch):
         bogoliubov_exact({(1,): 0.1}, 3)
 
 
+@pytest.mark.parametrize("c", [{}, {(1,): 0.1}, {(1,): 0.1, (2,): 0.2j}])
+@pytest.mark.parametrize("total", [-2, -4, -3])
+def test_negative_particle_number_is_refused(c, total):
+    message = f"total particle number {total} is negative"
+    for oracle in (bogoliubov_exact, bogoliubov_approx):
+        with pytest.raises(ValueError, match=message):
+            oracle(c, total)
+        if c:
+            with pytest.raises(ValueError, match=message):
+                oracle(c, total, (1,))
+
+
 def test_approximate_forms_reduce_to_exact_for_minimal_case():
     # N=2 with a single pair mode: both shortcuts are exact and the
     # residual vanishes

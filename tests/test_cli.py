@@ -541,6 +541,14 @@ def test_condensate_oracle_beyond_guard_exits_3_before_the_state(monkeypatch, ca
     )
 
 
+def test_negative_particle_number_exits_2(capsys):
+    # refused by the condensate oracle before a registry is made for it
+    assert main(["bogoliubov", "--n", "-2"]) == 2
+    assert capsys.readouterr().err == "error: total particle number -2 is negative\n"
+    assert main(["bogoliubov", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: total particle number must be even\n"
+
+
 def test_keys_beyond_int64_exit_3(tmp_path, capsys):
     # 64 modes at N=1 is a 64-dimensional sector, but its packed keys reach 2**63
     modes = 64

@@ -391,6 +391,20 @@ def test_number_blocks_match_reshape_oracle(name, monkeypatch):
                 assert mode_entanglement(state, subset) == entropy, subset
 
 
+def pair_mode_entropy_oracle(state, mode):
+    """Entropy of one mode whose occupation fixes the environment's, so
+    that its reduced density matrix is diagonal: p_n summed at 40 digits."""
+    registry = state.registry
+    occupation = state.keys // registry._strides[mode] % registry.radix(mode)
+    with mpmath.workdps(40):
+        weights = [
+            mpmath.fsum(abs(mpmath.mpc(a)) ** 2 for a in state.values[occupation == n].tolist())
+            for n in range(registry.radix(mode))
+        ]
+        total = mpmath.fsum(weights)
+        return float(-mpmath.fsum(w / total * mpmath.log(w / total) for w in weights if w > 0))
+
+
 def test_eigensolver_calls_follow_number_blocks(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -421,8 +435,189 @@ def test_eigensolver_calls_follow_number_blocks(monkeypatch):
     entropy = mode_entanglement(state, (1,))
     assert calls == []
     monkeypatch.setattr(entanglement, "BLOCK_CROSSOVER", math.inf)
-    assert mode_entanglement(state, (1,)) == entropy
+    dense = mode_entanglement(state, (1,))
     assert calls == [(41, 41)]
+    # the diagonal is summed from the terms, the dense path by the Gram
+    # product: both within two ulps of the 40-digit entropy
+    want = pair_mode_entropy_oracle(state, 1)
+    assert abs(entropy - want) <= 2.5e-16
+    assert abs(dense - want) <= 2.5e-16
+
+
+@pytest.fixture
+def memo():
+    """The layout memo, emptied before and after the test."""
+    entanglement._layouts.clear()
+    yield entanglement._layouts
+    entanglement._layouts.clear()
+
+
+def fresh_entropy(state, subset):
+    """mode_entanglement from a layout built anew: the memo is emptied first."""
+    entanglement._layouts.clear()
+    return mode_entanglement(state, subset)
+
+
+def test_memo_reuses_a_layout_only_for_the_same_registry_and_keys(memo):
+    state = block_states()["fermions_fixed_n"]
+    registry, half = state.registry, tuple(range(6))
+    want = mode_entanglement(state, half)
+    layout = memo[half][2]
+    # the same keys with other amplitudes: a hit, with the new amplitudes' entropy
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(len(state.keys)) + 1j * rng.standard_normal(len(state.keys))
+    other = ManyBodyState._from_keys(registry, state.keys, values / np.linalg.norm(values))
+    got = mode_entanglement(other, half)
+    assert memo[half][2] is layout
+    assert abs(got - want) > 1e-3
+    assert got == fresh_entropy(other, half)
+    # equal keys in a fresh array: a hit
+    assert mode_entanglement(state, half) == want
+    layout = memo[half][2]
+    copy = ManyBodyState._from_keys(registry, state.keys.copy(), state.values.copy())
+    assert mode_entanglement(copy, half) == want
+    assert memo[half][2] is layout
+    # an equal but distinct registry object: a miss
+    twin = registry_create(registry.modes)
+    assert twin == registry and twin is not registry
+    moved = ManyBodyState._from_keys(twin, state.keys, state.values)
+    assert mode_entanglement(moved, half) == want
+    assert memo[half][0] is twin and memo[half][2] is not layout
+    # a pruned state with fewer keys: a miss, with the pruned state's entropy
+    kept = np.abs(state.values) > np.quantile(np.abs(state.values), 0.3)
+    pruned = ManyBodyState._from_keys(registry, state.keys[kept], state.values[kept]).normalize()
+    got = mode_entanglement(pruned, half)
+    assert np.array_equal(memo[half][1], pruned.keys)
+    assert abs(got - spectrum_entropy(rdm_oracle(pruned, half))) <= 1e-12
+    assert got == fresh_entropy(pruned, half)
+    # the complement on the same state: an entry of its own
+    assert mode_entanglement(state, half) == want
+    rest = tuple(range(6, 12))
+    assert abs(mode_entanglement(state, rest) - want) <= 1e-12
+    assert list(memo) == [half, rest]
+
+
+def test_memo_hit_rechecks_norm_crossover_and_guard(memo, monkeypatch):
+    state = block_states()["fermions_fixed_n"]
+    half = tuple(range(6))
+    blockwise = mode_entanglement(state, half)
+    assert mode_entanglement(state, half) == blockwise
+    assert half in memo
+    unnormalized = ManyBodyState._from_keys(state.registry, state.keys, 2.0 * state.values)
+    with pytest.raises(NormalizationError):
+        mode_entanglement(unnormalized, half)
+    # after a hit, a raised crossover takes one eigvalsh of the full Gram matrix
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(entanglement.np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(entanglement, "BLOCK_CROSSOVER", math.inf)
+    dense = mode_entanglement(state, half)
+    assert calls == [(64, 64)]
+    assert dense == fresh_entropy(state, half)
+    assert abs(dense - blockwise) <= 1e-12
+    monkeypatch.setattr(entanglement, "BLOCK_CROSSOVER", 32)
+    assert fresh_entropy(state, half) == blockwise
+    # and a lowered guard refuses the 64 Gram rows of a kept layout
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "63")
+    with pytest.raises(SizeGuardError):
+        mode_entanglement(state, half)
+    assert half in memo
+
+
+def test_memo_stays_within_its_bounds(memo, monkeypatch):
+    state = block_states()["fermions_fixed_n"]
+    bound = entanglement.MEMO_ENTRIES
+    subsets = list(itertools.combinations(range(12), 6))[: 3 * bound]
+    for i, subset in enumerate(subsets):
+        mode_entanglement(state, subset)
+        assert len(memo) == min(i + 1, bound)
+    assert list(memo) == subsets[-bound:]
+    # a hit is the most recent entry, so the next miss drops the one after it
+    mode_entanglement(state, subsets[-bound])
+    mode_entanglement(state, subsets[0])
+    assert list(memo) == subsets[-bound + 2 :] + [subsets[-bound], subsets[0]]
+    # the term budget: two layouts of 924 keys, and none above it
+    monkeypatch.setattr(entanglement, "MEMO_TERMS", 2 * 924)
+    mode_entanglement(state, subsets[1])
+    assert list(memo) == [subsets[0], subsets[1]]
+    monkeypatch.setattr(entanglement, "MEMO_TERMS", 923)
+    mode_entanglement(state, subsets[2])
+    assert list(memo) == [subsets[0], subsets[1]]
+    # a layout of at most BLOCK_CROSSOVER Gram rows is not kept
+    memo.clear()
+    mode_entanglement(state, range(5))
+    assert len(memo) == 0
+
+
+def sparse_sector_state(sites, total, share, rng):
+    """A random state on a random share of the keys of a fixed-N sector."""
+    registry = uniform_registry(sites)
+    keys = _sector_keys(registry, total)
+    keys = np.sort(rng.choice(keys, size=int(share * len(keys)), replace=False))
+    values = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    return ManyBodyState._from_keys(registry, keys, values / np.linalg.norm(values))
+
+
+def test_number_blocks_in_column_chunks_match_one_block(memo, monkeypatch):
+    # 24 modes at N = 6 on a tenth of the sector's keys.  The 15-row blocks
+    # of the first six modes (n_A = 2 and 4) have about 2,400 and 150
+    # columns: they take 15 chunks, and only the wide one reaches past the first
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "200000")
+    state = sparse_sector_state(24, 6, 0.1, np.random.default_rng(89))
+    subset, rest = tuple(range(6)), tuple(range(6, 24))
+    entropy = mode_entanglement(state, subset)
+    groups = {size: chunks for size, _, chunks in memo[subset][2].blocks.groups}
+    assert [count for _, _, count in groups[15]] == [2] + [1] * 14
+    assert abs(mode_entanglement(state, rest) - entropy) <= 1e-12
+    monkeypatch.setattr(entanglement, "BLOCK_CROSSOVER", math.inf)
+    assert abs(mode_entanglement(state, subset) - entropy) <= 1e-12
+
+
+def test_run_sums_are_faithfully_rounded():
+    rng = np.random.default_rng(3)
+    counts = rng.integers(1, 3000, size=200)
+    starts = np.cumsum(counts) - counts
+    parts = [
+        rng.random(counts.sum()) ** 8 * 10.0 ** rng.integers(-30, 0, size=counts.sum())
+        for _ in range(2)
+    ]
+    want = np.array(
+        [math.fsum(np.concatenate([x[a : a + n] for x in parts])) for a, n in zip(starts, counts)]
+    )
+    got = entanglement._run_sums([x.copy() for x in parts], starts, counts)
+    assert np.all(np.abs(got - want) <= np.spacing(want))
+    # runs of one entry in two parts: one addition
+    ones = np.arange(len(parts[0]))
+    got = entanglement._run_sums([x.copy() for x in parts], ones, np.ones_like(ones))
+    assert np.array_equal(got, parts[0] + parts[1])
+
+
+def test_one_by_one_blocks_memory_is_linear_in_terms(memo):
+    # a pair mode of an unprojected condensate (87,172 terms): 42 blocks of
+    # 1 x 1, one per occupation, of 4,470 down to 8 columns
+    qs, ratios = [1, 2, 3], [0.45, 0.6, 0.75]
+    registry = bogoliubov_registry(qs, condensate_cutoff=2, pair_cutoff=47)
+    uv = {(q,): (1 / math.sqrt(1 - r * r), r / math.sqrt(1 - r * r)) for q, r in zip(qs, ratios)}
+    state = bogoliubov_unprojected(
+        registry, PairAmplitudeTable(TableKind.BOGOLIUBOV_UV, uv), cutoff=47
+    )
+    term_bytes = state.keys.nbytes + state.values.nbytes
+    tracemalloc.start()
+    try:
+        entropy = mode_entanglement(state, (1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert memo[(1,)][2].blocks.groups == []
+    # the layout's key work peaks near 2.7 times the term arrays; padding
+    # every block to the widest would add half as much again
+    assert peak < 3 * term_bytes
+    assert abs(entropy - pair_mode_entropy_oracle(state, 1)) <= 1e-14
 
 
 def signed_entropy_oracle(state, subset):

@@ -22,6 +22,7 @@ such as extended-precision propagation.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +33,7 @@ import numpy as np
 import pytest
 
 import fockent
+import fockent.entanglement as entanglement
 from fockent import basis_state, mode_entanglement
 from fockent.dynamics import evolve_many, load_hamiltonian
 
@@ -117,7 +119,7 @@ GOLDEN = {
     ),
     "bogoliubov_unprojected_2": (
         ["bogoliubov", "--unprojected", "--pairs", "2"],
-        "bb1d33c56dcfea079c88b4ebc7bb11cc00af1cb00c9d32c9abf8f5b47d4e4d2e",
+        "e5a0087f2d69724ff083ddbc3a91e67458bf4b738ef4cb3d7a0e4d4caefa1d32",
     ),
     "verify": (
         ["verify"],
@@ -171,34 +173,65 @@ def test_golden_digest(name, tmp_path):
 def mpmath_entropy(state, subset, dps=40):
     """Entropy of ``subset`` at ``dps`` digits: the reduced density matrix is
     summed in mpmath from the state's double-precision amplitudes and
-    diagonalised by ``mpmath.eighe``."""
+    diagonalised by ``mpmath.eighe``, one block of the subset particle
+    number at a time.  Two patterns of different numbers must share no
+    environment, as in a state of fixed particle number, so that the
+    entries between blocks are exactly zero; that is checked."""
     with mpmath.workdps(dps):
         rows = {}
         for occupations, amplitude in state.items():
             pattern = tuple(occupations[i] for i in subset)
             environment = tuple(n for i, n in enumerate(occupations) if i not in subset)
             rows.setdefault(pattern, {})[environment] = mpmath.mpc(amplitude)
-        vectors = list(rows.values())
-        norm = mpmath.fsum(abs(a) ** 2 for v in vectors for a in v.values())
-        rho = mpmath.matrix(len(vectors))
-        for i, u in enumerate(vectors):
-            for j, v in enumerate(vectors):
-                rho[i, j] = mpmath.fsum(a * mpmath.conj(v[e]) for e, a in u.items() if e in v)
-        return -mpmath.fsum(
-            lam * mpmath.log(lam)
-            for lam in mpmath.eighe(rho / norm, eigvals_only=True)
-            if lam > 0
-        )
+        norm = mpmath.fsum(abs(a) ** 2 for v in rows.values() for a in v.values())
+        blocks = {}
+        for pattern, vector in rows.items():
+            blocks.setdefault(sum(pattern), []).append(vector)
+        for n, vectors in blocks.items():
+            for m, others in blocks.items():
+                assert m == n or not any(u.keys() & v.keys() for u in vectors for v in others)
+        entropy = mpmath.mpf(0)
+        for vectors in blocks.values():
+            rho = mpmath.matrix(len(vectors))
+            for i, u in enumerate(vectors):
+                for j, v in enumerate(vectors):
+                    rho[i, j] = mpmath.fsum(a * mpmath.conj(v[e]) for e, a in u.items() if e in v)
+            for lam in mpmath.eighe(rho / norm, eigvals_only=True):
+                if lam > 0:
+                    entropy -= lam * mpmath.log(lam)
+        return entropy
+
+
+def ring_trajectory(tmp_path, sites):
+    """The golden ring of ``sites`` sites from its Neel state at the golden
+    run's 50 times on [0, 5], and its first half."""
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring(sites)))
+    hamiltonian = load_hamiltonian(str(path))
+    start = basis_state(hamiltonian.registry, [1, 0] * (sites // 2) + [0] * (sites % 2))
+    return evolve_many(start, hamiltonian, np.linspace(0.0, 5.0, 50)), tuple(range(sites // 2))
 
 
 def test_dynamics_ring_entropy_against_mpmath(tmp_path):
-    path = tmp_path / "ring.json"
-    path.write_text(json.dumps(ring()))
-    hamiltonian = load_hamiltonian(str(path))
-    start = basis_state(hamiltonian.registry, [1, 0] * 5 + [0])
-    subset = tuple(range(5))
     # the golden run's 50 times; every tenth state is checked
-    states = evolve_many(start, hamiltonian, np.linspace(0.0, 5.0, 50))[5::10]
-    worst = max(abs(mode_entanglement(s, subset) - mpmath_entropy(s, subset)) for s in states)
+    states, subset = ring_trajectory(tmp_path, 11)
+    worst = max(
+        abs(mode_entanglement(s, subset) - mpmath_entropy(s, subset)) for s in states[5::10]
+    )
     # 5.6e-15 over all 50 states, on x86-64 with OpenBLAS
     assert worst < 1e-14
+
+
+def test_number_blocks_are_no_further_from_mpmath_than_one_block(tmp_path, monkeypatch):
+    # the 12-site ring's half chain has Gram side 64: its spectrum is taken
+    # from the n_A blocks' own Gram products.  The worst error against
+    # mpmath must not exceed that of one eigvalsh of the full Gram matrix.
+    # Over all 49 states after t = 0 the two are 1.05e-14 and 1.91e-14 (at
+    # t = 0.1, the first state checked here), on x86-64 with OpenBLAS.
+    states, subset = ring_trajectory(tmp_path, 12)
+    states = states[1::8]
+    exact = [mpmath_entropy(s, subset) for s in states]
+    blockwise = max(abs(mode_entanglement(s, subset) - e) for s, e in zip(states, exact))
+    monkeypatch.setattr(entanglement, "BLOCK_CROSSOVER", math.inf)
+    dense = max(abs(mode_entanglement(s, subset) - e) for s, e in zip(states, exact))
+    assert blockwise <= dense < 1e-13
