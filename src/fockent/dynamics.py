@@ -8,11 +8,14 @@ added into it once, at construction, so the proper basis is T's
 eigenbasis) and V the two-body tensor stored sparsely as <ij|V|lm>
 entries (Hermiticity pairs are completed at load).
 
-The terms of H go through the operator kernel of ``fock_core``, which
-owns the sign rule and the sector order.  ``_sector_entries`` is the one
-sector product: it adds up each (row, col) of the resulting triplets
-with ``fock_core._summed``, the one sum by key, into distinct row-major
-entries, which ``hamiltonian_matrix`` scatters and ``evolve_many`` pads.
+The terms of H, as one term table (``_terms``), go through the batched
+operator kernel of ``fock_core``, which owns the sign rule and the sector
+order.  ``_sector_entries`` is the one sector product: it runs the kernel
+on chunks of source keys, every term on each chunk and at most
+``ASSEMBLY_CELLS`` (terms x keys) cells a chunk, adds up each (row, col)
+of a chunk's triplets with ``fock_core._summed``, the one sum by key, and
+sorts the entries into row-major order, which ``hamiltonian_matrix``
+scatters and ``evolve_many`` pads.
 There is no full-space matrix, and no other product of H with a state.
 Sectors up to ``DENSE_CROSSOVER`` basis vectors are diagonalised
 densely, larger ones are propagated by one numpy-only Chebyshev
@@ -60,6 +63,7 @@ from .fock_core import (
     _operator_triplets,
     _sector_keys,
     _summed,
+    _term_run,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -85,6 +89,17 @@ DENSE_CROSSOVER = 100
 # keeps it so for any degree a caller asks for.
 MILLER_MARGIN = 20
 CHEBYSHEV_BLOCK = 16
+
+# _sector_entries runs the operator kernel on chunks of source keys of at
+# most this many (terms x keys) cells, one key at least.  Smaller chunks pay
+# a per-chunk cost on every term, larger ones hold more triplets at once.
+# On proper-basis flux rings at half filling (dense V), one call, best of 3
+# on a 2-core host, with its tracemalloc peak, at 2**16 / 2**18 / 2**20 cells:
+# 10 sites (10,010 terms, 252 keys) 64 / 40 / 38 ms and 3.9 / 4.8 / 14.3 MB;
+# 12 sites (20,880 terms, 924 keys) 0.74 / 0.34 / 0.28 s and 23-25 MB, most
+# of it the 242,088 entries.  The 12-site benchmark rings (60 terms) take
+# one chunk.
+ASSEMBLY_CELLS = 2**18
 
 TwoBodyKey = tuple[int, int, int, int]
 
@@ -162,40 +177,66 @@ class SectorMatrix:
         return len(self.keys)
 
 
-def _positions(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Index in ``keys`` of every target key; each target must be present."""
+def _positions(keys: np.ndarray):
+    """A function that gives the index in ``keys`` of every target key; each
+    target must be present.  ``keys`` is sorted once, for every call."""
     order = np.argsort(keys)
-    return order[np.searchsorted(keys, targets, sorter=order)]
+    ordered = keys[order]
+    return lambda targets: order[np.searchsorted(ordered, targets)]
 
 
-def _terms(h: SecondQuantizedHamiltonian):
-    """Yield (coefficient, operators) for each term of H.
+def _terms(h: SecondQuantizedHamiltonian) -> list:
+    """The term table of H: runs of ``fock_core._term_run``.
 
-    One-body terms come first, nonzero entries of T row by row, then
-    the two-body entries in dict order.  ``operators`` lists (mode,
-    creates) in the order the operators act on a ket.  The coefficient is
-    the unit amplitude of a basis vector times t, or times 0.5 and v.
+    One-body terms come first, nonzero entries of T row by row, a_j then
+    a^dagger_i; then the two-body entries in dict order, a_l, a_m,
+    a^dagger_j, a^dagger_i (operators in the order they act on a ket).
+    The coefficient is the unit amplitude of a basis vector times t, or
+    times 0.5 and v.
     """
     unit = 1.0 + 0.0j
     t = h.one_body
-    for i, j in zip(*np.nonzero(t)):
-        yield unit * complex(t[i, j]), ((int(j), False), (int(i), True))
-    for (i, j, l, m), v in h.two_body.items():
-        yield unit * 0.5 * v, ((l, False), (m, False), (j, True), (i, True))
+    rows, cols = np.nonzero(t)
+    ijlm = np.array(list(h.two_body), dtype=np.intp).reshape(-1, 4)
+    v = np.array(list(h.two_body.values()), dtype=complex)
+    runs = [
+        (unit * t[rows, cols], (cols, rows), (False, True)),
+        (unit * 0.5 * v, ijlm.T[[2, 3, 1, 0]], (False, False, True, True)),
+    ]
+    return [_term_run(h.registry, *run) for run in runs if len(run[0])]
 
 
 def _sector_entries(h: SecondQuantizedHamiltonian, total: int):
     """The one sector product: ``(keys, rows, cols, values)``, the distinct
     entries of H on the sector in row-major order, each 0.0 plus its terms
     in term order.  The int64 check comes first, then the size guard of
-    ``_sector_keys``."""
+    ``_sector_keys``.
+
+    The kernel runs on chunks of source keys, every term on each chunk,
+    with at most ``ASSEMBLY_CELLS`` (terms x keys) cells a chunk (one key
+    at least).  Entry (row, col) takes all its terms from the source key
+    col, so no sum crosses a chunk: each chunk is summed by itself with
+    ``_summed``, and the entries, not the triplets, are then sorted into
+    row-major order.
+    """
     registry = h.registry
     _check_int64_keys(registry)
     keys = _sector_keys(registry, total)
     dim = len(keys)
-    source, target, value = _operator_triplets(registry, keys, _terms(h))
-    flat, summed, _ = _summed(_positions(keys, target) * dim + source, value)
-    return keys, flat // dim, flat % dim, summed
+    table = _terms(h)
+    chunk = max(1, ASSEMBLY_CELLS // max(sum(len(run[0]) for run in table), 1))
+    positions = _positions(keys)
+    # empty first blocks, so that an empty sector gives no entries
+    flats, sums = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
+    for start in range(0, dim, chunk):
+        source, target, value = _operator_triplets(registry, keys[start : start + chunk], table)
+        flat, summed, _ = _summed(positions(target) * dim + (source + start), value)
+        flats.append(flat)
+        sums.append(summed)
+    flat = np.concatenate(flats)
+    order = np.argsort(flat, kind="stable")  # merges the chunks' ascending runs
+    flat = flat[order]
+    return keys, flat // dim, flat % dim, np.concatenate(sums)[order]
 
 
 def hamiltonian_matrix(h: SecondQuantizedHamiltonian, total: int) -> SectorMatrix:
@@ -433,7 +474,7 @@ def _propagate_sparse(
 def _sector_vector(keys: np.ndarray, present: np.ndarray, values) -> np.ndarray:
     """The amplitudes ``values`` at the keys ``present``, laid out on ``keys``."""
     psi = np.zeros(len(keys), dtype=complex)
-    psi[_positions(keys, present)] = values
+    psi[_positions(keys)(present)] = values
     return psi
 
 

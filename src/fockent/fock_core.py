@@ -25,11 +25,16 @@ at mode i picks up (-1)**(number of occupied fermionic modes with
 registry index below i).  The count runs over fermionic modes of every
 species; bosonic occupations never contribute a sign.  ``_parity_below``
 is the one function that computes this parity.  Two vectorised kernels
-use it: ``_operator_triplets`` applies ladder-operator terms to an array
-of keys (``apply_creation``, ``apply_annihilation`` and ``dynamics``),
-and ``_created`` applies creation products to the terms of a state (the
-pair and exciton builders).  ``size_guard()`` (FOCKENT_SIZE_GUARD,
-default 5000) bounds dense dimensions; ``_check_guard`` is the one check.
+use it.  ``_operator_triplets`` applies a term table of ladder-operator
+products to an array of keys: each run of terms of one length (built by
+``_term_run``, with each operator's same-mode occupation shift and parity
+flip) acts on all keys at once, on (terms x keys) arrays, and its
+survivors are compacted once, term by term.  ``apply_creation`` and
+``apply_annihilation`` pass it a one-term table, ``dynamics`` the terms
+of H on chunks of a sector's keys.  ``_created`` applies creation
+products to the terms of a state (the pair and exciton builders).
+``size_guard()`` (FOCKENT_SIZE_GUARD, default 5000) bounds dense
+dimensions; ``_check_guard`` is the one check.
 
 The JSON loaders of ``states`` and ``dynamics`` read their fields with
 the ``_json_*`` readers at the end of this module (``_json_complex`` is
@@ -40,6 +45,7 @@ ValueError; so is a repeated entry.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import os
@@ -143,6 +149,7 @@ class ModeRegistry:
     cutoffs: tuple[int, ...]
     _strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
+    _fermionic: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.modes) != len(self.cutoffs):
@@ -164,6 +171,9 @@ class ModeRegistry:
             acc *= c + 1
         object.__setattr__(self, "_strides", tuple(strides))
         object.__setattr__(self, "_index", index)
+        fermionic = np.array([mode.fermionic for mode in self.modes], dtype=bool)
+        fermionic.flags.writeable = False
+        object.__setattr__(self, "_fermionic", fermionic)
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -430,57 +440,92 @@ def _parity_below(registry: ModeRegistry, occupation: np.ndarray) -> np.ndarray:
     The one place the sign rule is computed: a fermionic ladder operator at
     mode i takes (-1)**parity[..., i] of the occupations it acts on.
     """
-    fermionic = np.array([mode.fermionic for mode in registry.modes], dtype=np.int64)
-    counted = occupation * fermionic
+    counted = occupation * registry._fermionic
     return (np.cumsum(counted, axis=-1) - counted) & 1
 
 
-def _operator_triplets(
-    registry: ModeRegistry, keys: np.ndarray, terms: Iterable
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply every term to each packed key in ``keys`` at once.
+def _term_run(registry: ModeRegistry, coefficients, modes, creates):
+    """One run of a term table: terms of one length, in term order.
 
-    ``terms`` yields ``(coefficient, operators)``, ``operators`` listing
-    ``(mode, creates)`` in the order they act on a ket.  Returns ``(source,
-    target, value)``: a term sends the basis vector ``keys[source]`` to
-    ``value`` times the basis vector with packed key ``target``.  A value
-    is the coefficient times the operator factors in acting order, and
-    entries come term by term, so summing duplicates in array order adds
-    each matrix element in term order.
-
-    An operator at mode q takes ``_parity_below`` of the key it acts on:
-    that of the source key, flipped by ``flip[p][q]`` for each earlier
-    operator of the term at p.  Bosonic modes give sqrt factors and no
-    sign.  Only the targets keep the key type of ``keys``.
+    ``modes[s, t]`` is the mode of term t's s-th operator, in the order
+    the operators act on a ket, and ``creates[s]`` says whether the s-th
+    operator of every term creates.  Returns ``(coefficients, modes,
+    creates, shifts, flips)``: ``shifts[s, t]`` is the change that the
+    earlier operators of term t make to the occupation of its s-th mode
+    (one more for each creation there, one less for each annihilation),
+    and ``flips[s, t]`` the parity they add below it, ``_parity_below`` of
+    one particle at each.
     """
-    strides, cutoffs = registry._strides, registry.cutoffs
-    fermionic = [mode.fermionic for mode in registry.modes]
+    modes = np.asarray(modes, dtype=np.intp)
+    # flip[p, q]: the parity that one more or one less particle at p adds at q
+    flip = _parity_below(registry, np.eye(len(registry), dtype=np.int64)) == 1
+    shifts = np.zeros(modes.shape, dtype=np.int64)
+    flips = np.zeros(modes.shape, dtype=bool)
+    for earlier, s in itertools.combinations(range(len(modes)), 2):
+        shifts[s] += (modes[earlier] == modes[s]) * (1 if creates[earlier] else -1)
+        flips[s] ^= flip[modes[earlier], modes[s]]
+    return np.asarray(coefficients, dtype=complex), modes, tuple(creates), shifts, flips
+
+
+def _operator_triplets(
+    registry: ModeRegistry, keys: np.ndarray, table: Sequence
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply every term of a term table to each packed key in ``keys``.
+
+    ``table`` lists runs of terms of one length, each as ``_term_run``
+    returns it.  Returns ``(source, target, value)``: a term sends the
+    basis vector ``keys[source]`` to ``value`` times the basis vector with
+    packed key ``target``.  Entries come run by run, and within a run
+    term by term, each term's in ascending source order, so summing
+    duplicates in array order adds each matrix element in term order.
+
+    A run acts on all keys at once, on (terms x keys) arrays.  The
+    operator at step s of a term meets the occupation n of its mode in
+    the source key plus the term's shift there.  The term survives on a
+    key when every creation meets n < cutoff and every annihilation
+    n > 0, that is when each source occupation o lies in [low, low +
+    cutoff), low = 0 for a creation and 1 for an annihilation, less the
+    shift; in an unsigned type that holds cutoff + term length, that is
+    o - low < cutoff with wrap-around.  The survivors are compacted once,
+    and each value is the coefficient times the operator factors in
+    acting order: at a fermionic mode (-1)**(``_parity_below`` of the
+    source key, flipped by the term's flip there), at a bosonic one
+    sqrt(n + 1) for a creation and sqrt(n) for an annihilation.  Only the
+    targets keep the key type of ``keys``.
+    """
+    count = len(keys)
     occupation = _occupations(registry, keys)
     parity = _parity_below(registry, occupation)
-    # flip[p][q]: the parity that one more or one less particle at p adds at q
-    flip = _parity_below(registry, np.eye(len(registry), dtype=np.int64)).tolist()
-    everything = np.arange(len(keys))
-    # empty first entries, so that no terms give empty triplets
-    sources, targets, values = [everything[:0]], [keys[:0]], [np.zeros(0, dtype=complex)]
-    for coefficient, operators in terms:
-        source = everything
-        value = np.full(len(keys), coefficient)
-        offset = 0
-        for step, (mode, creates) in enumerate(operators):
-            earlier = operators[:step]
-            n = occupation[source, mode] + sum(
-                1 if c else -1 for p, c in earlier if p == mode
-            )
-            keep = n < cutoffs[mode] if creates else n > 0
-            source, value, n = source[keep], value[keep], n[keep]
-            if fermionic[mode]:
-                odd = parity[source, mode] ^ (sum(flip[p][mode] for p, _ in earlier) & 1)
-                value = value * np.where(odd, -1.0, 1.0)
-            else:
-                value = value * np.sqrt(n + 1 if creates else n)
-            offset += strides[mode] if creates else -strides[mode]
+    strides = np.array(registry._strides, dtype=keys.dtype)
+    bosonic = not registry._fermionic.all()
+    # empty first entries, so that an empty table gives empty triplets
+    sources, targets = [np.zeros(0, dtype=np.intp)], [keys[:0]]
+    values = [np.zeros(0, dtype=complex)]
+    for coefficients, modes, creates, shifts, flips in table:
+        # the occupations by mode, one row each, in the least unsigned type
+        # that holds cutoff + term length
+        small = np.min_scalar_type(max(registry.cutoffs, default=0) + len(modes))
+        rows = np.ascontiguousarray(occupation.T, dtype=small)
+        cutoff = np.array(registry.cutoffs, dtype=small)
+        keep, offset = True, 0
+        for mode, create, shift in zip(modes, creates, shifts):
+            low = ((0 if create else 1) - shift).astype(small)
+            keep &= np.take(rows, mode, axis=0) - low[:, None] < cutoff[mode, None]
+            offset = offset + (strides[mode] if create else -strides[mode])
+        cells = keep.ravel().nonzero()[0]
+        term = cells // count
+        source = cells - term * count
+        value = coefficients[term]
+        for mode, create, shift, flip in zip(modes, creates, shifts, flips):
+            # where the operator reads the source key in the flat (key, mode) arrays
+            at = source * len(registry) + mode[term]
+            factor = 1.0 - 2.0 * (parity.reshape(-1)[at] ^ flip[term])
+            if bosonic:
+                n = occupation.reshape(-1)[at] + (shift + create)[term]
+                factor = np.where(registry._fermionic[mode[term]], factor, np.sqrt(n))
+            value *= factor
         sources.append(source)
-        targets.append(keys[source] + offset)
+        targets.append(keys[source] + offset[term])
         values.append(value)
     return np.concatenate(sources), np.concatenate(targets), np.concatenate(values)
 
@@ -505,9 +550,16 @@ def _created(registry: ModeRegistry, keys, amplitudes, modes):
     return targets, np.where(odd, -amplitudes, amplitudes)
 
 
+# the coefficient 1, no shift and no flip of every one-operator term
+_UNIT = np.ones(1, dtype=complex)
+_NO_SHIFT = np.zeros((1, 1), dtype=np.int64)
+_NO_FLIP = np.zeros((1, 1), dtype=bool)
+_UNIT.flags.writeable = _NO_SHIFT.flags.writeable = _NO_FLIP.flags.writeable = False
+
+
 def _apply_ladder(state: ManyBodyState, mode: int, creates: bool) -> ManyBodyState:
     registry = state.registry
-    term = (1.0 + 0.0j, ((mode, creates),))
+    term = (_UNIT, np.array([[mode]]), (creates,), _NO_SHIFT, _NO_FLIP)
     source, target, value = _operator_triplets(registry, state.keys, [term])
     # distinct sources give distinct targets, in source order
     dropped = creates and not registry.modes[mode].fermionic and len(source) < state.num_terms

@@ -5,14 +5,16 @@ plus on-site repulsion model has ground energy (U - sqrt(U^2 + 16 t^2))/2
 in the half-filled sector, and a single particle hopping between two
 modes gives S(t) = h(cos^2 t) for the starting mode.
 
-The vectorised operator kernel of ``fock_core`` is checked against a
-matrix built one basis vector and one term at a time from the scalar
-kernels ``creation_kernel`` and ``annihilation_kernel`` below, which count
-the sign by a loop over the occupied fermionic modes of each key; sector
-matrices bit for bit against a dense ``np.add.at`` over the kernel's
-triplets; the sparse Chebyshev propagator is checked against dense
-``eigh`` and its Bessel coefficients against ``mpmath.besselj``, and its
-padded-row matvec bit for bit against the triplet ``bincount`` matvec.
+The batched operator kernel of ``fock_core`` is checked against a matrix
+built one basis vector and one term at a time from the scalar kernels
+``creation_kernel`` and ``annihilation_kernel`` below, which count the
+sign by a loop over the occupied fermionic modes of each key, and whose
+dict adds each cell from 0.0 in term order: sector matrices bit for bit.
+Assembly in chunks of source keys is checked bit for bit against one
+chunk, and its memory against the entries it returns.  The sparse
+Chebyshev propagator is checked against dense ``eigh`` and its Bessel
+coefficients against ``mpmath.besselj``, and its padded-row matvec bit for
+bit against the triplet ``bincount`` matvec.
 """
 
 import itertools
@@ -57,6 +59,7 @@ from fockent.dynamics import (
     _canonicalize_cluster,
     _chebyshev_degree,
     _propagate_sparse,
+    _sector_entries,
     _SparseOperator,
     _terms,
 )
@@ -412,9 +415,11 @@ def test_non_finite_entries_are_refused(bad):
 
 def fermionic_sign(registry, key, mode):
     # parity of occupied fermionic modes strictly below `mode`
-    count = sum(
-        registry.unpack(key)[j] for j in range(mode) if registry.modes[j].fermionic
-    )
+    count = 0
+    for label, cutoff in zip(registry.modes[:mode], registry.cutoffs):
+        key, n = divmod(key, cutoff + 1)
+        if n and label.fermionic:
+            count += n
     return -1.0 if count & 1 else 1.0
 
 
@@ -444,8 +449,8 @@ def annihilation_kernel(registry, key, mode):
     return key - stride, math.sqrt(n)
 
 
-def reference_apply(h, key, amp, out):
-    """Add H applied to amp |key> into ``out``, one term and one scalar kernel at a time."""
+def reference_terms(h, amp):
+    """(amp t or amp 0.5 v, operators in acting order) for each term of H."""
     terms = []
     t = h.one_body
     m = len(h.registry)
@@ -455,7 +460,15 @@ def reference_apply(h, key, amp, out):
                 terms.append((amp * complex(t[i, j]), ((j, False), (i, True))))
     for (i, j, l, mm), v in h.two_body.items():
         terms.append((amp * 0.5 * v, ((l, False), (mm, False), (j, True), (i, True))))
-    for value, operators in terms:
+    return terms
+
+
+def reference_apply(h, key, amp, out, terms=None):
+    """Add H applied to amp |key> into ``out``, one term and one scalar kernel
+    at a time (``terms``: ``reference_terms(h, amp)``, built if not given);
+    return how many terms reached a basis vector."""
+    hits = 0
+    for value, operators in terms or reference_terms(h, amp):
         current = key
         for mode, creates in operators:
             kernel = creation_kernel if creates else annihilation_kernel
@@ -466,19 +479,27 @@ def reference_apply(h, key, amp, out):
             value = value * factor
         else:
             out[current] = out.get(current, 0.0) + value
+            hits += 1
+    return hits
 
 
 def reference_matrix(h, total):
+    """Oracle: each column from ``reference_apply`` on its basis vector, whose
+    dict adds each cell from 0.0 in term order, as ``np.add.at`` would; also
+    the counts of the terms that reached a basis vector and of the cells."""
     reg = h.registry
     keys = [reg.pack(occ) for occ in enumerate_sector(reg, total)]
     index = {k: i for i, k in enumerate(keys)}
     matrix = np.zeros((len(keys), len(keys)), dtype=complex)
+    terms = reference_terms(h, 1.0 + 0.0j)
+    hits = cells = 0
     for col, key in enumerate(keys):
         out = {}
-        reference_apply(h, key, 1.0 + 0.0j, out)
+        hits += reference_apply(h, key, 1.0 + 0.0j, out, terms)
+        cells += len(out)
         for new_key, value in out.items():
             matrix[index[new_key], col] = value
-    return tuple(keys), matrix
+    return tuple(keys), matrix, hits, cells
 
 
 def mixed_hamiltonian(seed=5):
@@ -503,7 +524,7 @@ def mixed_hamiltonian(seed=5):
 def test_assembly_is_bit_identical_to_scalar_kernels_on_dimer():
     h = hubbard_dimer()
     for total in (0, 1, 2, 3, 4):
-        keys, want = reference_matrix(h, total)
+        keys, want, *_ = reference_matrix(h, total)
         sector = hamiltonian_matrix(h, total)
         assert tuple(sector.keys.tolist()) == keys
         assert np.array_equal(sector.matrix, want)
@@ -522,22 +543,10 @@ def test_assembly_matches_scalar_kernels(make, totals):
     h = make()
     assert any(h.two_body)
     for total in totals:
-        keys, want = reference_matrix(h, total)
+        keys, want, *_ = reference_matrix(h, total)
         sector = hamiltonian_matrix(h, total)
         assert tuple(sector.keys.tolist()) == keys
         assert np.max(np.abs(sector.matrix - want), initial=0.0) <= 1e-14
-
-
-def add_at_matrix(h, total):
-    """Oracle: a dense ``np.add.at`` over the kernel's triplets, the row of
-    each target found by a dict; also the counts of triplets and of cells."""
-    keys = _sector_keys(h.registry, total)
-    source, target, value = _operator_triplets(h.registry, keys, _terms(h))
-    index = {key: i for i, key in enumerate(keys.tolist())}
-    rows = np.array([index[key] for key in target.tolist()], dtype=np.intp)
-    matrix = np.zeros((len(keys), len(keys)), dtype=complex)
-    np.add.at(matrix, (rows, source), value)
-    return keys, matrix, len(value), len(set(zip(rows.tolist(), source.tolist())))
 
 
 @pytest.mark.parametrize(
@@ -552,18 +561,63 @@ def add_at_matrix(h, total):
     ids=["dimer", "ring-real", "ring-flux", "ring-proper", "mixed-external"],
 )
 def test_sector_matrix_is_bit_identical_to_add_at_oracle(make, totals):
-    # a cell takes several triplets (the two V entries of a bond, one-body
-    # and V terms on the diagonal, ~850 per row in the proper basis): they
-    # must be added from 0.0 in term order, as np.add.at adds them
+    # a cell takes several terms (the two V entries of a bond, one-body and
+    # V terms on the diagonal, ~850 per row in the proper basis): they must
+    # be added from 0.0 in term order, as np.add.at and the scalar oracle's
+    # dict add them
     h = make()
-    triplets = cells = 0
+    hits = cells = 0
     for total in totals:
-        keys, want, count, distinct = add_at_matrix(h, total)
+        keys, want, count, distinct = reference_matrix(h, total)
         sector = hamiltonian_matrix(h, total)
-        assert sector.keys.tolist() == keys.tolist()
+        assert tuple(sector.keys.tolist()) == keys
         np.testing.assert_array_equal(sector.matrix.view(np.uint64), want.view(np.uint64))
-        triplets, cells = triplets + count, cells + distinct
-    assert triplets > cells
+        hits, cells = hits + count, cells + distinct
+    assert hits > cells
+
+
+@pytest.mark.parametrize(
+    "make, totals",
+    [
+        (hubbard_dimer, (-1, 0, 1, 2, 3, 4)),
+        (lambda: disordered_ring(8, 0.0), (3, 4)),
+        (lambda: disordered_ring(8, 0.3), (3, 4)),
+        (lambda: check_proper_basis(disordered_ring(10, 0.3)).transformed, (5,)),
+        (lambda: load_hamiltonian(BOSON_PAYLOAD), range(-1, 8)),
+    ],
+    ids=["dimer", "ring-real", "ring-flux", "ring-proper", "mixed-external"],
+)
+def test_assembly_in_chunks_is_bit_identical_to_one_chunk(monkeypatch, make, totals):
+    # entry (row, col) takes all its terms from the source key col, so no
+    # sum crosses a chunk; the least budget makes each key a chunk
+    h = make()
+    for total in totals:
+        monkeypatch.setattr(fockent.dynamics, "ASSEMBLY_CELLS", 1)
+        *chunked, values = _sector_entries(h, total)
+        monkeypatch.setattr(fockent.dynamics, "ASSEMBLY_CELLS", 2**62)
+        *whole, want = _sector_entries(h, total)
+        for got, expected in zip(chunked, whole):
+            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(values.view(np.uint64), want.view(np.uint64))
+
+
+def test_proper_basis_assembly_memory_is_linear_in_entries():
+    # the proper basis makes V dense: on the 10-site ring at N = 5 the
+    # kernel makes over six triplets an entry; chunks bound the triplets
+    # held at once, so the peak is the entries (32 B each, and their sort)
+    # and one chunk's working set, below what the triplets alone would take
+    h = check_proper_basis(disordered_ring(10, 0.3)).transformed
+    keys, *_ = _sector_entries(h, 5)
+    triplets = len(_operator_triplets(h.registry, keys, _terms(h))[0])
+    tracemalloc.start()
+    try:
+        keys, rows, cols, values = _sector_entries(h, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries = len(values)
+    assert triplets > 6 * entries
+    assert peak <= 128 * entries + 8 * fockent.dynamics.ASSEMBLY_CELLS < 32 * triplets
 
 
 def test_sector_products_across_sectors_match_scalar_kernels():
