@@ -7,6 +7,8 @@ condensates), their closed-form entropies, and number-conserving
 Hamiltonian dynamics on fixed-particle sectors.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DuplicateModeError,
     FockentError,
@@ -108,90 +110,6 @@ from .verification import CriterionResult, run_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "DuplicateModeError",
-    "FockentError",
-    "NormalizationError",
-    "NumericalInvariantError",
-    "RegistryMismatchError",
-    "SizeGuardError",
-    "TruncationError",
-    "ManyBodyState",
-    "ModeLabel",
-    "ModeRegistry",
-    "Species",
-    "Spin",
-    "apply_annihilation",
-    "apply_creation",
-    "basis_state",
-    "boson",
-    "electron",
-    "enumerate_sector",
-    "generic",
-    "hole",
-    "inner_product",
-    "number_expectation",
-    "registry_create",
-    "sector_dimension",
-    "superpose",
-    "vacuum_state",
-    "ReducedDensityMatrix",
-    "diagonal_distribution",
-    "mode_entanglement",
-    "normalize_subset",
-    "reduced_density_matrix",
-    "von_neumann_entropy",
-    "ApproximateDistribution",
-    "ExcitonMarginals",
-    "GapProfile",
-    "bcs_pair_entropy",
-    "bcs_projected_x",
-    "binary_entropy",
-    "bogoliubov_approx",
-    "bogoliubov_exact",
-    "compositions",
-    "distribution_entropy",
-    "elementary_symmetric",
-    "exciton_marginals",
-    "gap_to_pair_amplitude",
-    "geometric_pair_distribution",
-    "multinomial",
-    "pair_amplitude_from_ratio",
-    "qh_entropy",
-    "total_variation",
-    "ExcitonChannel",
-    "PairAmplitudeTable",
-    "TableKind",
-    "bcs_projected",
-    "bcs_registry",
-    "bcs_unprojected",
-    "bogoliubov_projected",
-    "bogoliubov_registry",
-    "bogoliubov_truncation_bound",
-    "bogoliubov_unprojected",
-    "default_pair_cutoff",
-    "exciton_registry",
-    "exciton_spinful",
-    "exciton_spinless",
-    "fermi_sea",
-    "load_amplitude_table",
-    "project_particle_number",
-    "random_bcs_table",
-    "random_bogoliubov_c_table",
-    "random_exciton_table",
-    "random_uv_table",
-    "single_particle_superposition",
-    "table_payload",
-    "uniform_filling_state",
-    "uniform_registry",
-    "ProperBasisReport",
-    "SecondQuantizedHamiltonian",
-    "SectorMatrix",
-    "check_proper_basis",
-    "eigenstates",
-    "evolve_many",
-    "hamiltonian_matrix",
-    "load_hamiltonian",
-    "size_guard",
-    "CriterionResult",
-    "run_all",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

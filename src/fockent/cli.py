@@ -36,7 +36,7 @@ import numpy as np
 
 from . import analytic, states, verification
 from .dynamics import check_proper_basis, evolve_many, load_hamiltonian
-from .entanglement import mode_entanglement
+from .entanglement import mode_entanglement, normalize_subset
 from .errors import (
     NormalizationError,
     NumericalInvariantError,
@@ -275,7 +275,7 @@ def run_dynamics(args):
     hamiltonian = load_hamiltonian(args.hamiltonian)
     occupations = tuple(int(x) for x in args.initial.split(","))
     state = basis_state(hamiltonian.registry, occupations)
-    subset = tuple(int(x) for x in args.subset.split(","))
+    subset = normalize_subset(len(hamiltonian.registry), [int(x) for x in args.subset.split(",")])
     times = _parse_times(args.times, state)
     if args.check_basis:
         report = check_proper_basis(hamiltonian)

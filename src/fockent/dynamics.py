@@ -35,7 +35,6 @@ the particle number of each key, and every result goes back through
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
@@ -43,6 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import RegistryMismatchError
 from .fock_core import (
     ManyBodyState,
     ModeLabel,
@@ -51,14 +51,14 @@ from .fock_core import (
     Spin,
     registry_create,
     sector_dimension,
-    size_guard,
-    _check_guard,
+    _check_elements,
     _check_int64_keys,
     _check_trajectory,
     _json_complex,
     _json_expect,
     _json_int,
     _json_ints,
+    _json_payload,
     _occupations,
     _operator_triplets,
     _sector_keys,
@@ -339,8 +339,7 @@ class _SparseOperator:
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         lengths = np.diff(starts, append=len(rows))
         width = int(lengths.max()) if len(lengths) else 0
-        what = f"padded operator ({width} entries x {dimension} rows)"
-        _check_guard(what, width * dimension, size_guard() ** 2)
+        _check_elements(f"padded operator ({width} entries x {dimension} rows)", width * dimension)
         depth = np.arange(len(rows)) - np.repeat(starts, lengths)
         padded_cols = np.zeros((width, dimension), dtype=np.intp)
         padded_values = np.zeros((width, dimension), dtype=complex)
@@ -451,7 +450,7 @@ def _propagate_sparse(
     center, radius = operator.center, operator.radius
     degree = _chebyshev_degree(radius * float(np.max(np.abs(times), initial=0.0)))
     what = f"Chebyshev coefficients ({len(times)} times x {degree + 1} orders)"
-    _check_guard(what, len(times) * (degree + 1), size_guard() ** 2)
+    _check_elements(what, len(times) * (degree + 1))
     orders = np.arange(degree + 1)
     units = np.array([1, -1j, -1, 1j])[orders % 4] * np.where(orders == 0, 1, 2)
     bessel = _bessel_table(radius * times, degree)
@@ -493,7 +492,7 @@ def evolve_many(
     before anything is allocated.
     """
     if state.registry != h.registry:
-        raise ValueError("state and Hamiltonian use different registries")
+        raise RegistryMismatchError("state and Hamiltonian use different registries")
     registry = state.registry
     times = [float(t) for t in times]
     numbers = _occupations(registry, state.keys).sum(axis=1)
@@ -523,6 +522,11 @@ def evolve_many(
     return [ManyBodyState._from_keys(registry, keys, c, state.truncated) for c in columns]
 
 
+def _off_diagonal_max(matrix: np.ndarray) -> float:
+    """Largest modulus off the diagonal of a square matrix, 0.0 if it is empty."""
+    return float(np.max(np.abs(matrix - np.diag(np.diag(matrix))), initial=0.0))
+
+
 @dataclass
 class ProperBasisReport:
     """Whether the one-body part is diagonal, and the fixing rotation if not."""
@@ -544,15 +548,13 @@ def check_proper_basis(
     The dense m**4 tensor is refused beyond guard**2 entries before it is
     allocated.
     """
-    t = h.one_body
-    off = t - np.diag(np.diag(t))
-    off_max = float(np.max(np.abs(off))) if off.size else 0.0
+    off_max = _off_diagonal_max(h.one_body)
     if off_max <= tol:
         return ProperBasisReport(True, off_max)
 
-    energies, rotation = np.linalg.eigh(t)
+    energies, rotation = np.linalg.eigh(h.one_body)
     m = len(h.registry)
-    _check_guard(f"dense two-body tensor ({m}**4 entries)", m**4, size_guard() ** 2)
+    _check_elements(f"dense two-body tensor ({m}**4 entries)", m**4)
     dense = np.zeros((m, m, m, m), dtype=complex)
     for (i, j, l, mm), v in h.two_body.items():
         dense[i, j, l, mm] = v
@@ -602,11 +604,7 @@ def load_hamiltonian(source: str | Path | Mapping) -> SecondQuantizedHamiltonian
     wrongly shaped or non-finite field, or a repeated "ijlm", raises
     ValueError.
     """
-    if isinstance(source, (str, Path)):
-        payload = json.loads(Path(source).read_text())
-    else:
-        payload = source
-    payload = _json_expect(payload, "object", "Hamiltonian")
+    payload = _json_payload(source, "Hamiltonian")
     labels = []
     cutoffs: dict[int, int] = {}
     for pos, spec in enumerate(_json_expect(payload["modes"], "array", "modes")):

@@ -34,24 +34,27 @@ survivors are compacted once, term by term.  ``apply_creation`` and
 of H on chunks of a sector's keys.  ``_created`` applies creation
 products to the terms of a state (the pair and exciton builders).
 ``size_guard()`` (FOCKENT_SIZE_GUARD, default 5000) bounds dense
-dimensions; ``_check_guard`` is the one check.
+dimensions; ``_check_guard`` is the one check of a dimension and
+``_check_elements`` of the element budget, guard**2.
 
-The JSON loaders of ``states`` and ``dynamics`` read their fields with
-the ``_json_*`` readers at the end of this module (``_json_complex`` is
-the one reader of a complex number, which refuses NaN and infinities),
-so a wrongly shaped or non-finite field is refused with a one-line
-ValueError; so is a repeated entry.
+The JSON loaders of ``states`` and ``dynamics`` open a source with
+``_json_payload`` and read its fields with the ``_json_*`` readers at
+the end of this module (``_json_complex`` is the one reader of a complex
+number, which refuses NaN and infinities), so a wrongly shaped or
+non-finite field, or a repeated entry, raises a one-line ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import numbers
 import os
 import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -359,20 +362,25 @@ def size_guard() -> int:
     return int(os.environ.get("FOCKENT_SIZE_GUARD", DEFAULT_SIZE_GUARD))
 
 
-def _check_guard(what: str, dimension: int, guard: int | None = None) -> None:
-    """Refuse a ``what`` of ``dimension`` above ``guard`` (``size_guard()`` if None)."""
-    guard = size_guard() if guard is None else guard
-    if dimension > guard:
-        raise SizeGuardError(
-            f"{what} dimension {dimension} exceeds guard {guard}", dimension, guard
-        )
+def _refuse_above(what: str, size: int, guard: int) -> None:
+    if size > guard:
+        raise SizeGuardError(f"{what} dimension {size} exceeds guard {guard}", size, guard)
+
+
+def _check_guard(what: str, dimension: int) -> None:
+    """Refuse a ``what`` of ``dimension`` above ``size_guard()``."""
+    _refuse_above(what, dimension, size_guard())
+
+
+def _check_elements(what: str, count: int) -> None:
+    """Refuse a ``what`` of ``count`` elements above the element budget, guard**2."""
+    _refuse_above(what, count, size_guard() ** 2)
 
 
 def _check_trajectory(registry: ModeRegistry, totals: Iterable[int], count: int) -> None:
     """Refuse ``count`` states on the sectors ``totals`` beyond guard**2 amplitudes."""
     dimension = sum(sector_dimension(registry, total) for total in totals)
-    what = f"trajectory ({count} times x {dimension} basis vectors)"
-    _check_guard(what, count * dimension, size_guard() ** 2)
+    _check_elements(f"trajectory ({count} times x {dimension} basis vectors)", count * dimension)
 
 
 def _grouped(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -666,6 +674,13 @@ def sector_dimension(registry: ModeRegistry, total: int) -> int:
 
 # ---------------------------------------------------------------------------
 # JSON readers
+
+
+def _json_payload(source: str | Path | Mapping, what: str) -> Mapping:
+    """The JSON object read from a file path, or ``source`` if already parsed."""
+    if isinstance(source, (str, Path)):
+        source = json.loads(Path(source).read_text())
+    return _json_expect(source, "object", what)
 
 
 def _json_expect(value, kind: str, what: str):

@@ -22,7 +22,6 @@ squared) before they allocate.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,11 +39,12 @@ from .fock_core import (
     Momentum,
     Spin,
     _as_momentum,
-    _check_guard,
+    _check_elements,
     _created,
     _json_complex,
     _json_expect,
     _json_ints,
+    _json_payload,
     _key_dtype,
     _occupations,
     _times,
@@ -54,7 +54,6 @@ from .fock_core import (
     generic,
     negated,
     registry_create,
-    size_guard,
 )
 
 PAIR_TAIL_TOL = 1e-14
@@ -164,11 +163,7 @@ def load_amplitude_table(source: str | Path | Mapping) -> PairAmplitudeTable:
     """Read a table from a JSON file path or an already-parsed mapping; a
     wrongly shaped or non-finite field, or a repeated key, raises
     ValueError."""
-    if isinstance(source, (str, Path)):
-        payload = json.loads(Path(source).read_text())
-    else:
-        payload = source
-    payload = _json_expect(payload, "object", "amplitude table")
+    payload = _json_payload(source, "amplitude table")
     kind = TableKind(payload["kind"])
     values: dict = {}
     for i, entry in enumerate(_json_expect(payload["entries"], "array", "entries")):
@@ -324,8 +319,7 @@ def bcs_unprojected(registry: ModeRegistry, table: PairAmplitudeTable) -> ManyBo
     # finite, and pruning after each pair is relative to the largest term
     largest = 1.0
     for k in table.pair_indices():
-        what = f"coherent pair state (terms with pair {k})"
-        _check_guard(what, 2 * len(keys), size_guard() ** 2)
+        _check_elements(f"coherent pair state (terms with pair {k})", 2 * len(keys))
         up, down = _bcs_pair_modes(registry, k)
         paired_keys, paired = _created(registry, keys, amplitudes, [down, up])
         g = table.values[k]
@@ -373,7 +367,7 @@ def bcs_projected(
         )
 
     what = f"projected pair state ({num_pairs} of {len(available)} pairs)"
-    _check_guard(what, math.comb(len(available), num_pairs), size_guard() ** 2)
+    _check_elements(what, math.comb(len(available), num_pairs))
 
     # prod(g) per subset as a product of mantissas in [0.5, 1) times a power
     # of two, so no product overflows or underflows; one exact shift then puts
@@ -464,8 +458,7 @@ def bogoliubov_unprojected(
 
     evens = registry.cutoffs[condensate] // 2 + 1
     grid = math.prod(n_max + 1 for _, _, n_max in pairs) * evens
-    what = f"pair grid ({len(pairs)} pairs x {evens} condensate occupations)"
-    _check_guard(what, grid, size_guard() ** 2)
+    _check_elements(f"pair grid ({len(pairs)} pairs x {evens} condensate occupations)", grid)
 
     # the pair grid, first pair slowest; each amplitude multiplies the factors
     # ratio**n in pair order, through _times
@@ -514,7 +507,7 @@ def bogoliubov_projected(
         pair_modes.append((strides[q_idx] + strides[nq_idx], table.values[q]))
     num_pairs = len(pair_modes)
     what = f"projected condensate state (N/2={half}, {num_pairs} pairs)"
-    _check_guard(what, math.comb(half + num_pairs, num_pairs), size_guard() ** 2)
+    _check_elements(what, math.comb(half + num_pairs, num_pairs))
 
     keys, amplitudes = [], []
     for pattern in compositions(half, 1 + len(pair_modes)):

@@ -27,6 +27,7 @@ import numpy as np
 from . import analytic, states
 from .dynamics import (
     SecondQuantizedHamiltonian,
+    _off_diagonal_max,
     check_proper_basis,
     eigenstates,
     evolve_many,
@@ -82,11 +83,6 @@ class CriterionResult:
 
 def _rng(criterion: int, seed: int) -> np.random.Generator:
     return np.random.default_rng([criterion, int(seed)])
-
-
-def _off_diagonal_max(matrix: np.ndarray) -> float:
-    off = matrix - np.diag(np.diag(matrix))
-    return float(np.max(np.abs(off))) if off.size else 0.0
 
 
 # ---------------------------------------------------------------------------

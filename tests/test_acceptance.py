@@ -8,6 +8,7 @@ command twice and requires byte-identical output.
 
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -48,6 +49,12 @@ def test_package_exports_are_consistent():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(fockent, name), name
+    # __all__ is derived from the imports: it must not pick up a submodule or
+    # a helper imported from outside the package
+    for name in names:
+        value = getattr(fockent, name)
+        assert not isinstance(value, types.ModuleType), name
+        assert value.__module__.split(".")[0] == "fockent", (name, value.__module__)
     # H acts on states only through the sector matrices
     for removed in ("apply_hamiltonian", "energy_expectation"):
         assert removed not in names

@@ -30,6 +30,18 @@ def write_hopping(tmp_path):
     return path
 
 
+def ring_payload(sites):
+    """A ring of ``sites`` modes: hopping -1, nearest-neighbour repulsion 2."""
+    one_body = [[0.0] * sites for _ in range(sites)]
+    for i in range(sites):
+        one_body[i][(i + 1) % sites] = one_body[(i + 1) % sites][i] = -1.0
+    two_body = [
+        {"ijlm": [i, (i + 1) % sites, i, (i + 1) % sites], "value": 2.0} for i in range(sites)
+    ]
+    modes = [{"momentum": [i]} for i in range(sites)]
+    return {"modes": modes, "one_body": one_body, "two_body": two_body}
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -372,14 +384,8 @@ def test_non_finite_or_repeated_entries_exit_2(tmp_path, capsys):
     # an 11-site ring at N = 5 (dimension 462) takes the sparse path, whose
     # degree search would not end on a NaN bound; the loader refuses first
     sites = 11
-    one_body = [[0.0] * sites for _ in range(sites)]
-    for i in range(sites):
-        one_body[i][(i + 1) % sites] = one_body[(i + 1) % sites][i] = -1.0
-    two_body = [
-        {"ijlm": [i, (i + 1) % sites, i, (i + 1) % sites], "value": 2.0} for i in range(sites)
-    ]
-    modes = [{"momentum": [i]} for i in range(sites)]
-    good = {"modes": modes, "one_body": one_body, "two_body": two_body}
+    good = ring_payload(sites)
+    two_body = good["two_body"]
 
     def edited(field, row, col, value):
         payload = json.loads(json.dumps(good))
@@ -488,6 +494,33 @@ def test_table_of_wrong_kind_exits_2(tmp_path, capsys, argv, flag, kind, message
     captured = capsys.readouterr()
     assert captured.err == message + "\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        ("0,99", "mode index 99 outside registry of size 14"),
+        ("3,3", "subset has repeated indices: (3, 3)"),
+    ],
+)
+def test_dynamics_refuses_subset_before_propagating(
+    tmp_path, monkeypatch, capsys, subset, message
+):
+    # a 14-site ring at N = 7 (dimension 3,432) would print the basis line and
+    # propagate for most of a second before the entropy met the subset
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring_payload(14)))
+
+    def unreached(*args):
+        raise AssertionError("evolve_many was called")
+
+    monkeypatch.setattr("fockent.cli.evolve_many", unreached)
+    initial = ",".join(["1", "0"] * 7)
+    argv = ["dynamics", "--hamiltonian", str(path), "--initial", initial, "--check-basis"]
+    assert main(argv + ["--subset", subset]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_size_guard_exits_3(tmp_path, monkeypatch, capsys):

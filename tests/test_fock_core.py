@@ -17,6 +17,7 @@ from fockent import (
     ManyBodyState,
     NormalizationError,
     RegistryMismatchError,
+    SecondQuantizedHamiltonian,
     Spin,
     apply_annihilation,
     apply_creation,
@@ -24,6 +25,7 @@ from fockent import (
     boson,
     electron,
     enumerate_sector,
+    evolve_many,
     generic,
     hole,
     inner_product,
@@ -298,6 +300,10 @@ def test_superpose_prunes_and_checks_registry():
         superpose([(1.0, a), (1.0, vacuum_state(fermion_registry(3)))])
     with pytest.raises(ValueError):
         superpose([])
+    # a state evolved under a Hamiltonian on another registry, as above
+    h = SecondQuantizedHamiltonian(fermion_registry(3), np.eye(3))
+    with pytest.raises(RegistryMismatchError, match="different registries"):
+        evolve_many(a, h, [0.0])
 
 
 def test_normalize_zero_state_raises():
