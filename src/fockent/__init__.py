@@ -46,6 +46,7 @@ from .entanglement import (
     mode_entanglement,
     normalize_subset,
     reduced_density_matrix,
+    subset_entropies,
     von_neumann_entropy,
 )
 from .analytic import (

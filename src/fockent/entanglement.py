@@ -3,17 +3,30 @@
 A pure state's amplitudes, split by subset occupation pattern p and
 environment key e, form a sparse matrix M[p, e] = amp(p join e), where
 "join" recombines subset and environment occupations back into
-registry order.  One vectorised kernel (``_split``) places every term of
-a key array in M: subset occupations are read from the keys as
-``(key // stride) % radix``, and one sort per side
-(``fock_core._grouped``) groups the terms by pattern and by environment.
+registry order.  ``subset_entropies`` is the one entropy kernel, and
+``mode_entanglement`` is its call on one subset.  One vectorised split
+(``_split``) places every term of a key array in M for many subsets at
+once: patterns, subset particle numbers and environment keys are built
+as (subsets x terms) arrays in the key type, each subset padded to the
+longest with modes of radix 1, from ``(key // stride) % radix``; one
+row-wise sort per side (``fock_core._row_groups``) groups every
+subset's terms by pattern and by environment.  A split holds at most
+max(terms, ``SUBSET_CELLS``) cells per array, so a state of 2**18 terms
+or more goes one subset at a time and its memory does not grow with the
+number of subsets.  ``reduced_density_matrix`` takes its split from the
+same kernel.
 
 The entropy comes from the Schmidt coefficients of M, as the spectrum
 of the Gram matrix of its smaller side (M M^dagger over the present
 patterns, or M^T M^* over the present environments).  Its dimension, at
 most the number of terms, must not exceed ``size_guard()``; the guard
 and its check live in ``fock_core``, and the guard applies to the full
-Gram side on every call.
+Gram side of every subset on every call.  Gram matrices of one shape are
+stacked (``_grams``): one scatter and one batched product per block of
+columns, each matrix 0 plus its blocks' products as if formed alone,
+then one batched ``eigvalsh``.  A 1 x 1 Gram matrix skips ``eigvalsh``:
+LAPACK's ``zheevd`` returns the real part of its one entry, so the
+spectrum is read off exactly.
 
 When every environment key carries a single subset particle number n_A,
 as in every state of fixed particle number, M and its Gram matrix are
@@ -27,18 +40,21 @@ multiplied by one batched product and diagonalised by one batched
 |a|^2, read straight from the terms.  Smaller Gram matrices, and those
 of states that mix numbers in one environment (the condensate mode of
 an unprojected Bogoliubov state, a random state of indefinite number),
-are one block: the full Gram matrix and one ``eigvalsh``.  Every product
-is summed over dense chunks of columns whose size follows the number of
-terms, so memory stays linear in the terms plus the Gram matrix, and the
-patterns x environments matrix is never allocated.
+are one block: the full Gram matrix, stacked with the others of its
+shape.  Every product is summed over dense chunks of columns whose size
+follows the number of terms, so memory stays linear in the terms plus
+the Gram matrices, and the patterns x environments matrix is never
+allocated.
 
 The key work depends only on the registry, the keys and the subset, and
 every state of a trajectory has the same keys.  A small memo keeps the
 layouts (``_Layout``) of the last few subsets that take the block path,
 each moved into a memory map of its own at its first reuse; a layout is
 reused when the registry is the same object and the keys are equal to
-the memo's own copy of them.  The norm gate, the guard and the
-crossover are checked on every call, hit or miss.
+the memo's own copy of them.  The memo is looked up before the split, so
+a subset whose layout is kept does no key work.  Every subset is
+validated and the norm gate passed once per call, before any work; the
+guard and the crossover are checked for every subset, hit or miss.
 
 The reduced density matrix is the pattern-side Gram matrix laid out on
 every subset pattern, ordered lexicographically (lowest subset mode most
@@ -68,6 +84,7 @@ import functools
 import itertools
 import math
 import mmap
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -79,7 +96,9 @@ from .fock_core import (
     ModeRegistry,
     OccupationVector,
     _check_guard,
-    _grouped,
+    _refuse_above,
+    _row_groups,
+    size_guard,
 )
 
 NORM_GATE = 1e-9
@@ -104,12 +123,28 @@ BLOCK_CROSSOVER = 32
 MEMO_ENTRIES = 8
 MEMO_TERMS = 1 << 19
 
+# A split holds at most max(terms, SUBSET_CELLS) (subsets x terms) cells per
+# array, so a state of as many terms or more goes one subset at a time; a
+# stack of n x n Gram matrices of n x m amplitude matrices holds at most
+# SUBSET_CELLS // (n * (n + m)) of them, or one.
+SUBSET_CELLS = 1 << 18
+
 ModeSubset = tuple[int, ...]
 
 
+def _mode_index(i) -> int:
+    """An integer mode index: what ``operator.index`` takes, except bool."""
+    try:
+        if isinstance(i, (bool, np.bool_)):
+            raise TypeError
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"mode index {i!r} is not an integer") from None
+
+
 def normalize_subset(size: int, subset: Sequence[int]) -> ModeSubset:
-    """Sorted, validated tuple of distinct mode indices."""
-    indices = tuple(int(i) for i in subset)
+    """Sorted, validated tuple of distinct integer mode indices."""
+    indices = tuple(map(_mode_index, subset))
     if not indices:
         raise ValueError("subset must contain at least one mode")
     if len(set(indices)) != len(indices):
@@ -157,48 +192,108 @@ def _norm(state: ManyBodyState) -> float:
     return n
 
 
-def _split(registry: ModeRegistry, keys: np.ndarray, sub: ModeSubset):
-    """Place each term of ``keys`` in the amplitude matrix M[pattern, environment].
+class _Split(NamedTuple):
+    """Every term's place in the amplitude matrix of each of a list of subsets.
 
-    Returns ``(rows, cols, patterns, n_envs, number)``: term i sits at
-    M[rows[i], cols[i]], ``patterns`` holds the present subset patterns as
-    lexicographic indices in ascending order (rows index into it), cols
-    index the ``n_envs`` present environment keys in ascending order, and
-    ``number`` is each term's subset particle number.
+    Term t sits at M_j[rows[j, t], cols[j, t]] of subset j's matrix, whose
+    ``n_rows[j]`` present patterns and ``n_cols[j]`` present environments
+    are indexed in ascending order; ``number[j, t]`` is the term's subset
+    particle number and ``pattern[j, t]`` its subset pattern, as a
+    lexicographic index.
     """
-    pattern = number = 0
-    environment = keys
-    for i in sub:
-        stride, radix = registry._strides[i], registry.radix(i)
-        occupation = keys // stride % radix
-        pattern = pattern * radix + occupation
-        number = number + occupation
-        environment = environment - occupation * stride
+
+    rows: np.ndarray
+    cols: np.ndarray
+    n_rows: np.ndarray
+    n_cols: np.ndarray
+    number: np.ndarray
+    pattern: np.ndarray
+
+
+def _split(registry: ModeRegistry, keys: np.ndarray, subs: list[ModeSubset]) -> _Split:
+    """Place each term of ``keys`` in the amplitude matrix of every subset
+    of ``subs`` at once, on (subsets x terms) arrays in the key type.
+
+    Subset occupations are read from the keys as ``(key // stride) %
+    radix``.  A subset shorter than the longest is padded with modes of
+    stride 1 and radix 1, whose occupation is always 0 and changes no
+    pattern, number or environment.  One row-wise sort per side
+    (``fock_core._row_groups``) groups every subset's terms by pattern and
+    by environment.
+    """
+    longest = max(map(len, subs))
+    modes = [
+        [(registry._strides[i], registry.cutoffs[i] + 1) for i in sub]
+        + [(1, 1)] * (longest - len(sub))
+        for sub in subs
+    ]
+    shape = (len(subs), len(keys))
+    pattern = np.zeros(shape, dtype=keys.dtype)
+    number = np.zeros(shape, dtype=keys.dtype)
+    environment = np.repeat(keys[None], len(subs), axis=0)
+    strides, radices = np.array(modes, dtype=keys.dtype).T[..., None]
+    for stride, radix in zip(strides, radices):
+        occupation = keys // stride
+        occupation %= radix
+        pattern *= radix
+        pattern += occupation
+        number += occupation
+        occupation *= stride
+        environment -= occupation
     del occupation
-    patterns, rows = _grouped(pattern)
-    del pattern
-    envs, cols = _grouped(environment)
-    return rows, cols, patterns, len(envs), np.asarray(number, dtype=np.intp)
+    rows, n_rows = _row_groups(pattern)
+    cols, n_cols = _row_groups(environment)
+    return _Split(rows, cols, n_rows, n_cols, number.astype(np.intp, copy=False), pattern)
 
 
-def _gram(
+def _grams(
     amplitudes: np.ndarray, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
 ) -> np.ndarray:
-    """G = M M^dagger for the n_rows x n_cols matrix with M[rows, cols] = amplitudes.
+    """The stacked G_j = M_j M_j^dagger of the n_rows x n_cols matrices
+    with M_j[rows[j], cols[j]] = amplitudes.
 
-    M is made dense one block of columns at a time.  A block holds at most
-    max(terms, n_rows**2, BLOCK_CELLS) cells, so memory stays linear in the
-    number of terms plus the size of G itself.
+    The M_j are made dense one block of columns at a time, one scatter and
+    one batched product a block.  A block holds
+    at most max(terms, n_rows**2, BLOCK_CELLS) cells of each matrix, so
+    memory stays linear in the number of terms plus the size of G itself.
+    Each G_j is 0 plus its blocks' products in column order, so it rounds
+    as a Gram matrix formed on its own does.
     """
-    width = max(len(amplitudes), n_rows * n_rows, BLOCK_CELLS) // n_rows
-    block_of = cols // width
-    gram = np.zeros((n_rows, n_rows), dtype=complex)
+    count, terms = rows.shape
+    width = max(terms, n_rows * n_rows, BLOCK_CELLS) // n_rows
+    block_of = cols // width if n_cols > width else None
+    gram = np.zeros((count, n_rows, n_rows), dtype=complex)
     for b, start in enumerate(range(0, n_cols, width)):
-        take = block_of == b
-        block = np.zeros((n_rows, min(width, n_cols - start)), dtype=complex)
-        block[rows[take], cols[take] - start] = amplitudes[take]
-        gram += block @ block.conj().T
+        block = np.zeros((count, n_rows, min(width, n_cols - start)), dtype=complex)
+        if block_of is None:
+            block[np.arange(count)[:, None], rows, cols] = amplitudes
+        else:
+            which, term = np.nonzero(block_of == b)
+            block[which, rows[which, term], cols[which, term] - start] = amplitudes[term]
+        gram += block @ block.conj().transpose(0, 2, 1)
     return gram
+
+
+def _dense_entropies(
+    values: np.ndarray, norm: float, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
+) -> list[float]:
+    """Entropies of the amplitude matrices M_j[rows[j], cols[j]] = values / norm,
+    all n_rows x n_cols, from their full Gram matrices.
+
+    The Gram matrices are formed and diagonalised in stacks of at most
+    max(1, SUBSET_CELLS // (n_rows * (n_rows + n_cols))) matrices, one
+    batched ``eigvalsh`` a stack.  A 1 x 1 Gram matrix is its own spectrum:
+    LAPACK's ``zheevd`` returns the real part of the one entry.
+    """
+    amplitudes = values / norm
+    per = max(1, SUBSET_CELLS // (n_rows * (n_rows + n_cols)))
+    entropies = []
+    for start in range(0, len(rows), per):
+        take = slice(start, start + per)
+        gram = _grams(amplitudes, rows[take], cols[take], n_rows, n_cols)
+        spectra = gram.real.reshape(-1, 1) if n_rows == 1 else np.linalg.eigvalsh(gram)
+        entropies += map(_entropy, spectra)
+    return entropies
 
 
 def _number_of(index: np.ndarray, size: int, number: np.ndarray) -> np.ndarray | None:
@@ -348,19 +443,17 @@ def _blockwise_spectrum(values: np.ndarray, norm: float, blocks: _Blocks) -> np.
 
 
 class _Layout:
-    """The key work of one (registry, keys, subset).
+    """The key work of one (registry, keys, subset) of more than
+    ``BLOCK_CROSSOVER`` Gram rows, the memo's unit.
 
     Term i sits at (rows[i], cols[i]) of the smaller side's amplitude
     matrix, ``n_rows`` <= ``n_cols``; ``blocks`` is its number-block
     layout, built on first use.
     """
 
-    def __init__(self, registry: ModeRegistry, keys: np.ndarray, sub: ModeSubset) -> None:
-        rows, cols, patterns, n_cols, self.number = _split(registry, keys, sub)
-        n_rows = len(patterns)
-        if n_rows > n_cols:
-            rows, cols, n_rows, n_cols = cols, rows, n_cols, n_rows
+    def __init__(self, rows, cols, n_rows: int, n_cols: int, number) -> None:
         self.rows, self.cols, self.n_rows, self.n_cols = rows, cols, n_rows, n_cols
+        self.number = number
         self.mapped = False
 
     @functools.cached_property
@@ -392,6 +485,15 @@ class _Layout:
             self.blocks = blocks._replace(take=moved[0], positions=moved[1])
         return keys
 
+    def entropy(self, values: np.ndarray, norm: float) -> float:
+        """The entropy of the amplitudes values / norm: one number block at a
+        time above ``BLOCK_CROSSOVER`` rows when the blocks exist, else from
+        the full Gram matrix."""
+        if self.n_rows > BLOCK_CROSSOVER and self.blocks is not None:
+            return _entropy(_blockwise_spectrum(values, norm, self.blocks))
+        rows, cols = self.rows[None], self.cols[None]
+        return _dense_entropies(values, norm, rows, cols, self.n_rows, self.n_cols)[0]
+
 
 # the memo: subset -> (registry, own copy of the keys, layout), least
 # recently used first
@@ -402,30 +504,36 @@ def _memo_terms() -> int:
     return sum(len(keys) for _, keys, _ in _layouts.values())
 
 
-def _layout(registry: ModeRegistry, keys: np.ndarray, sub: ModeSubset) -> _Layout:
+def _kept(registry: ModeRegistry, keys: np.ndarray, sub: ModeSubset) -> _Layout | None:
     """The memo's layout of ``sub`` if it was built for this registry object
-    and equal keys, else a new one, kept while the memo's bounds allow.
+    and equal keys, now the most recently used, else None; a stale layout
+    is dropped before its successor is built.
+
+    A kept layout moves (``_Layout.keep``) only at its first reuse, since
+    the move costs about a third of a 12-site half-chain call.
+    """
+    kept = _layouts.pop(sub, None)
+    if kept is None or kept[0] is not registry or not np.array_equal(kept[1], keys):
+        return None
+    _, copy, layout = kept
+    if not layout.mapped:
+        copy = layout.keep(copy)
+    _layouts[sub] = (registry, copy, layout)
+    return layout
+
+
+def _remember(registry: ModeRegistry, keys: np.ndarray, sub: ModeSubset, layout: _Layout) -> None:
+    """Keep a new block-path layout while the memo's bounds allow.
 
     Only layouts of int64 keys and more than ``BLOCK_CROSSOVER`` Gram rows
     are kept: moving every layout into memory maps took the scenarios
     benchmark, whose many small states are rarely reused, half as long
-    again.  A kept layout moves (``_Layout.keep``) only at its first reuse,
-    since the move costs about a third of a 12-site half-chain call.
+    again.
     """
-    kept = _layouts.pop(sub, None)
-    if kept is not None and kept[0] is registry and np.array_equal(kept[1], keys):
-        _, copy, layout = kept
-        if not layout.mapped:
-            copy = layout.keep(copy)
-        _layouts[sub] = (registry, copy, layout)
-        return layout
-    del kept  # a stale layout goes before its successor is built
-    layout = _Layout(registry, keys, sub)
-    if layout.n_rows > BLOCK_CROSSOVER and keys.dtype == np.int64 and len(keys) <= MEMO_TERMS:
+    if keys.dtype == np.int64 and len(keys) <= MEMO_TERMS:
         _layouts[sub] = (registry, keys.copy(), layout)
         while len(_layouts) > MEMO_ENTRIES or _memo_terms() > MEMO_TERMS:
             del _layouts[next(iter(_layouts))]
-    return layout
 
 
 def _entropy(eigenvalues: np.ndarray) -> float:
@@ -449,9 +557,10 @@ def reduced_density_matrix(state: ManyBodyState, subset: Sequence[int]) -> Reduc
     _check_guard("reduced density matrix", dim)
 
     norm = _norm(state)
-    rows, cols, patterns, n_envs, _ = _split(registry, state.keys, sub)
-    gram = _gram(state.values / norm, rows, cols, len(patterns), n_envs)
-    present = patterns.astype(np.intp)
+    rows, cols, n_rows, n_cols, _, pattern = _split(registry, state.keys, [sub])
+    gram = _grams(state.values / norm, rows, cols, int(n_rows[0]), int(n_cols[0]))[0]
+    present = np.empty(int(n_rows[0]), dtype=np.intp)
+    present[rows[0]] = pattern[0]
     matrix = np.zeros((dim, dim), dtype=complex)
     matrix[np.ix_(present, present)] = gram.conj()
     ranges = [range(registry.radix(i)) for i in sub]
@@ -463,24 +572,84 @@ def von_neumann_entropy(rdm: ReducedDensityMatrix) -> float:
     return _entropy(np.linalg.eigvalsh(rdm.matrix))
 
 
-def mode_entanglement(state: ManyBodyState, subset: Sequence[int]) -> float:
-    """Entanglement entropy between ``subset`` and the remaining modes.
+def _row(array: np.ndarray, j: int) -> np.ndarray:
+    """Row j of a split's array, copied unless it is the only row, so that a
+    kept layout holds its own terms and not the whole split."""
+    return array[0] if len(array) == 1 else array[j].copy()
 
-    Taken from the Gram matrix of the smaller side of the amplitude
-    matrix; raises SizeGuardError when that side exceeds ``size_guard()``.
+
+def subset_entropies(state: ManyBodyState, subsets: Sequence[Sequence[int]]) -> list[float]:
+    """Entanglement entropy between each subset and the remaining modes,
+    in the order of ``subsets``.
+
+    Each is taken from the Gram matrix of the smaller side of its
+    amplitude matrix; raises SizeGuardError when that side exceeds
+    ``size_guard()``.  Every subset is validated, and the norm gate
+    passed, before any work.  Subsets are split together, at most
+    max(terms, SUBSET_CELLS) (subsets x terms) cells at a time, and Gram
+    matrices of one shape are formed and diagonalised as one stack.
     Above ``BLOCK_CROSSOVER`` rows, a state whose environments each carry
     one subset particle number has its Gram matrix formed and
-    diagonalised one number block at a time; any other takes the full
-    Gram matrix and one dense ``eigvalsh``.
+    diagonalised one number block at a time, with the layout memo.
     """
-    sub = normalize_subset(len(state.registry), subset)
+    registry, keys, values = state.registry, state.keys, state.values
+    subs = [normalize_subset(len(registry), subset) for subset in subsets]
     norm = _norm(state)
-    layout = _layout(state.registry, state.keys, sub)
-    _check_guard("Gram matrix", layout.n_rows)
-    if layout.n_rows > BLOCK_CROSSOVER and layout.blocks is not None:
-        return _entropy(_blockwise_spectrum(state.values, norm, layout.blocks))
-    gram = _gram(state.values / norm, layout.rows, layout.cols, layout.n_rows, layout.n_cols)
-    return _entropy(np.linalg.eigvalsh(gram))
+    guard = size_guard()
+    entropies: dict[ModeSubset, float] = {}
+    misses = []
+    for sub in dict.fromkeys(subs):
+        layout = _kept(registry, keys, sub)
+        if layout is None:
+            misses.append(sub)
+        else:
+            _refuse_above("Gram matrix", layout.n_rows, guard)
+            entropies[sub] = layout.entropy(values, norm)
+    misses.sort(key=len)
+    per = max(len(keys), SUBSET_CELLS) // len(keys)
+    for start in range(0, len(misses), per):
+        chunk = misses[start : start + per]
+        entropies.update(zip(chunk, _split_entropies(state, norm, guard, chunk)))
+    return [entropies[sub] for sub in subs]
+
+
+def _split_entropies(
+    state: ManyBodyState, norm: float, guard: int, subs: list[ModeSubset]
+) -> list[float]:
+    """Entropies of the distinct subsets ``subs``, from one split, behind
+    the guard; a layout of more than ``BLOCK_CROSSOVER`` Gram rows goes to
+    the memo."""
+    registry, keys, values = state.registry, state.keys, state.values
+    rows, cols, n_rows, n_cols, number = _split(registry, keys, subs)[:5]
+    swap = n_rows > n_cols
+    if swap.any():
+        rows, cols = np.where(swap[:, None], cols, rows), np.where(swap[:, None], rows, cols)
+    n_rows, n_cols = np.minimum(n_rows, n_cols).tolist(), np.maximum(n_rows, n_cols).tolist()
+    for n in n_rows:
+        _refuse_above("Gram matrix", n, guard)
+    layouts, shapes = {}, {}
+    for j, (n, m) in enumerate(zip(n_rows, n_cols)):
+        if n > BLOCK_CROSSOVER:
+            layouts[j] = _Layout(_row(rows, j), _row(cols, j), n, m, _row(number, j))
+        else:
+            shapes.setdefault((n, m), []).append(j)
+    del number  # each layout frees its own once its blocks are built
+    entropies = [0.0] * len(subs)
+    for j, layout in layouts.items():
+        _remember(registry, keys, subs[j], layout)
+        entropies[j] = layout.entropy(values, norm)
+    for (n, m), members in shapes.items():
+        take = members if len(members) < len(subs) else slice(None)
+        found = _dense_entropies(values, norm, rows[take], cols[take], n, m)
+        for j, entropy in zip(members, found):
+            entropies[j] = entropy
+    return entropies
+
+
+def mode_entanglement(state: ManyBodyState, subset: Sequence[int]) -> float:
+    """Entanglement entropy between ``subset`` and the remaining modes:
+    ``subset_entropies`` of the one subset."""
+    return subset_entropies(state, [subset])[0]
 
 
 def diagonal_distribution(rdm: ReducedDensityMatrix) -> np.ndarray:

@@ -383,24 +383,36 @@ def _check_trajectory(registry: ModeRegistry, totals: Iterable[int], count: int)
     _check_elements(f"trajectory ({count} times x {dimension} basis vectors)", count * dimension)
 
 
-def _grouped(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values, ascending, and the index of each entry among them.
+def _row_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a 2-D array: the index of each entry among the row's
+    distinct values, ascending, and the number of distinct values.
 
-    Same result as ``np.unique(values, return_inverse=True)``, at half the
-    cost on a few terms.  The index is counted along the sorted order (one
-    more at each first entry of a group) and scattered back through it, so
-    no search is needed.
+    One sort of every row at once.  The index is counted along the sorted
+    order (one more at each first entry of a group) and scattered back
+    through it, so no search is needed.
     """
-    order = values.argsort()
-    ordered = values[order]
-    group = np.zeros(len(ordered), dtype=np.intp)
-    np.not_equal(ordered[1:], ordered[:-1], out=group[1:])
-    np.add.accumulate(group, out=group)
-    slot = np.empty_like(group)
-    slot[order] = group
-    distinct = np.empty(group[-1] + 1 if len(group) else 0, dtype=ordered.dtype)
-    distinct[group] = ordered
-    return distinct, slot
+    count, width = values.shape
+    order = values.argsort(axis=1)
+    if count > 1:  # flat positions
+        order += np.arange(count)[:, None] * width
+    order = order.reshape(-1)
+    ordered = values.reshape(-1)[order].reshape(count, width)
+    group = np.zeros((count, width), dtype=np.intp)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=group[:, 1:])
+    np.add.accumulate(group, axis=1, out=group)
+    slot = np.empty(count * width, dtype=np.intp)
+    slot[order] = group.reshape(-1)
+    sizes = group[:, -1] + 1 if width else np.zeros(count, dtype=np.intp)
+    return slot.reshape(count, width), sizes
+
+
+def _grouped(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values, ascending, and the index of each entry among them:
+    ``np.unique(values, return_inverse=True)`` as one row of ``_row_groups``."""
+    slot, sizes = _row_groups(values.reshape(1, -1))
+    distinct = np.empty(sizes[0], dtype=values.dtype)
+    distinct[slot[0]] = values
+    return distinct, slot[0]
 
 
 def _summed(keys: np.ndarray, values: np.ndarray):

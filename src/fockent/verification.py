@@ -7,6 +7,13 @@ form and their largest difference in ``abs_err``.  The criteria take
 their errors from the same rows where they compare the same quantity,
 and add the checks the rows do not make.
 
+Entropies are taken with one ``subset_entropies`` call per state: the
+rows pass every subset they trace of their state at once, and so do
+the criteria for the subsets the rows leave out (a second call on the
+row's state), so each state is split once and its Gram matrices of one
+shape share one eigensolver call.  The values are bit for bit those of
+one ``mode_entanglement`` call a subset.
+
 Each criterion builds its instances from an integer seed, computes
 reduced density matrices by direct enumeration, and compares against
 the analytic module.  Results carry a pass flag, the worst absolute
@@ -36,6 +43,7 @@ from .entanglement import (
     diagonal_distribution,
     mode_entanglement,
     reduced_density_matrix,
+    subset_entropies,
     von_neumann_entropy,
 )
 from .errors import NumericalInvariantError
@@ -129,8 +137,8 @@ def fermi_rows(cases: list[tuple[str, ManyBodyState]]) -> list[dict]:
     """Per (name, determinant) and mode: occupation and S, whose closed form is 0."""
     rows = []
     for name, state in cases:
-        for mode in range(len(state.registry)):
-            s = mode_entanglement(state, (mode,))
+        modes = range(len(state.registry))
+        for mode, s in zip(modes, subset_entropies(state, [(mode,) for mode in modes])):
             values = (name, mode, number_expectation(state, mode), s, 0.0, abs(s))
             rows.append(dict(zip(FERMI_COLUMNS, values)))
     return rows
@@ -175,12 +183,14 @@ def exciton_rows(
     h_down = int(channel is ExcitonChannel.TRIPLET_DOWN or mixed)
     e_modes = [stride * i + e_down for i in range(len(e_momenta))]
     h_modes = [stride * (len(e_momenta) + j) + h_down for j in range(len(h_momenta))]
-    s_e = [mode_entanglement(state, (mode,)) for mode in e_modes]
-    s_h = [mode_entanglement(state, (mode,)) for mode in h_modes]
+    singles = [(mode,) for mode in e_modes + h_modes]
+    entropies = subset_entropies(state, singles + list(itertools.product(e_modes, h_modes)))
+    s_e, s_h = entropies[: len(e_modes)], entropies[len(e_modes) : len(singles)]
+    s_pair = entropies[len(singles) :]
     rows = []
     for i, k in enumerate(e_momenta):
         for j, kp in enumerate(h_momenta):
-            sp = mode_entanglement(state, (e_modes[i], h_modes[j]))
+            sp = s_pair[i * len(h_modes) + j]
             ae, ah, ap = e_form(k), h_form(kp), pair_form(k, kp)
             err = max(abs(s_e[i] - ae), abs(s_h[j] - ah), abs(sp - ap))
             cells = (_momentum_cell(k), _momentum_cell(kp), s_e[i], ae, s_h[j], ah, sp, ap)
@@ -203,8 +213,10 @@ def bcs_rows(
     """
     paired = {k: g for k, g in table.values.items() if k != unpaired}
     paired_total = total_number if unpaired is None else total_number - 1
+    indices = table.pair_indices()
+    members = subset_entropies(state, [(2 * i,) for i in range(len(indices))])
     rows = []
-    for i, k in enumerate(table.pair_indices()):
+    for i, k in enumerate(indices):
         g = table.values[k]
         if total_number is None:
             x_analytic = abs(g) ** 2 / (1.0 + abs(g) ** 2)
@@ -215,7 +227,7 @@ def bcs_rows(
             x_analytic = analytic.bcs_projected_x(paired, paired_total, k)
             s_analytic = analytic.binary_entropy(x_analytic)
         x_brute = number_expectation(state, 2 * i)
-        s_brute = mode_entanglement(state, (2 * i,))
+        s_brute = members[i]
         err = max(abs(x_brute - x_analytic), abs(s_brute - s_analytic))
         values = (_momentum_cell(k), abs(g), x_analytic, x_brute, s_analytic, s_brute, err)
         rows.append(dict(zip(BCS_COLUMNS, values)))
@@ -238,8 +250,10 @@ def bogoliubov_rows(
     distribution and its dropped cross-term magnitude.
     """
     c, qs = table.values, table.pair_indices()
+    traced = [(0, None)] + [(1 + 2 * i, q) for i, q in enumerate(qs)]
+    entropies = subset_entropies(state, [(mode,) for mode, _ in traced])
     rows = []
-    for mode, q in [(0, None)] + [(1 + 2 * i, q) for i, q in enumerate(qs)]:
+    for (mode, q), s_brute in zip(traced, entropies):
         tv = residual = c_abs = None
         if total_number is None:
             s_analytic = 0.0
@@ -254,7 +268,6 @@ def bogoliubov_rows(
             c_abs = None if q is None else abs(c[q])
             tv = analytic.total_variation(exact, approx.probabilities)
             s_analytic, residual = analytic.distribution_entropy(exact), approx.residual
-        s_brute = mode_entanglement(state, (mode,))
         label = "0" if q is None else _momentum_cell(q)
         err = abs(s_brute - s_analytic)
         values = (label, c_abs, s_brute, s_analytic, err, tv, residual)
@@ -283,8 +296,8 @@ def criterion_1(seed: int) -> CriterionResult:
         for subset in itertools.combinations(range(8), size)
     ]
     for state in cases:
-        for subset in subsets:
-            worst = max(worst, abs(mode_entanglement(state, subset)))
+        for entropy in subset_entropies(state, subsets):
+            worst = max(worst, abs(entropy))
     return CriterionResult(
         1,
         "fermi sea separability",
@@ -302,8 +315,8 @@ def criterion_2(seed: int) -> CriterionResult:
         registry = uniform_registry(num_modes)
         state = states.uniform_filling_state(registry, num_modes, num_filled)
         expected = analytic.qh_entropy(Fraction(num_filled, num_modes))
-        for mode in range(num_modes):
-            worst = max(worst, abs(mode_entanglement(state, (mode,)) - expected))
+        for entropy in subset_entropies(state, [(mode,) for mode in range(num_modes)]):
+            worst = max(worst, abs(entropy - expected))
     full = states.uniform_filling_state(uniform_registry(3), 3, 3)
     worst = max(worst, abs(mode_entanglement(full, (0,))))
     worst = max(worst, abs(analytic.qh_entropy(Fraction(3, 3))))
@@ -328,8 +341,8 @@ def criterion_3(seed: int) -> CriterionResult:
         keys = _sector_keys(registry, total)
         raw = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
         state = ManyBodyState._from_keys(registry, keys, raw).normalize()
-        for mode in range(6):
-            entropy = mode_entanglement(state, (mode,))
+        entropies = subset_entropies(state, [(mode,) for mode in range(6)])
+        for mode, entropy in enumerate(entropies):
             expected = analytic.binary_entropy(number_expectation(state, mode))
             worst = max(worst, abs(entropy - expected))
     return CriterionResult(
@@ -352,18 +365,19 @@ def criterion_4(seed: int) -> CriterionResult:
     for _ in range(10):
         table = states.random_bcs_table(momenta, rng)
         state = states.bcs_unprojected(registry, table)
-        for i, row in enumerate(bcs_rows(state, table)):
+        # the rows trace the first member only; the second, a cross-pair
+        # and a two-pair subset come after
+        *partners, cross, two_pairs = subset_entropies(
+            state, [(2 * i + 1,) for i in range(len(momenta))] + [(0, 2), (0, 1, 2, 3)]
+        )
+        for row, entropy in zip(bcs_rows(state, table), partners):
             expected = row["S_analytic"]
             worst_member = max(worst_member, abs(row["S_bruteforce"] - expected))
-            # the rows trace the first member only
-            entropy = mode_entanglement(state, (2 * i + 1,))
             worst_member = max(worst_member, abs(entropy - expected))
-        cross = mode_entanglement(state, (0, 2))
         expected = analytic.bcs_pair_entropy(
             table.values[momenta[0]]
         ) + analytic.bcs_pair_entropy(table.values[momenta[1]])
         worst_additivity = max(worst_additivity, abs(cross - expected))
-        two_pairs = mode_entanglement(state, (0, 1, 2, 3))
         worst_additivity = max(worst_additivity, abs(two_pairs))
     passed = worst_member < 1e-12 and worst_additivity < 1e-10
     return CriterionResult(
@@ -388,12 +402,12 @@ def criterion_5(seed: int) -> CriterionResult:
         table = states.random_bcs_table(momenta, rng)
         state = states.bcs_projected(registry, table, 6)
         total_x = 0.0
-        for i, row in enumerate(bcs_rows(state, table, 6)):
+        # the rows trace the first member only
+        partners = subset_entropies(state, [(2 * i + 1,) for i in range(len(momenta))])
+        for i, (row, entropy) in enumerate(zip(bcs_rows(state, table, 6), partners)):
             x, expected = row["x_analytic"], row["S_analytic"]
             total_x += x
             worst_mode = max(worst_mode, abs(row["S_bruteforce"] - expected))
-            # the rows trace the first member only
-            entropy = mode_entanglement(state, (2 * i + 1,))
             worst_mode = max(worst_mode, abs(entropy - expected))
             block = reduced_density_matrix(state, (2 * i, 2 * i + 1)).matrix
             target = np.diag([1.0 - x, 0.0, 0.0, x])
@@ -404,9 +418,7 @@ def criterion_5(seed: int) -> CriterionResult:
         {k: (1.0 if k[0] <= 3 else 0.0) for k in momenta},
     )
     step_state = states.bcs_projected(registry, step, 6)
-    worst_step = max(
-        abs(mode_entanglement(step_state, (mode,))) for mode in range(12)
-    )
+    worst_step = max(map(abs, subset_entropies(step_state, [(mode,) for mode in range(12)])))
     passed = (
         worst_mode < 1e-10
         and worst_block < 1e-10
@@ -470,9 +482,7 @@ def criterion_6(seed: int) -> CriterionResult:
 
     zero = PairAmplitudeTable(TableKind.BOGOLIUBOV_C, {q: 0.0 for q in qs})
     zero_state = states.bogoliubov_projected(registry, zero, 6)
-    worst_zero = max(
-        abs(mode_entanglement(zero_state, (mode,))) for mode in range(7)
-    )
+    worst_zero = max(map(abs, subset_entropies(zero_state, [(mode,) for mode in range(7)])))
 
     # Ordering on the geometric forms, in their regime: coherent sum
     # suppressed below the q1 weight, so the condensate margin stays
@@ -542,23 +552,20 @@ def criterion_7(seed: int) -> CriterionResult:
                 worst = max(worst, max(row["abs_err"] for row in rows))
                 # the rows trace the down hole; here the up hole, alone and
                 # beside the up electron
-                for j, kp in enumerate(h_momenta):
-                    s = mode_entanglement(spinful, (2 * side + 2 * j,))
+                holes = [(2 * side + 2 * j,) for j in range(side)]
+                pairs = [(2 * i, 2 * side + 2 * j) for i in range(side) for j in range(side)]
+                entropies = subset_entropies(spinful, holes + pairs)
+                for kp, s in zip(h_momenta, entropies[:side]):
                     worst = max(worst, abs(s - marginals.spinful_hole_entropy(kp)))
-                for i, k in enumerate(e_momenta):
-                    for j, kp in enumerate(h_momenta):
-                        s = mode_entanglement(spinful, (2 * i, 2 * side + 2 * j))
-                        worst = max(
-                            worst, abs(s - marginals.spinful_same_entropy(k, kp))
-                        )
+                momenta = itertools.product(e_momenta, h_momenta)
+                for (k, kp), s in zip(momenta, entropies[side:]):
+                    worst = max(worst, abs(s - marginals.spinful_same_entropy(k, kp)))
     one_hot = PairAmplitudeTable(
         TableKind.EXCITON_A, {((0,), (10,)): 1.0}
     )
     registry = exciton_registry([(0,), (1,)], [(10,), (11,)], spinful=False)
     product = states.exciton_spinless(registry, one_hot)
-    worst_hot = max(
-        abs(mode_entanglement(product, (mode,))) for mode in range(4)
-    )
+    worst_hot = max(map(abs, subset_entropies(product, [(mode,) for mode in range(4)])))
     passed = worst < 1e-10 and worst_hot < 1e-12
     return CriterionResult(
         7,
@@ -582,10 +589,10 @@ def criterion_8(seed: int) -> CriterionResult:
     )
     start = basis_state(registry4, (1, 0, 1, 0))
     worst_sep = 0.0
+    separable = [(mode,) for mode in range(4)] + [(0, 1)]
     for state in evolve_many(start, diag_h, times):
-        for mode in range(4):
-            worst_sep = max(worst_sep, abs(mode_entanglement(state, (mode,))))
-        worst_sep = max(worst_sep, abs(mode_entanglement(state, (0, 1))))
+        for entropy in subset_entropies(state, separable):
+            worst_sep = max(worst_sep, abs(entropy))
     proper_ok = check_proper_basis(diag_h).proper
 
     registry2 = registry_create([electron(0), electron(1)])
@@ -625,9 +632,7 @@ def criterion_8(seed: int) -> CriterionResult:
     report = check_proper_basis(interacting)
     rotated = report.transformed
     ground_energy, ground = eigenstates(rotated, 2)[0]
-    ground_entropy = max(
-        mode_entanglement(ground, (mode,)) for mode in range(4)
-    )
+    ground_entropy = max(subset_entropies(ground, [(mode,) for mode in range(4)]))
 
     passed = (
         worst_sep < 1e-12
@@ -690,10 +695,8 @@ def criterion_9(seed: int) -> CriterionResult:
         complement = tuple(m for m in range(6) if m not in subset)
         if not complement:
             continue
-        worst_purity = max(
-            worst_purity,
-            abs(mode_entanglement(psi, subset) - mode_entanglement(psi, complement)),
-        )
+        entropy, rest = subset_entropies(psi, [subset, complement])
+        worst_purity = max(worst_purity, abs(entropy - rest))
 
     worst_rdm = 0.0
     rdm_failures = 0

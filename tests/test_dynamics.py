@@ -413,39 +413,45 @@ def test_non_finite_entries_are_refused(bad):
 # vectorised assembly against the scalar kernels
 
 
-def fermionic_sign(registry, key, mode):
+def scalar_modes(registry):
+    """(stride, cutoff, fermionic) of each mode, from its label, in registry order."""
+    return [
+        (stride, cutoff, label.fermionic)
+        for stride, cutoff, label in zip(registry._strides, registry.cutoffs, registry.modes)
+    ]
+
+
+def fermionic_sign(modes, key, mode):
     # parity of occupied fermionic modes strictly below `mode`
     count = 0
-    for label, cutoff in zip(registry.modes[:mode], registry.cutoffs):
-        key, n = divmod(key, cutoff + 1)
-        if n and label.fermionic:
-            count += n
+    for stride, cutoff, fermionic in modes[:mode]:
+        if fermionic:
+            count += key // stride % (cutoff + 1)
     return -1.0 if count & 1 else 1.0
 
 
-def creation_kernel(registry, key, mode):
-    """(new_key, factor) of a creation operator on one key, or None."""
-    stride = registry._strides[mode]
-    cutoff = registry.cutoffs[mode]
+def creation_kernel(modes, key, mode):
+    """(new_key, factor) of a creation operator on one key, or None;
+    ``modes``: ``scalar_modes(registry)``."""
+    stride, cutoff, fermionic = modes[mode]
     n = (key // stride) % (cutoff + 1)
-    if registry.modes[mode].fermionic:
+    if fermionic:
         if n == 1:
             return None
-        return key + stride, fermionic_sign(registry, key, mode)
+        return key + stride, fermionic_sign(modes, key, mode)
     if n == cutoff:
         return None
     return key + stride, math.sqrt(n + 1)
 
 
-def annihilation_kernel(registry, key, mode):
+def annihilation_kernel(modes, key, mode):
     """Adjoint of ``creation_kernel`` on one key."""
-    stride = registry._strides[mode]
-    cutoff = registry.cutoffs[mode]
+    stride, cutoff, fermionic = modes[mode]
     n = (key // stride) % (cutoff + 1)
     if n == 0:
         return None
-    if registry.modes[mode].fermionic:
-        return key - stride, fermionic_sign(registry, key, mode)
+    if fermionic:
+        return key - stride, fermionic_sign(modes, key, mode)
     return key - stride, math.sqrt(n)
 
 
@@ -468,11 +474,12 @@ def reference_apply(h, key, amp, out, terms=None):
     at a time (``terms``: ``reference_terms(h, amp)``, built if not given);
     return how many terms reached a basis vector."""
     hits = 0
-    for value, operators in terms or reference_terms(h, amp):
+    modes = scalar_modes(h.registry)
+    for value, operators in reference_terms(h, amp) if terms is None else terms:
         current = key
         for mode, creates in operators:
             kernel = creation_kernel if creates else annihilation_kernel
-            hit = kernel(h.registry, current, mode)
+            hit = kernel(modes, current, mode)
             if hit is None:
                 break
             current, factor = hit
@@ -486,16 +493,34 @@ def reference_apply(h, key, amp, out, terms=None):
 def reference_matrix(h, total):
     """Oracle: each column from ``reference_apply`` on its basis vector, whose
     dict adds each cell from 0.0 in term order, as ``np.add.at`` would; also
-    the counts of the terms that reached a basis vector and of the cells."""
+    the counts of the terms that reached a basis vector and of the cells.
+
+    Every term annihilates before it creates, so a term that annihilates
+    an empty mode of the key, or creates a fermionic mode that is occupied
+    and not annihilated first, cannot reach a basis vector: each key is
+    given only the other terms, in term order."""
     reg = h.registry
-    keys = [reg.pack(occ) for occ in enumerate_sector(reg, total)]
+    occupations = enumerate_sector(reg, total)
+    keys = [reg.pack(occ) for occ in occupations]
     index = {k: i for i, k in enumerate(keys)}
     matrix = np.zeros((len(keys), len(keys)), dtype=complex)
     terms = reference_terms(h, 1.0 + 0.0j)
+
+    def mask(modes):
+        return sum(1 << mode for mode in set(modes))
+
+    annihilated, created = (
+        np.array([mask(m for m, creates in ops if creates == side) for _, ops in terms])
+        for side in (False, True)
+    )
+    created &= mask(m for m, (*_, fermionic) in enumerate(scalar_modes(reg)) if fermionic)
     hits = cells = 0
-    for col, key in enumerate(keys):
+    for col, (key, occ) in enumerate(zip(keys, occupations)):
         out = {}
-        hits += reference_apply(h, key, 1.0 + 0.0j, out, terms)
+        empty = mask(mode for mode, n in enumerate(occ) if not n)
+        blocked = (annihilated & empty) | (created & ~(empty | annihilated))
+        live = [terms[t] for t in np.flatnonzero(blocked == 0)]
+        hits += reference_apply(h, key, 1.0 + 0.0j, out, live)
         cells += len(out)
         for new_key, value in out.items():
             matrix[index[new_key], col] = value

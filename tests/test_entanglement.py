@@ -45,6 +45,7 @@ from fockent import (
     random_bcs_table,
     reduced_density_matrix,
     registry_create,
+    subset_entropies,
     superpose,
     uniform_registry,
     von_neumann_entropy,
@@ -271,6 +272,25 @@ def test_subset_validation():
     with pytest.raises(ValueError):
         normalize_subset(4, (-1,))
     assert normalize_subset(4, (3, 0)) == (0, 3)
+    assert normalize_subset(4, (np.int64(3), np.uint8(0))) == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "subset",
+    [[0.9], ["1", 2.7], "01", [1.5], [True], [np.float64(1.0)], [np.True_], [None]],
+    ids=["0.9", "str-and-float", "str", "1.5", "bool", "float64", "numpy-bool", "none"],
+)
+def test_non_integral_mode_indices_are_refused(subset):
+    # int() used to truncate them: [0.9] traced mode 0, "01" modes (0, 1)
+    state = random_state(mixed_registry(), np.random.default_rng(37))
+    calls = [
+        lambda: mode_entanglement(state, subset),
+        lambda: subset_entropies(state, [(0,), subset]),
+        lambda: reduced_density_matrix(state, subset),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="is not an integer"):
+            call()
 
 
 def test_validate_flags_broken_matrices():
@@ -405,7 +425,8 @@ def pair_mode_entropy_oracle(state, mode):
         return float(-mpmath.fsum(w / total * mpmath.log(w / total) for w in weights if w > 0))
 
 
-def test_eigensolver_calls_follow_number_blocks(monkeypatch):
+def counted_eigvalsh(monkeypatch):
+    """The shapes passed to eigvalsh, recorded as it is called."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -414,6 +435,11 @@ def test_eigensolver_calls_follow_number_blocks(monkeypatch):
         return eigvalsh(matrix)
 
     monkeypatch.setattr(entanglement.np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_eigensolver_calls_follow_number_blocks(monkeypatch):
+    calls = counted_eigvalsh(monkeypatch)
     # the half chain of a 12-mode, N = 6 state, as in the dynamics benchmark:
     # Gram side 64 splits into blocks of 1, 6, 15, 20, 15, 6 and 1 patterns
     half_filled = block_states()["fermions_fixed_n"]
@@ -422,7 +448,7 @@ def test_eigensolver_calls_follow_number_blocks(monkeypatch):
 
     calls.clear()
     mode_entanglement(half_filled, range(3))
-    assert calls == [(8, 8)]
+    assert calls == [(1, 8, 8)]
 
     # a pair mode's occupation fixes its partner's, so every environment
     # holds one term: the Gram matrix is diagonal and needs no eigensolver
@@ -436,7 +462,7 @@ def test_eigensolver_calls_follow_number_blocks(monkeypatch):
     assert calls == []
     monkeypatch.setattr(entanglement, "BLOCK_CROSSOVER", math.inf)
     dense = mode_entanglement(state, (1,))
-    assert calls == [(41, 41)]
+    assert calls == [(1, 41, 41)]
     # the diagonal is summed from the terms, the dense path by the Gram
     # product: both within two ulps of the 40-digit entropy
     want = pair_mode_entropy_oracle(state, 1)
@@ -507,17 +533,10 @@ def test_memo_hit_rechecks_norm_crossover_and_guard(memo, monkeypatch):
     with pytest.raises(NormalizationError):
         mode_entanglement(unnormalized, half)
     # after a hit, a raised crossover takes one eigvalsh of the full Gram matrix
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return eigvalsh(matrix)
-
-    monkeypatch.setattr(entanglement.np.linalg, "eigvalsh", counting)
+    calls = counted_eigvalsh(monkeypatch)
     monkeypatch.setattr(entanglement, "BLOCK_CROSSOVER", math.inf)
     dense = mode_entanglement(state, half)
-    assert calls == [(64, 64)]
+    assert calls == [(1, 64, 64)]
     assert dense == fresh_entropy(state, half)
     assert abs(dense - blockwise) <= 1e-12
     monkeypatch.setattr(entanglement, "BLOCK_CROSSOVER", 32)
@@ -704,9 +723,9 @@ def test_gram_dimension_is_guarded(monkeypatch):
     assert mode_entanglement(state, (0,)) > 0.0
 
 
-def test_keys_beyond_int64():
+def wide_state():
+    """40 random terms on 70 fermionic modes, whose keys need Python integers."""
     reg = registry_create([generic(i) for i in range(70)])
-    assert reg.full_dimension() >= 2**63
     rng = np.random.default_rng(71)
     mapping = {}
     for _ in range(40):
@@ -715,7 +734,13 @@ def test_keys_beyond_int64():
             occ[int(i)] = 1
         occ[69] = int(rng.integers(0, 2))
         mapping[tuple(occ)] = complex(*rng.standard_normal(2))
-    state = ManyBodyState.from_amplitudes(reg, mapping, normalize=True)
+    return ManyBodyState.from_amplitudes(reg, mapping, normalize=True)
+
+
+def test_keys_beyond_int64():
+    state = wide_state()
+    reg = state.registry
+    assert reg.full_dimension() >= 2**63
     assert max(state.amplitudes) >= 2**63
     for subset in [(69,), (0, 69), (3, 64, 65, 69), tuple(range(1, 70))]:
         entropy = mode_entanglement(state, subset)
@@ -776,3 +801,127 @@ def test_no_scipy_after_entropy():
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
     )
     assert done.stdout.strip() == "[]"
+
+
+def assert_batch_matches_one_at_a_time(state, subsets):
+    """subset_entropies gives, in input order, the bits of one call a subset."""
+    got = subset_entropies(state, subsets)
+    want = [mode_entanglement(state, subset) for subset in subsets]
+    assert len(got) == len(subsets)
+    np.testing.assert_array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+    return got
+
+
+def mixed_subsets(size):
+    """Every size from one mode to all but one, out of size order, with a repeat."""
+    half = tuple(range(size // 2))
+    rest = tuple(range(size // 2, size))
+    singles = [(i,) for i in range(size)]
+    return [half, *singles[::-1], (1, size - 1), rest, (0,), tuple(range(1, size)), half]
+
+
+@pytest.mark.parametrize(
+    "name", ["fermions_fixed_n", "fermions_random", "mixed_random", "bogoliubov_unprojected"]
+)
+def test_subset_entropies_match_one_at_a_time(name):
+    state = oracle_states()[name]
+    got = assert_batch_matches_one_at_a_time(state, mixed_subsets(len(state.registry)))
+    assert got[0] == got[-1]
+
+
+@pytest.mark.parametrize("name", list(block_states()))
+def test_subset_entropies_match_one_at_a_time_above_crossover(name, memo):
+    # the half chains take the block path (or, mixing numbers, one dense
+    # Gram matrix of side 64); the first batch builds their layouts, the
+    # second reuses them
+    state = block_states()[name]
+    subsets = mixed_subsets(len(state.registry))
+    half, rest = subsets[0], subsets[len(state.registry) + 2]
+    fresh = [fresh_entropy(state, subset) for subset in subsets]
+    memo.clear()
+    for _ in range(2):
+        got = subset_entropies(state, subsets)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(fresh).view(np.uint64))
+        assert set(memo) == {half, rest}
+
+
+def test_subset_entropies_match_one_at_a_time_on_object_keys():
+    state = wide_state()
+    assert state.keys.dtype == object
+    assert_batch_matches_one_at_a_time(state, mixed_subsets(70) + [(3, 64, 65, 69)])
+
+
+def symmetric_sparse_state(rng):
+    """Random terms on 20 fermionic modes, closed under swapping modes 0-4
+    with modes 5-9, so that the two blocks' amplitude matrices have one shape."""
+    registry = uniform_registry(20)
+    keys = rng.choice(2**20, size=2000, replace=False)
+    swapped = keys & ~0x3FF | (keys & 0x1F) << 5 | keys >> 5 & 0x1F
+    keys = np.union1d(keys, swapped)
+    values = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    return ManyBodyState._from_keys(registry, keys, values / np.linalg.norm(values))
+
+
+def test_same_shape_gram_matrices_take_one_eigvalsh(monkeypatch):
+    calls = counted_eigvalsh(monkeypatch)
+    # each block's 32 x ~3,900 amplitude matrix is so sparse that its
+    # Gram product takes about 30 blocks of columns
+    state = symmetric_sparse_state(np.random.default_rng(97))
+    blocks = [tuple(range(5)), tuple(range(5, 10))]
+    assert_batch_matches_one_at_a_time(state, blocks)
+    assert calls == [(2, 32, 32), (1, 32, 32), (1, 32, 32)]
+    rows, cols, n_rows, n_cols, *_ = entanglement._split(state.registry, state.keys, blocks)
+    assert n_rows.tolist() == [32, 32] and n_cols[0] == n_cols[1]
+    assert n_cols[0] > 10 * max(len(state.keys), entanglement.BLOCK_CELLS) // 32
+    # the six single modes of a 6-mode N = 3 state: 2 x 20 each
+    calls.clear()
+    fixed = random_sector_state(uniform_registry(6), 3, np.random.default_rng(99))
+    assert_batch_matches_one_at_a_time(fixed, [(mode,) for mode in range(6)])
+    assert calls == [(6, 2, 2)] + [(1, 2, 2)] * 6
+    # a 1 x 1 Gram matrix is its own spectrum: no eigvalsh
+    calls.clear()
+    sea = fockent.fermi_sea(registry_create([electron(k) for k in range(8)]), range(4))
+    assert subset_entropies(sea, list(all_subsets(8))) == [0.0] * len(list(all_subsets(8)))
+    assert calls == []
+
+
+def test_subset_entropies_refuse_before_any_eigvalsh(monkeypatch):
+    calls = counted_eigvalsh(monkeypatch)
+    reg = registry_create([generic(i) for i in range(4)])
+    state = random_state(reg, np.random.default_rng(67))
+    assert subset_entropies(state, []) == []
+    for bad in [(0, 4)], [(1, 1)], [()], [[0.5]]:
+        with pytest.raises(ValueError):
+            subset_entropies(state, [(0,), (1, 2), *bad, (3,)])
+    assert calls == []
+    unnormalized = ManyBodyState._from_keys(reg, state.keys, 2.0 * state.values)
+    with pytest.raises(NormalizationError):
+        subset_entropies(unnormalized, [(0,), (1, 2)])
+    assert calls == []
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "3")
+    with pytest.raises(SizeGuardError) as raised:
+        subset_entropies(state, [(0,), (0, 1), (2,)])
+    assert raised.value.dimension == 4 and raised.value.guard == 3
+
+
+def test_subset_entropies_memory_follows_one_subset():
+    # every key of 18 fermionic modes, 2**18 terms: the split goes one
+    # subset at a time, so all 18 single modes peak as one of them does
+    registry = uniform_registry(18)
+    rng = np.random.default_rng(101)
+    values = rng.standard_normal(2**18) + 1j * rng.standard_normal(2**18)
+    state = ManyBodyState._from_keys(registry, np.arange(2**18), values / np.linalg.norm(values))
+    modes = [(mode,) for mode in range(18)]
+
+    def peak(subsets):
+        tracemalloc.start()
+        try:
+            entropies = subset_entropies(state, subsets)
+            return tracemalloc.get_traced_memory()[1], entropies
+        finally:
+            tracemalloc.stop()
+
+    single = [peak([subset]) for subset in modes[:: 17]]
+    batched, entropies = peak(modes)
+    assert batched <= max(p for p, _ in single) + 65536
+    assert [entropies[0], entropies[-1]] == [e[0] for _, e in single]
