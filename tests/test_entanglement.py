@@ -835,8 +835,9 @@ def test_subset_entropies_match_one_at_a_time_above_crossover(name, memo):
     # Gram matrix of side 64); the first batch builds their layouts, the
     # second reuses them
     state = block_states()[name]
-    subsets = mixed_subsets(len(state.registry))
-    half, rest = subsets[0], subsets[len(state.registry) + 2]
+    size = len(state.registry)
+    subsets = mixed_subsets(size)
+    half, rest = tuple(range(size // 2)), tuple(range(size // 2, size))
     fresh = [fresh_entropy(state, subset) for subset in subsets]
     memo.clear()
     for _ in range(2):
@@ -870,7 +871,7 @@ def test_same_shape_gram_matrices_take_one_eigvalsh(monkeypatch):
     blocks = [tuple(range(5)), tuple(range(5, 10))]
     assert_batch_matches_one_at_a_time(state, blocks)
     assert calls == [(2, 32, 32), (1, 32, 32), (1, 32, 32)]
-    rows, cols, n_rows, n_cols, *_ = entanglement._split(state.registry, state.keys, blocks)
+    _, _, n_rows, n_cols, *_ = entanglement._split(state.registry, state.keys, blocks)
     assert n_rows.tolist() == [32, 32] and n_cols[0] == n_cols[1]
     assert n_cols[0] > 10 * max(len(state.keys), entanglement.BLOCK_CELLS) // 32
     # the six single modes of a 6-mode N = 3 state: 2 x 20 each
