@@ -488,13 +488,17 @@ def evolve_many(
     operator, of a degree set by the largest |t| and a bound on the
     spectrum, gives the state at every time (``_propagate_sparse``), so
     that no dense matrix is built.  Times may come in any order and with
-    either sign.  A trajectory of more than guard**2 amplitudes is refused
-    before anything is allocated.
+    either sign; a NaN or infinite time is refused before either path is
+    taken.  A trajectory of more than guard**2 amplitudes is refused before
+    anything is allocated.
     """
     if state.registry != h.registry:
         raise RegistryMismatchError("state and Hamiltonian use different registries")
     registry = state.registry
     times = [float(t) for t in times]
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"cannot propagate to the time {t}, which is not finite")
     numbers = _occupations(registry, state.keys).sum(axis=1)
     totals = sorted(set(numbers.tolist()))
     _check_trajectory(registry, totals, len(times))

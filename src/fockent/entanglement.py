@@ -84,7 +84,6 @@ import functools
 import itertools
 import math
 import mmap
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -96,6 +95,7 @@ from .fock_core import (
     ModeRegistry,
     OccupationVector,
     _check_guard,
+    _mode_index,
     _refuse_above,
     _row_groups,
     size_guard,
@@ -132,26 +132,13 @@ SUBSET_CELLS = 1 << 18
 ModeSubset = tuple[int, ...]
 
 
-def _mode_index(i) -> int:
-    """An integer mode index: what ``operator.index`` takes, except bool."""
-    try:
-        if isinstance(i, (bool, np.bool_)):
-            raise TypeError
-        return operator.index(i)
-    except TypeError:
-        raise ValueError(f"mode index {i!r} is not an integer") from None
-
-
 def normalize_subset(size: int, subset: Sequence[int]) -> ModeSubset:
-    """Sorted, validated tuple of distinct integer mode indices."""
-    indices = tuple(map(_mode_index, subset))
+    """Sorted tuple of distinct mode indices, each checked by ``_mode_index``."""
+    indices = tuple(_mode_index(size, i) for i in subset)
     if not indices:
         raise ValueError("subset must contain at least one mode")
     if len(set(indices)) != len(indices):
         raise ValueError(f"subset has repeated indices: {indices}")
-    for i in indices:
-        if not 0 <= i < size:
-            raise ValueError(f"mode index {i} outside registry of size {size}")
     return tuple(sorted(indices))
 
 

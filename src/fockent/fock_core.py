@@ -12,27 +12,31 @@ amplitude.  ``ManyBodyState.amplitudes`` is a dict view built on request.
 Key arrays have one data type, ``_key_dtype(registry)``: int64 while
 ``full_dimension() <= KEY_LIMIT = 2**63``, Python integers above that.
 ``ManyBodyState._from_keys`` is the one way from arrays of distinct keys
-and amplitudes to a state, ``_summed`` the one sum of values by key, and
-``_sector_keys`` the one builder of a fixed-N sector's keys, in the one
-sector order (``enumerate_sector`` is its unpacked view); it owns the
-sector check, so no sector larger than ``size_guard()`` is built.  Sums over
-terms run left to right (``_running_sum``, ``_summed``) and complex
-products part by part (``_times``), so they round exactly as Python's
-scalar arithmetic does.
+and finite amplitudes to a state, ``_summed`` the one sum of values by
+key, and ``_sector_keys`` the one builder of a fixed-N sector's keys, in
+the one sector order (``enumerate_sector`` is its unpacked view); it owns
+the sector check, so no sector larger than ``size_guard()`` is built.
+Sums over terms run left to right (``_running_sum``, ``_summed``) and
+complex products part by part (``_times``), so they round exactly as
+Python's scalar arithmetic does.
 
 Sign convention: applying a fermionic creation or annihilation operator
 at mode i picks up (-1)**(number of occupied fermionic modes with
 registry index below i).  The count runs over fermionic modes of every
 species; bosonic occupations never contribute a sign.  ``_parity_below``
-is the one function that computes this parity.  Two vectorised kernels
-use it.  ``_operator_triplets`` applies a term table of ladder-operator
-products to an array of keys: each run of terms of one length (built by
-``_term_run``, with each operator's same-mode occupation shift and parity
-flip) acts on all keys at once, on (terms x keys) arrays, and its
-survivors are compacted once, term by term.  ``apply_creation`` and
-``apply_annihilation`` pass it a one-term table, ``dynamics`` the terms
-of H on chunks of a sector's keys.  ``_created`` applies creation
-products to the terms of a state (the pair and exciton builders).
+is the one function that computes this parity, and ``_term_run`` states
+its rule for one particle more or less: that flips the parity below mode
+q exactly when its mode p is fermionic and p < q.  ``_operator_triplets``
+is the one kernel that applies ladder operators.  It applies a term table
+of ladder-operator products to an array of keys: each run of terms of one
+length (built by ``_term_run``, with each operator's same-mode occupation
+shift and parity flip; a run may have no operators) acts on all keys at
+once, on (terms x keys) arrays, and its survivors are compacted once, term
+by term.  ``apply_creation`` and ``apply_annihilation`` pass it a one-term
+table, the pair and exciton builders of ``states`` their creation products
+(on the vacuum key, or one pair on the terms built so far), and
+``dynamics`` the terms of H on chunks of a sector's keys.  ``_mode_index``
+is the one check of a mode index, here and in ``entanglement``.
 ``size_guard()`` (FOCKENT_SIZE_GUARD, default 5000) bounds dense
 dimensions; ``_check_guard`` is the one check of a dimension and
 ``_check_elements`` of the element budget, guard**2.
@@ -50,6 +54,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import os
 import reprlib
 from dataclasses import dataclass, field
@@ -283,11 +288,15 @@ class ManyBodyState:
     ) -> "ManyBodyState":
         """State with ``amplitudes[i]`` at the distinct packed key ``keys[i]``.
 
-        Drops |a| <= PRUNE_TOL, stores -0.0 parts as 0.0 (as a sum started
-        from 0.0 does), keeps the array order and refuses a repeated key.
+        Refuses a NaN or infinite amplitude, drops |a| <= PRUNE_TOL, stores
+        -0.0 parts as 0.0 (as a sum started from 0.0 does), keeps the array
+        order and refuses a repeated key.
         """
         keys = np.asarray(keys, dtype=_key_dtype(registry))
         amplitudes = np.asarray(amplitudes, dtype=complex)
+        if not np.isfinite(amplitudes).all():
+            bad = amplitudes[~np.isfinite(amplitudes)]
+            raise ValueError(f"amplitude {bad[0]} is not finite")
         kept = np.abs(amplitudes) > PRUNE_TOL
         keys, values = keys[kept], amplitudes[kept] + 0.0
         ordered = np.sort(keys)
@@ -322,9 +331,12 @@ class ManyBodyState:
         return math.sqrt(_running_sum(v.real * v.real + v.imag * v.imag))
 
     def normalize(self) -> "ManyBodyState":
-        n = self.norm()
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            n = self.norm()
         if n == 0.0:
             raise NormalizationError("cannot normalize a zero state")
+        if not math.isfinite(n):
+            raise NormalizationError(f"cannot normalize a state whose norm is {n}")
         scaled = _times(self.values, 1.0 / n)
         return ManyBodyState._from_keys(self.registry, self.keys, scaled, self.truncated)
 
@@ -469,21 +481,20 @@ def _term_run(registry: ModeRegistry, coefficients, modes, creates):
 
     ``modes[s, t]`` is the mode of term t's s-th operator, in the order
     the operators act on a ket, and ``creates[s]`` says whether the s-th
-    operator of every term creates.  Returns ``(coefficients, modes,
-    creates, shifts, flips)``: ``shifts[s, t]`` is the change that the
-    earlier operators of term t make to the occupation of its s-th mode
-    (one more for each creation there, one less for each annihilation),
-    and ``flips[s, t]`` the parity they add below it, ``_parity_below`` of
-    one particle at each.
+    operator of every term creates; a run may have no operators.  Returns
+    ``(coefficients, modes, creates, shifts, flips)``: ``shifts[s, t]`` is
+    the change that the earlier operators of term t make to the occupation
+    of its s-th mode (one more for each creation there, one less for each
+    annihilation), and ``flips[s, t]`` the parity they add below it.  One
+    particle more or less at mode p flips the parity below mode q exactly
+    when p is fermionic and p < q, as ``_parity_below`` counts.
     """
     modes = np.asarray(modes, dtype=np.intp)
-    # flip[p, q]: the parity that one more or one less particle at p adds at q
-    flip = _parity_below(registry, np.eye(len(registry), dtype=np.int64)) == 1
     shifts = np.zeros(modes.shape, dtype=np.int64)
     flips = np.zeros(modes.shape, dtype=bool)
     for earlier, s in itertools.combinations(range(len(modes)), 2):
         shifts[s] += (modes[earlier] == modes[s]) * (1 if creates[earlier] else -1)
-        flips[s] ^= flip[modes[earlier], modes[s]]
+        flips[s] ^= registry._fermionic[modes[earlier]] & (modes[earlier] < modes[s])
     return np.asarray(coefficients, dtype=complex), modes, tuple(creates), shifts, flips
 
 
@@ -527,7 +538,8 @@ def _operator_triplets(
         small = np.min_scalar_type(max(registry.cutoffs, default=0) + len(modes))
         rows = np.ascontiguousarray(occupation.T, dtype=small)
         cutoff = np.array(registry.cutoffs, dtype=small)
-        keep, offset = True, 0
+        keep = np.ones((len(coefficients), count), dtype=bool)
+        offset = np.zeros(len(coefficients), dtype=keys.dtype)
         for mode, create, shift in zip(modes, creates, shifts):
             low = ((0 if create else 1) - shift).astype(small)
             keep &= np.take(rows, mode, axis=0) - low[:, None] < cutoff[mode, None]
@@ -550,36 +562,24 @@ def _operator_triplets(
     return np.concatenate(sources), np.concatenate(targets), np.concatenate(values)
 
 
-def _created(registry: ModeRegistry, keys, amplitudes, modes):
-    """Keys and amplitudes of creation products on the terms of a state.
-
-    Row r creates ``modes[r, 0]``, then ``modes[r, 1]``, ... (fermionic and
-    empty) on ``amplitudes[r]`` at ``keys[r]``; 1-D ``modes`` serve every row.
-    """
-    keys = np.asarray(keys, dtype=_key_dtype(registry))
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    modes = np.asarray(modes, dtype=np.intp)
-    modes = np.broadcast_to(modes, (len(keys), modes.shape[-1]))
-    occupation = _occupations(registry, keys)
-    rows = np.arange(len(keys))
-    odd = np.zeros(len(keys), dtype=np.int64)
-    for column in modes.T:
-        odd ^= _parity_below(registry, occupation)[rows, column]
-        occupation[rows, column] += 1
-    targets = keys + np.array(registry._strides, dtype=keys.dtype)[modes].sum(axis=1)
-    return targets, np.where(odd, -amplitudes, amplitudes)
-
-
-# the coefficient 1, no shift and no flip of every one-operator term
-_UNIT = np.ones(1, dtype=complex)
-_NO_SHIFT = np.zeros((1, 1), dtype=np.int64)
-_NO_FLIP = np.zeros((1, 1), dtype=bool)
-_UNIT.flags.writeable = _NO_SHIFT.flags.writeable = _NO_FLIP.flags.writeable = False
+def _mode_index(size: int, i) -> int:
+    """The one rule for a mode index of a registry of ``size`` modes: what
+    ``operator.index`` takes, except bool, in [0, size)."""
+    try:
+        if isinstance(i, (bool, np.bool_)):
+            raise TypeError
+        index = operator.index(i)
+    except TypeError:
+        raise ValueError(f"mode index {i!r} is not an integer") from None
+    if not 0 <= index < size:
+        raise ValueError(f"mode index {index} outside registry of size {size}")
+    return index
 
 
 def _apply_ladder(state: ManyBodyState, mode: int, creates: bool) -> ManyBodyState:
     registry = state.registry
-    term = (_UNIT, np.array([[mode]]), (creates,), _NO_SHIFT, _NO_FLIP)
+    mode = _mode_index(len(registry), mode)
+    term = _term_run(registry, [1.0], [[mode]], (creates,))
     source, target, value = _operator_triplets(registry, state.keys, [term])
     # distinct sources give distinct targets, in source order
     dropped = creates and not registry.modes[mode].fermionic and len(source) < state.num_terms
@@ -615,6 +615,7 @@ def inner_product(bra: ManyBodyState, ket: ManyBodyState) -> complex:
 
 def number_expectation(state: ManyBodyState, mode: int) -> float:
     """<n_mode> for a normalized state."""
+    mode = _mode_index(len(state.registry), mode)
     occupation = _occupations(state.registry, state.keys)[:, mode]
     v = state.values
     return float(_running_sum(occupation * (v.real * v.real + v.imag * v.imag)))

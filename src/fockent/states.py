@@ -12,9 +12,9 @@ pairs and [condensate, q, -q, ...] for boson pairs.
 
 Every builder computes packed keys as sums of registry strides (typed
 by ``fock_core``'s key rule) and passes keys and amplitudes to
-``ManyBodyState._from_keys``.  The fermion-pair and exciton states take
-the keys and signs of their creation products from ``fock_core``'s
-``_created``, so the signs follow registry order.  The pair-state
+``ManyBodyState._from_keys``.  The fermion-pair and exciton states apply
+their creation products through ``fock_core``'s one ladder kernel,
+``_operator_triplets``, so the signs follow registry order.  The pair-state
 builders refuse more than guard**2 terms (``fock_core``'s size guard,
 squared) before they allocate.
 """
@@ -40,13 +40,14 @@ from .fock_core import (
     Spin,
     _as_momentum,
     _check_elements,
-    _created,
     _json_complex,
     _json_expect,
     _json_ints,
     _json_payload,
     _key_dtype,
     _occupations,
+    _operator_triplets,
+    _term_run,
     _times,
     boson,
     electron,
@@ -257,8 +258,9 @@ def _exciton_state(
             h_idx = registry.index_of(hole(kp, h_spin))
             coefficients.append(a * weight)
             created.append((h_idx, e_idx))
-    terms = _created(registry, [0] * len(created), coefficients, created)
-    return ManyBodyState._from_keys(registry, *terms).normalize()
+    run = _term_run(registry, coefficients, np.array(created).T, (True, True))
+    _, keys, values = _operator_triplets(registry, np.zeros(1, _key_dtype(registry)), [run])
+    return ManyBodyState._from_keys(registry, keys, values).normalize()
 
 
 def exciton_spinless(registry: ModeRegistry, table: PairAmplitudeTable) -> ManyBodyState:
@@ -321,7 +323,9 @@ def bcs_unprojected(registry: ModeRegistry, table: PairAmplitudeTable) -> ManyBo
     for k in table.pair_indices():
         _check_elements(f"coherent pair state (terms with pair {k})", 2 * len(keys))
         up, down = _bcs_pair_modes(registry, k)
-        paired_keys, paired = _created(registry, keys, amplitudes, [down, up])
+        pair = _term_run(registry, [1.0], [[down], [up]], (True, True))
+        source, paired_keys, sign = _operator_triplets(registry, keys, [pair])
+        paired = amplitudes[source] * sign
         g = table.values[k]
         largest *= max(1.0, abs(g))
         scale = math.ldexp(1.0, -math.frexp(largest)[1]) if largest > 1.0 else 1.0
@@ -385,8 +389,10 @@ def bcs_projected(
         created.append(modes)
     top = max((math.frexp(abs(c))[1] + e for c, e in raw if c), default=0)
     coefficients = [_ldexp(c, e - top) for c, e in raw]
-    terms = _created(registry, [0] * len(raw), coefficients, created)
-    combined = ManyBodyState._from_keys(registry, *terms)
+    modes = np.array(created, dtype=np.intp).T
+    run = _term_run(registry, coefficients, modes, [True] * len(modes))
+    _, keys, values = _operator_triplets(registry, np.zeros(1, _key_dtype(registry)), [run])
+    combined = ManyBodyState._from_keys(registry, keys, values)
     if combined.is_zero:
         raise NormalizationError(
             "projected pair state vanishes; the amplitude table has no weight "

@@ -959,6 +959,19 @@ def disordered_ring(sites, phase, seed=1):
     return SecondQuantizedHamiltonian(reg, one_body, None, two_body)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evolve_many_refuses_a_non_finite_time_on_either_path(bad):
+    # the dense path used to return zero states at such a time
+    h = disordered_ring(11, 0.0)
+    reg = h.registry
+    dense = basis_state(reg, (0,) * 10 + (1,))
+    sparse = basis_state(reg, (1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0))
+    assert sector_dimension(reg, 4) > DENSE_CROSSOVER >= sector_dimension(reg, 1)
+    for state in (dense, sparse):
+        with pytest.raises(ValueError, match=f"^cannot propagate to the time {bad}, "):
+            evolve_many(state, h, [0.5, bad])
+
+
 @pytest.mark.parametrize("phase", [0.0, 0.3], ids=["real", "flux"])
 def test_evolve_many_above_crossover_matches_eigh(phase):
     h = disordered_ring(11, phase)

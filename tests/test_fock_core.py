@@ -8,6 +8,7 @@ sparse kernels.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -327,6 +328,47 @@ def test_from_keys_prunes_keeps_order_and_refuses_repeats():
     assert repr(state.amplitudes[3]) == repr(0.0 - 0.5j)
     with pytest.raises(ValueError):
         ManyBodyState._from_keys(reg, [1, 1], [0.5, 0.5])
+
+
+def test_from_amplitudes_refuses_nan():
+    # NaN used to be pruned as if it were small, leaving {(0, 1): 1}
+    reg = fermion_registry(2)
+    with pytest.raises(ValueError, match=r"amplitude \(nan\+0j\) is not finite"):
+        ManyBodyState.from_amplitudes(reg, {(1, 0): math.nan, (0, 1): 1.0}, normalize=True)
+
+
+def test_superpose_refuses_a_nan_coefficient():
+    # the NaN term used to vanish, and the entropy of the rest read -0.0
+    reg = fermion_registry(2)
+    a, b = basis_state(reg, (1, 0)), basis_state(reg, (0, 1))
+    with pytest.raises(ValueError, match="is not finite"):
+        superpose([(math.nan, a), (1.0, b)])
+
+
+def test_normalize_refuses_an_overflowing_norm():
+    # the squared norm 2e400 overflows; 1 / inf used to prune every term
+    reg = fermion_registry(2)
+    state = ManyBodyState._from_keys(reg, [1, 2], [1e200, 1e200])
+    with pytest.raises(NormalizationError, match="norm is inf"):
+        state.normalize()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [-1, -4, 4, True, np.True_, 1.0, "1", None],
+    ids=["-1", "-4", "4", "True", "numpy-True", "1.0", "str", "None"],
+)
+def test_ladders_and_number_refuse_bad_mode_indices(bad):
+    # negative indices used to wrap to the last modes, and True, 1.0 and 4
+    # raised IndexError
+    state = random_state(fermion_registry(4), np.random.default_rng(23))
+    for call in (apply_creation, apply_annihilation, number_expectation):
+        with pytest.raises(ValueError, match=f"^mode index {re.escape(repr(bad))} "):
+            call(state, bad)
+    for index in (np.int64(3), np.uint8(3)):
+        assert apply_creation(state, index).amplitudes == apply_creation(state, 3).amplitudes
+        assert apply_annihilation(state, index).amplitudes == apply_annihilation(state, 3).amplitudes
+        assert number_expectation(state, index) == number_expectation(state, 3)
 
 
 def test_enumerate_sector_matches_bruteforce():

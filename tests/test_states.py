@@ -44,6 +44,7 @@ from fockent import (
     random_uv_table,
     registry_create,
     single_particle_superposition,
+    superpose,
     table_payload,
     uniform_filling_state,
     uniform_registry,
@@ -188,9 +189,24 @@ def test_uniform_filling_state_counts_and_occupations():
         uniform_filling_state(reg, 5, 6)
 
 
-@pytest.mark.parametrize("num_modes", [63, 64, 70])
-def test_builders_keep_exact_keys_beyond_int64(num_modes):
-    # 2**63 and above must stay exact Python ints, not int64 or float keys
+# exact amplitudes: powers of two times 1, -1, i or -i, so that no product
+# rounds and a builder must equal its apply_creation chain bit for bit
+EXACT_G = (1.0, -0.5, 2j, -0.25j)
+
+
+def creation_chain(registry, branches):
+    """The normalized sum of c times the creations at ``modes``, first mode
+    first, on the vacuum, over the (c, modes) ``branches``."""
+    terms = []
+    for c, modes in branches:
+        state = vacuum_state(registry)
+        for mode in modes:
+            state = apply_creation(state, mode)
+        terms.append((c, state))
+    return superpose(terms).normalize()
+
+
+def uniform_beyond_int64(num_modes):
     reg = uniform_registry(num_modes)
     one_hot = [tuple(int(i == j) for i in range(num_modes)) for j in range(num_modes)]
     one_hole = [tuple(1 - n for n in occ) for occ in one_hot]
@@ -200,11 +216,82 @@ def test_builders_keep_exact_keys_beyond_int64(num_modes):
         (uniform_filling_state(reg, num_modes, num_modes - 1), dict.fromkeys(one_hole[::-1], 1.0)),
         (single_particle_superposition(reg, coefficients), dict(zip(one_hot, coefficients))),
     ]
-    for state, mapping in cases:
-        want = ManyBodyState.from_amplitudes(reg, mapping, normalize=True)
+    assert max(cases[1][0].amplitudes) == 2**num_modes - 2
+    return [
+        (state, ManyBodyState.from_amplitudes(reg, mapping, normalize=True))
+        for state, mapping in cases
+    ]
+
+
+def exciton_beyond_int64(channel):
+    # 40 electron and 30 hole momenta: 70 modes spinless, 140 spinful
+    spinful = channel is not ExcitonChannel.SPINLESS
+    reg = exciton_registry(range(40), range(30), spinful)
+    amplitudes = {((0,), (29,)): 0.6, ((39,), (0,)): 0.48j, ((39,), (29,)): -0.64}
+    table = PairAmplitudeTable(TableKind.EXCITON_A, amplitudes)
+    if spinful:
+        state = exciton_spinful(reg, table, channel)
+        branches = [(Spin.UP, Spin.DOWN), (Spin.DOWN, Spin.UP)]
+        weight = 1 / math.sqrt(2)
+    else:
+        state = exciton_spinless(reg, table)
+        branches, weight = [(Spin.NONE, Spin.NONE)], 1.0
+    created = [
+        (a * weight, [reg.index_of(hole(kp, h)), reg.index_of(electron(k, e))])
+        for (k, kp), a in sorted(amplitudes.items())
+        for e, h in branches
+    ]
+    return [(state, creation_chain(reg, created))]
+
+
+def bcs_unprojected_beyond_int64():
+    # 33 pairs, 66 modes: pair k holds (k, up) at 2k and (-k, down) at 2k + 1
+    reg = bcs_registry(range(33))
+    g = {0: 0.5, 16: -1j, 32: 0.25}
+    state = bcs_unprojected(reg, PairAmplitudeTable(TableKind.BCS_G, g))
+    branches = [(1.0, [])]
+    for k, gk in g.items():
+        branches += [(c * gk, modes + [2 * k + 1, 2 * k]) for c, modes in branches]
+    return [(state, creation_chain(reg, branches))]
+
+
+def bcs_projected_beyond_int64():
+    reg = bcs_registry(range(33))  # as in bcs_unprojected_beyond_int64
+    g = {k: EXACT_G[k % 4] for k in range(33)}
+    table = PairAmplitudeTable(TableKind.BCS_G, g)
+    cases = []
+    for total, unpaired in ((4, None), (3, 32)):
+        state = bcs_projected(reg, table, total, unpaired)
+        base = [] if unpaired is None else [2 * unpaired]
+        available = [k for k in range(33) if k != unpaired]
+        branches = []
+        for chosen in itertools.combinations(available, total // 2):
+            modes = base + [mode for k in chosen for mode in (2 * k + 1, 2 * k)]
+            branches.append((math.prod(g[k] for k in chosen), modes))
+        cases.append((state, creation_chain(reg, branches)))
+    return cases
+
+
+BEYOND_INT64 = {
+    63: lambda: uniform_beyond_int64(63),
+    64: lambda: uniform_beyond_int64(64),
+    70: lambda: uniform_beyond_int64(70),
+    "exciton_spinless": lambda: exciton_beyond_int64(ExcitonChannel.SPINLESS),
+    "exciton_singlet": lambda: exciton_beyond_int64(ExcitonChannel.SINGLET),
+    "bcs_projected": bcs_projected_beyond_int64,
+    "bcs_unprojected": bcs_unprojected_beyond_int64,
+}
+
+
+@pytest.mark.parametrize("case", list(BEYOND_INT64))
+def test_builders_keep_exact_keys_beyond_int64(case):
+    # 2**63 and above must stay exact Python ints, not int64 or float keys;
+    # the signed builders must equal their apply_creation chains
+    for state, want in BEYOND_INT64[case]():
         assert list(state.amplitudes.items()) == list(want.amplitudes.items())
         assert all(type(key) is int for key in state.amplitudes)
-    assert max(cases[1][0].amplitudes) == 2**num_modes - 2
+        if isinstance(case, str):
+            assert max(state.amplitudes) >= 2**64
 
 
 def test_single_particle_superposition_checks_norm():
