@@ -13,11 +13,13 @@ names, one dict per row, and the record of a random draw or None.
 ``main`` is the one driver: it writes the table and <out>.meta.json, then
 prints ``max |error|`` over the error column its subparser declares
 (``abs_err``; ``norm_err`` for dynamics; ``n/a`` if every row leaves it
-empty).  ``verify`` declares none: it prints its own criterion lines,
-writes its table only with --out, and exits 1 if a criterion failed.
+empty), and exits 1 if that exceeds --tol.  ``verify`` declares none: it
+prints its own criterion lines, writes its table only with --out, and
+exits 1 if a criterion failed.
 
-Exit codes: 0 success, 1 failed verification, 2 invalid configuration,
-3 size-guard breach, 4 numerical invariant violation.
+Exit codes: 0 success, 1 failed verification or tolerance exceeded,
+2 invalid configuration, 3 size-guard breach, 4 numerical invariant
+violation.
 """
 
 from __future__ import annotations
@@ -404,11 +406,11 @@ def main(argv=None) -> int:
         errors = [row[column] for row in rows if row[column] is not None]
         if rows and not errors:
             print("max |error| = n/a")
-        else:
-            worst = max(errors, default=0.0)
-            status = "ok" if worst <= args.tol else "tol exceeded"
-            print(f"max |error| = {worst:.6e} ({status} at tol {args.tol:g})")
-        return 0
+            return 0
+        worst = max(errors, default=0.0)
+        status = "ok" if worst <= args.tol else "tol exceeded"
+        print(f"max |error| = {worst:.6e} ({status} at tol {args.tol:g})")
+        return 0 if status == "ok" else 1
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

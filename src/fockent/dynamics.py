@@ -79,15 +79,15 @@ TENSOR_PRUNE = 1e-14
 # The two break even near 100.
 DENSE_CROSSOVER = 100
 
-# The sparse propagator adds its recurrence vectors into the trajectory this
-# many at a time, with one matrix product per block.  One at a time (rank-1
-# updates), evolve_many on a 12-site ring at 50 times took 52 ms against 23.
-
 # Miller's backward recurrence for J_k starts this many orders above the
 # Chebyshev degree.  It leaves an error of about J_{start+1}(x) in each order;
 # the degree's tail bound alone keeps that below the roundoff, and the margin
 # keeps it so for any degree a caller asks for.
 MILLER_MARGIN = 20
+
+# The sparse propagator adds its recurrence vectors into the trajectory this
+# many at a time, with one matrix product per block.  One at a time (rank-1
+# updates), evolve_many on a 12-site ring at 50 times took 52 ms against 23.
 CHEBYSHEV_BLOCK = 16
 
 # _sector_entries runs the operator kernel on chunks of source keys of at

@@ -48,13 +48,14 @@ allocated.
 
 The key work depends only on the registry, the keys and the subset, and
 every state of a trajectory has the same keys.  A small memo keeps the
-layouts (``_Layout``) of the last few subsets that take the block path,
-each moved into a memory map of its own at its first reuse; a layout is
-reused when the registry is the same object and the keys are equal to
-the memo's own copy of them.  The memo is looked up before the split, so
-a subset whose layout is kept does no key work.  Every subset is
-validated and the norm gate passed once per call, before any work; the
-guard and the crossover are checked for every subset, hit or miss.
+number-block layouts (``_Blocks``) of the last few subsets that take the
+block path, and nothing else: a subset that mixes numbers is never kept.
+A layout is moved, with a copy of the keys, into a memory map of its own
+when it is kept, and is reused when the registry is the same object and
+the keys are equal to the memo's copy.  The memo is looked up before the
+split, so a subset whose layout is kept does no key work.  Every subset
+is validated and the norm gate passed once per call, before any work;
+the guard and the crossover are checked for every subset, hit or miss.
 
 The reduced density matrix is the pattern-side Gram matrix laid out on
 every subset pattern, ordered lexicographically (lowest subset mode most
@@ -80,7 +81,6 @@ S = -sum(lambda * ln(lambda)), with 0 ln 0 = 0.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import mmap
@@ -109,17 +109,17 @@ BLOCK_CELLS = 4096
 # A Gram matrix of up to this side is one block: the full Gram matrix and
 # one dense eigvalsh.  A larger one whose rows each carry one subset
 # particle number is formed and diagonalised one number block at a time,
-# and only its layout is kept by the memo.  Whole call with a kept layout
-# on random fixed-N states, one BLAS thread, best of 200: 41-49 against
-# 47-67 us at side 16, 89-116 against 63-89 at 32, 331-337 against 122 at
-# 64.  The blocks break even below 32, but a lower crossover would change
+# and the memo keeps its layout; one that mixes numbers is one block too.
+# Whole call with a kept layout on random fixed-N states, one BLAS thread,
+# best of 200: 41-49 against 47-67 us at side 16, 89-116 against 63-89 at
+# 32, 331-337 against 122 at 64.  The blocks break even below 32, but a lower crossover would change
 # the last bits of every Gram matrix of side 17 to 32, the 11-site golden
 # ring's among them.
 BLOCK_CROSSOVER = 32
 
 # The memo keeps the layouts of at most this many subsets, holding at most
-# this many terms together (40 bytes each); a layout of more terms is not
-# kept.
+# this many terms together (24 bytes each: key, ``take`` and ``positions``);
+# a layout of more terms is not kept.
 MEMO_ENTRIES = 8
 MEMO_TERMS = 1 << 19
 
@@ -429,98 +429,53 @@ def _blockwise_spectrum(values: np.ndarray, norm: float, blocks: _Blocks) -> np.
     return np.sort(np.concatenate(parts))
 
 
-class _Layout:
-    """The key work of one (registry, keys, subset) of more than
-    ``BLOCK_CROSSOVER`` Gram rows, the memo's unit.
+# a memo entry: registry, own copy of the keys, Gram rows, number-block layout
+_Kept = tuple[ModeRegistry, np.ndarray, int, _Blocks]
 
-    Term i sits at (rows[i], cols[i]) of the smaller side's amplitude
-    matrix, ``n_rows`` <= ``n_cols``; ``blocks`` is its number-block
-    layout, built on first use.
-    """
-
-    def __init__(self, rows, cols, n_rows: int, n_cols: int, number) -> None:
-        self.rows, self.cols, self.n_rows, self.n_cols = rows, cols, n_rows, n_cols
-        self.number = number
-        self.mapped = False
-
-    @functools.cached_property
-    def blocks(self) -> _Blocks | None:
-        blocks = _number_blocks(self.rows, self.cols, self.n_rows, self.n_cols, self.number)
-        del self.number  # needed only here
-        return blocks
-
-    def keep(self, keys: np.ndarray) -> np.ndarray:
-        """Move the layout's arrays, and a copy of ``keys`` that is
-        returned, into one anonymous memory map, read-only.
-
-        A layout the memo keeps across calls outlives the ones that built
-        it.  Kept on the malloc heap, its arrays split the free space that
-        the next large temporary (a LAPACK workspace, say) needs, and the
-        heap grows instead: 3 MB more max RSS on the dynamics benchmark.
-        """
-        self.mapped = True
-        blocks = self.blocks
-        arrays = [keys, self.rows, self.cols]
-        if blocks is not None:
-            arrays += [blocks.take, blocks.positions]
-        ends = np.cumsum([len(a) for a in arrays])
-        kept = np.frombuffer(mmap.mmap(-1, 8 * int(ends[-1])), dtype=np.int64)
-        np.concatenate(arrays, out=kept)
-        kept.flags.writeable = False
-        keys, self.rows, self.cols, *moved = np.split(kept, ends[:-1])
-        if blocks is not None:
-            self.blocks = blocks._replace(take=moved[0], positions=moved[1])
-        return keys
-
-    def entropy(self, values: np.ndarray, norm: float) -> float:
-        """The entropy of the amplitudes values / norm: one number block at a
-        time above ``BLOCK_CROSSOVER`` rows when the blocks exist, else from
-        the full Gram matrix."""
-        if self.n_rows > BLOCK_CROSSOVER and self.blocks is not None:
-            return _entropy(_blockwise_spectrum(values, norm, self.blocks))
-        rows, cols = self.rows[None], self.cols[None]
-        return _dense_entropies(values, norm, rows, cols, self.n_rows, self.n_cols)[0]
-
-
-# the memo: subset -> (registry, own copy of the keys, layout), least
-# recently used first
-_layouts: dict[ModeSubset, tuple[ModeRegistry, np.ndarray, _Layout]] = {}
+# the memo: subset -> entry, least recently used first
+_layouts: dict[ModeSubset, _Kept] = {}
 
 
 def _memo_terms() -> int:
-    return sum(len(keys) for _, keys, _ in _layouts.values())
+    return sum(len(keys) for _, keys, _, _ in _layouts.values())
 
 
-def _kept(registry: ModeRegistry, keys: np.ndarray, sub: ModeSubset) -> _Layout | None:
-    """The memo's layout of ``sub`` if it was built for this registry object
-    and equal keys, now the most recently used, else None; a stale layout
-    is dropped before its successor is built.
-
-    A kept layout moves (``_Layout.keep``) only at its first reuse, since
-    the move costs about a third of a 12-site half-chain call.
-    """
+def _kept(registry: ModeRegistry, keys: np.ndarray, sub: ModeSubset) -> _Kept | None:
+    """The memo's entry for ``sub`` if it was built for this registry object
+    and equal keys and its Gram rows are above ``BLOCK_CROSSOVER``, now the
+    most recently used, else None; a stale entry is dropped before its
+    successor is built."""
     kept = _layouts.pop(sub, None)
-    if kept is None or kept[0] is not registry or not np.array_equal(kept[1], keys):
+    if kept is None or kept[0] is not registry or kept[2] <= BLOCK_CROSSOVER:
         return None
-    _, copy, layout = kept
-    if not layout.mapped:
-        copy = layout.keep(copy)
-    _layouts[sub] = (registry, copy, layout)
-    return layout
+    if np.array_equal(kept[1], keys):
+        _layouts[sub] = kept
+        return kept
+    return None
 
 
-def _remember(registry: ModeRegistry, keys: np.ndarray, sub: ModeSubset, layout: _Layout) -> None:
-    """Keep a new block-path layout while the memo's bounds allow.
+def _remember(sub: ModeSubset, entry: _Kept) -> None:
+    """Keep a memo entry while the memo's bounds allow, its keys, ``take``
+    and ``positions`` copied into one anonymous memory map, read-only.
 
-    Only layouts of int64 keys and more than ``BLOCK_CROSSOVER`` Gram rows
-    are kept: moving every layout into memory maps took the scenarios
-    benchmark, whose many small states are rarely reused, half as long
-    again.
+    Only layouts of int64 keys are kept, since the map holds int64.  A
+    kept layout outlives the call that built it; kept on the malloc heap,
+    its arrays split the free space that the next large temporary (a
+    LAPACK workspace, say) needs, and the heap grows instead: 3 MB more
+    max RSS on the dynamics benchmark.
     """
-    if keys.dtype == np.int64 and len(keys) <= MEMO_TERMS:
-        _layouts[sub] = (registry, keys.copy(), layout)
-        while len(_layouts) > MEMO_ENTRIES or _memo_terms() > MEMO_TERMS:
-            del _layouts[next(iter(_layouts))]
+    registry, keys, n_rows, blocks = entry
+    if keys.dtype != np.int64 or len(keys) > MEMO_TERMS:
+        return
+    arrays = [keys, blocks.take, blocks.positions]
+    ends = np.cumsum([len(a) for a in arrays])
+    kept = np.frombuffer(mmap.mmap(-1, 8 * int(ends[-1])), dtype=np.int64)
+    np.concatenate(arrays, out=kept)
+    kept.flags.writeable = False
+    keys, take, positions = np.split(kept, ends[:-1])
+    _layouts[sub] = (registry, keys, n_rows, blocks._replace(take=take, positions=positions))
+    while len(_layouts) > MEMO_ENTRIES or _memo_terms() > MEMO_TERMS:
+        del _layouts[next(iter(_layouts))]
 
 
 def _entropy(eigenvalues: np.ndarray) -> float:
@@ -559,12 +514,6 @@ def von_neumann_entropy(rdm: ReducedDensityMatrix) -> float:
     return _entropy(np.linalg.eigvalsh(rdm.matrix))
 
 
-def _row(array: np.ndarray, j: int) -> np.ndarray:
-    """Row j of a split's array, copied unless it is the only row, so that a
-    kept layout holds its own terms and not the whole split."""
-    return array[0] if len(array) == 1 else array[j].copy()
-
-
 def subset_entropies(state: ManyBodyState, subsets: Sequence[Sequence[int]]) -> list[float]:
     """Entanglement entropy between each subset and the remaining modes,
     in the order of ``subsets``.
@@ -577,7 +526,9 @@ def subset_entropies(state: ManyBodyState, subsets: Sequence[Sequence[int]]) -> 
     matrices of one shape are formed and diagonalised as one stack.
     Above ``BLOCK_CROSSOVER`` rows, a state whose environments each carry
     one subset particle number has its Gram matrix formed and
-    diagonalised one number block at a time, with the layout memo.
+    diagonalised one number block at a time, and its number-block layout
+    is looked up in, or kept by, the memo; a subset that mixes numbers
+    joins the stacked full Gram matrices and is not kept.
     """
     registry, keys, values = state.registry, state.keys, state.values
     subs = [normalize_subset(len(registry), subset) for subset in subsets]
@@ -586,12 +537,12 @@ def subset_entropies(state: ManyBodyState, subsets: Sequence[Sequence[int]]) -> 
     entropies: dict[ModeSubset, float] = {}
     misses = []
     for sub in dict.fromkeys(subs):
-        layout = _kept(registry, keys, sub)
-        if layout is None:
+        kept = _kept(registry, keys, sub)
+        if kept is None:
             misses.append(sub)
         else:
-            _refuse_above("Gram matrix", layout.n_rows, guard)
-            entropies[sub] = layout.entropy(values, norm)
+            _refuse_above("Gram matrix", kept[2], guard)
+            entropies[sub] = _entropy(_blockwise_spectrum(values, norm, kept[3]))
     misses.sort(key=len)
     per = max(len(keys), SUBSET_CELLS) // len(keys)
     for start in range(0, len(misses), per):
@@ -604,8 +555,10 @@ def _split_entropies(
     state: ManyBodyState, norm: float, guard: int, subs: list[ModeSubset]
 ) -> list[float]:
     """Entropies of the distinct subsets ``subs``, from one split, behind
-    the guard; a layout of more than ``BLOCK_CROSSOVER`` Gram rows goes to
-    the memo."""
+    the guard.  Above ``BLOCK_CROSSOVER`` Gram rows a subset with number
+    blocks takes the block path and its layout goes to the memo; every
+    other subset, mixed numbers included, joins the stack of full Gram
+    matrices of its shape."""
     registry, keys, values = state.registry, state.keys, state.values
     rows, cols, n_rows, n_cols, number = _split(registry, keys, subs)[:5]
     swap = n_rows > n_cols
@@ -616,15 +569,16 @@ def _split_entropies(
         _refuse_above("Gram matrix", n, guard)
     layouts, shapes = {}, {}
     for j, (n, m) in enumerate(zip(n_rows, n_cols)):
-        if n > BLOCK_CROSSOVER:
-            layouts[j] = _Layout(_row(rows, j), _row(cols, j), n, m, _row(number, j))
-        else:
+        blocks = _number_blocks(rows[j], cols[j], n, m, number[j]) if n > BLOCK_CROSSOVER else None
+        if blocks is None:
             shapes.setdefault((n, m), []).append(j)
-    del number  # each layout frees its own once its blocks are built
+        else:
+            layouts[j] = blocks
+    del number
     entropies = [0.0] * len(subs)
-    for j, layout in layouts.items():
-        _remember(registry, keys, subs[j], layout)
-        entropies[j] = layout.entropy(values, norm)
+    for j, blocks in layouts.items():
+        _remember(subs[j], (registry, keys, n_rows[j], blocks))
+        entropies[j] = _entropy(_blockwise_spectrum(values, norm, blocks))
     for (n, m), members in shapes.items():
         take = members if len(members) < len(subs) else slice(None)
         found = _dense_entropies(values, norm, rows[take], cols[take], n, m)

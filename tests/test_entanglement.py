@@ -488,27 +488,27 @@ def test_memo_reuses_a_layout_only_for_the_same_registry_and_keys(memo):
     state = block_states()["fermions_fixed_n"]
     registry, half = state.registry, tuple(range(6))
     want = mode_entanglement(state, half)
-    layout = memo[half][2]
+    entry = memo[half]
     # the same keys with other amplitudes: a hit, with the new amplitudes' entropy
     rng = np.random.default_rng(5)
     values = rng.standard_normal(len(state.keys)) + 1j * rng.standard_normal(len(state.keys))
     other = ManyBodyState._from_keys(registry, state.keys, values / np.linalg.norm(values))
     got = mode_entanglement(other, half)
-    assert memo[half][2] is layout
+    assert memo[half] is entry
     assert abs(got - want) > 1e-3
     assert got == fresh_entropy(other, half)
     # equal keys in a fresh array: a hit
     assert mode_entanglement(state, half) == want
-    layout = memo[half][2]
+    entry = memo[half]
     copy = ManyBodyState._from_keys(registry, state.keys.copy(), state.values.copy())
     assert mode_entanglement(copy, half) == want
-    assert memo[half][2] is layout
+    assert memo[half] is entry
     # an equal but distinct registry object: a miss
     twin = registry_create(registry.modes)
     assert twin == registry and twin is not registry
     moved = ManyBodyState._from_keys(twin, state.keys, state.values)
     assert mode_entanglement(moved, half) == want
-    assert memo[half][0] is twin and memo[half][2] is not layout
+    assert memo[half][0] is twin and memo[half] is not entry
     # a pruned state with fewer keys: a miss, with the pruned state's entropy
     kept = np.abs(state.values) > np.quantile(np.abs(state.values), 0.3)
     pruned = ManyBodyState._from_keys(registry, state.keys[kept], state.values[kept]).normalize()
@@ -573,6 +573,25 @@ def test_memo_stays_within_its_bounds(memo, monkeypatch):
     assert len(memo) == 0
 
 
+def test_mixed_number_subset_leaves_a_full_memo_unchanged(memo):
+    # the half chain of an indefinite-number state has 64 Gram rows, above
+    # the crossover, but its environments mix subset numbers: it takes the
+    # dense path and neither builds nor evicts a kept layout
+    states = block_states()
+    fixed, mixed = states["fermions_fixed_n"], states["fermions_indefinite_n"]
+    half = tuple(range(6))
+    subsets = list(itertools.combinations(range(12), 6))[1 : 1 + entanglement.MEMO_ENTRIES]
+    for subset in subsets:
+        mode_entanglement(fixed, subset)
+    before = dict(memo)
+    assert list(before) == subsets
+    got = mode_entanglement(mixed, half)
+    assert list(memo) == subsets
+    assert all(memo[subset] is entry for subset, entry in before.items())
+    want = fresh_entropy(mixed, half)
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
 def sparse_sector_state(sites, total, share, rng):
     """A random state on a random share of the keys of a fixed-N sector."""
     registry = uniform_registry(sites)
@@ -590,7 +609,7 @@ def test_number_blocks_in_column_chunks_match_one_block(memo, monkeypatch):
     state = sparse_sector_state(24, 6, 0.1, np.random.default_rng(89))
     subset, rest = tuple(range(6)), tuple(range(6, 24))
     entropy = mode_entanglement(state, subset)
-    groups = {size: chunks for size, _, chunks in memo[subset][2].blocks.groups}
+    groups = {size: chunks for size, _, chunks in memo[subset][3].groups}
     assert [count for _, _, count in groups[15]] == [2] + [1] * 14
     assert abs(mode_entanglement(state, rest) - entropy) <= 1e-12
     monkeypatch.setattr(entanglement, "BLOCK_CROSSOVER", math.inf)
@@ -632,7 +651,7 @@ def test_one_by_one_blocks_memory_is_linear_in_terms(memo):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert memo[(1,)][2].blocks.groups == []
+    assert memo[(1,)][3].groups == []
     # the layout's key work peaks near 2.7 times the term arrays; padding
     # every block to the widest would add half as much again
     assert peak < 3 * term_bytes
@@ -832,8 +851,8 @@ def test_subset_entropies_match_one_at_a_time(name):
 @pytest.mark.parametrize("name", list(block_states()))
 def test_subset_entropies_match_one_at_a_time_above_crossover(name, memo):
     # the half chains take the block path (or, mixing numbers, one dense
-    # Gram matrix of side 64); the first batch builds their layouts, the
-    # second reuses them
+    # Gram matrix of side 64, stacked with the other of its shape); the
+    # first batch builds their layouts, the second reuses them
     state = block_states()[name]
     size = len(state.registry)
     subsets = mixed_subsets(size)
@@ -843,7 +862,7 @@ def test_subset_entropies_match_one_at_a_time_above_crossover(name, memo):
     for _ in range(2):
         got = subset_entropies(state, subsets)
         assert np.array_equal(np.array(got).view(np.uint64), np.array(fresh).view(np.uint64))
-        assert set(memo) == {half, rest}
+        assert set(memo) == (set() if name == "fermions_indefinite_n" else {half, rest})
 
 
 def test_subset_entropies_match_one_at_a_time_on_object_keys():
