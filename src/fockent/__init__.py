@@ -52,7 +52,6 @@ from .entanglement import (
 from .analytic import (
     ApproximateDistribution,
     ExcitonMarginals,
-    GapProfile,
     bcs_pair_entropy,
     bcs_projected_x,
     binary_entropy,
@@ -62,10 +61,8 @@ from .analytic import (
     distribution_entropy,
     elementary_symmetric,
     exciton_marginals,
-    gap_to_pair_amplitude,
     geometric_pair_distribution,
     multinomial,
-    pair_amplitude_from_ratio,
     qh_entropy,
     total_variation,
 )
@@ -78,7 +75,6 @@ from .states import (
     bcs_unprojected,
     bogoliubov_projected,
     bogoliubov_registry,
-    bogoliubov_truncation_bound,
     bogoliubov_unprojected,
     default_pair_cutoff,
     exciton_registry,

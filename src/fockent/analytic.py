@@ -104,8 +104,7 @@ def bcs_projected_x(
     x_k = |g_k|^2 e_{m-1}(|g|^2 without k) / e_m(|g|^2), with m = N/2.
     The x_k sum to N/2.
     """
-    if total_number % 2 != 0:
-        raise ValueError("total particle number must be even")
+    _check_pair_number(total_number)
     m = total_number // 2
     key = _as_momentum(k)
     if key not in g:
@@ -123,51 +122,6 @@ def bcs_projected_x(
     rest = [v for idx, v in mags.items() if idx != key]
     without = elementary_symmetric(rest, m - 1)[m - 1]
     return mags[key] * without / full
-
-
-@dataclass(frozen=True)
-class GapProfile:
-    """Excitation gap and kinetic energy per pair index.
-
-    The quasiparticle energy used below is E = sqrt(kinetic^2 + gap^2).
-    """
-
-    gap: Mapping[Momentum, float]
-    kinetic: Mapping[Momentum, float]
-
-    def __post_init__(self) -> None:
-        for k, d in self.gap.items():
-            if d < 0:
-                raise ValueError(f"gap at {k} is negative")
-            if k not in self.kinetic:
-                raise ValueError(f"pair index {k} missing kinetic energy")
-
-
-def pair_amplitude_from_ratio(ratio: float) -> float:
-    """Solve g/(1+g^2) = ratio for the root with |g| <= 1.
-
-    The equation has real solutions only for ratio <= 1/2; the two roots
-    are reciprocal and the bounded one is returned.
-    """
-    ratio = float(ratio)
-    if ratio < 0:
-        raise ValueError(f"ratio {ratio} is negative")
-    if ratio > 0.5 + BOUNDS_TOL:
-        raise ValueError(f"ratio {ratio} exceeds 1/2; no real pair amplitude exists")
-    ratio = min(ratio, 0.5)
-    if ratio == 0.0:
-        return 0.0
-    return (1.0 - math.sqrt(1.0 - 4.0 * ratio * ratio)) / (2.0 * ratio)
-
-
-def gap_to_pair_amplitude(profile: GapProfile, k: int | Sequence[int]) -> float:
-    """Pair amplitude from the gap equation g/(1+g^2) = gap/(2E)."""
-    key = _as_momentum(k)
-    delta = float(profile.gap[key])
-    if delta == 0.0:
-        return 0.0
-    energy = math.hypot(float(profile.kinetic[key]), delta)
-    return pair_amplitude_from_ratio(delta / (2.0 * energy))
 
 
 def compositions(total: int, boxes: int) -> Iterator[tuple[int, ...]]:

@@ -112,10 +112,9 @@ def _amplitude_table(
 ) -> tuple[PairAmplitudeTable, dict | None]:
     """The table of ``kind`` at ``path``, or ``draw(rng)`` and its meta record."""
     if path is not None:
+        # checked before the scenario reads table.values, which a wrong kind crashes
         table = load_amplitude_table(path)
-        if table.kind is not kind:
-            article = "an" if kind.value[0] in "aeiou" else "a"
-            raise ValueError(f"need {article} {kind.value} table, got {table.kind.value}")
+        states._check_kind(table, kind)
         return table, None
     table = draw(np.random.default_rng(seed))
     return table, {"seed": seed, "table": table_payload(table)}

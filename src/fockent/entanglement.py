@@ -159,17 +159,6 @@ class ReducedDensityMatrix:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Check trace one, Hermiticity and eigenvalue floor."""
-        tr = float(np.trace(self.matrix).real)
-        if abs(tr - 1.0) > tol:
-            raise NumericalInvariantError(f"trace {tr} deviates from 1 beyond {tol}")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > tol:
-            raise NumericalInvariantError("matrix is not Hermitian")
-        smallest = float(np.linalg.eigvalsh(self.matrix)[0])
-        if smallest < -tol:
-            raise NumericalInvariantError(f"negative eigenvalue {smallest}")
-
 
 def _norm(state: ManyBodyState) -> float:
     """The state's norm, behind the norm gate."""

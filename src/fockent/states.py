@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .analytic import compositions, multinomial
+from .analytic import _check_pair_number, compositions, multinomial
 from .errors import NormalizationError, TruncationError
 from .fock_core import (
     PRUNE_TOL,
@@ -129,6 +129,13 @@ class PairAmplitudeTable:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _check_kind(table: PairAmplitudeTable, kind: TableKind) -> None:
+    """Refuse a table of any kind but ``kind``."""
+    if table.kind is not kind:
+        article = "an" if kind.value[0] in "aeiou" else "a"
+        raise ValueError(f"need {article} {kind.value} table, got {table.kind.value}")
 
 
 def _finite(value, key) -> complex:
@@ -248,8 +255,7 @@ def _exciton_state(
     registry: ModeRegistry, table: PairAmplitudeTable, branches
 ) -> ManyBodyState:
     """Sum of A(k,k') * weight * e^dagger h^dagger |0> over ``branches``, normalized."""
-    if table.kind is not TableKind.EXCITON_A:
-        raise ValueError(f"need an exciton_A table, got {table.kind.value}")
+    _check_kind(table, TableKind.EXCITON_A)
     coefficients, created = [], []
     for (k, kp) in table.pair_indices():
         a = table.values[(k, kp)]
@@ -313,8 +319,7 @@ def _ldexp(z: complex, e: int) -> complex:
 
 def bcs_unprojected(registry: ModeRegistry, table: PairAmplitudeTable) -> ManyBodyState:
     """Coherent pair state: normalized product of (1 + g_k P^dagger_k) on vacuum."""
-    if table.kind is not TableKind.BCS_G:
-        raise ValueError(f"need a bcs_g table, got {table.kind.value}")
+    _check_kind(table, TableKind.BCS_G)
     keys, amplitudes = np.zeros(1, dtype=_key_dtype(registry)), np.ones(1, dtype=complex)
     # each factor 1 + g P is scaled by a power of two, exactly, so the largest
     # amplitude, prod max(1, |g|), stays in [0.5, 1]: products of large g stay
@@ -349,8 +354,7 @@ def bcs_projected(
     ``unpaired``: that (p, up) mode is occupied in every branch and its
     momentum is excluded from the pairing.
     """
-    if table.kind is not TableKind.BCS_G:
-        raise ValueError(f"need a bcs_g table, got {table.kind.value}")
+    _check_kind(table, TableKind.BCS_G)
     if total_number < 0:
         raise ValueError("total particle number must be nonnegative")
     if total_number % 2 == 1 and unpaired is None:
@@ -408,25 +412,16 @@ def default_pair_cutoff(ratio_magnitude: float, tol: float = PAIR_TAIL_TOL) -> i
         raise ValueError(f"|v/u| must lie in [0, 1), got {r}")
     if r == 0.0:
         return 1
-    n = 1
     scale = 1.0 / (1.0 - r * r)
+    # start at the root of r^(2n) * scale = tol, which a step-by-one search
+    # would take ~ln(1/tol) / (1 - r) steps to reach, then step down and up
+    # with the search's own predicate so the answer is the search's
+    n = max(1, math.ceil(math.log(tol * (1.0 - r * r)) / (2.0 * math.log(r))))
+    while n > 1 and (r ** (2 * (n - 1))) * scale < tol:
+        n -= 1
     while (r ** (2 * n)) * scale >= tol:
         n += 1
     return n
-
-
-def bogoliubov_truncation_bound(table: PairAmplitudeTable, cutoff: int) -> float:
-    """Upper bound on the total squared weight dropped beyond the cutoff.
-
-    Sum over pair modes of r^(2 (cutoff+1)) / (1 - r^2) with r = |v/u|.
-    """
-    if table.kind is not TableKind.BOGOLIUBOV_UV:
-        raise ValueError(f"need a bogoliubov_uv table, got {table.kind.value}")
-    bound = 0.0
-    for u, v in table.values.values():
-        r = abs(v / u)
-        bound += (r ** (2 * (cutoff + 1))) / (1.0 - r * r)
-    return bound
 
 
 def bogoliubov_unprojected(
@@ -442,8 +437,7 @@ def bogoliubov_unprojected(
     occupations the registry admits, so it stays unentangled and the
     state superposes even total numbers only.
     """
-    if table.kind is not TableKind.BOGOLIUBOV_UV:
-        raise ValueError(f"need a bogoliubov_uv table, got {table.kind.value}")
+    _check_kind(table, TableKind.BOGOLIUBOV_UV)
     condensate = registry.index_of(boson(0))
     pairs = []
     for q in table.pair_indices():
@@ -491,10 +485,8 @@ def bogoliubov_projected(
     N/2: weight multinomial(N/2; pattern) * prod (-c_j)^(n_j) on the
     ket with 2 n0 condensate particles and n_j in modes q_j and -q_j.
     """
-    if table.kind is not TableKind.BOGOLIUBOV_C:
-        raise ValueError(f"need a bogoliubov_c table, got {table.kind.value}")
-    if total_number % 2 != 0:
-        raise ValueError("total particle number must be even")
+    _check_kind(table, TableKind.BOGOLIUBOV_C)
+    _check_pair_number(total_number)
     half = total_number // 2
     condensate = registry.index_of(boson(0))
     if registry.cutoffs[condensate] < total_number:

@@ -702,7 +702,7 @@ def criterion_9(seed: int) -> CriterionResult:
     for _ in range(100):
         psi = random_state()
         matrix = reduced_density_matrix(psi, random_subset()).matrix
-        # trace, Hermiticity and eigenvalue floor, as ReducedDensityMatrix.validate
+        # trace one, Hermiticity and no eigenvalue below -1e-12
         error = max(
             abs(float(np.trace(matrix).real) - 1.0),
             float(np.max(np.abs(matrix - matrix.conj().T))),

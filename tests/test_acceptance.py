@@ -55,8 +55,18 @@ def test_package_exports_are_consistent():
         value = getattr(fockent, name)
         assert not isinstance(value, types.ModuleType), name
         assert value.__module__.split(".")[0] == "fockent", (name, value.__module__)
-    # H acts on states only through the sector matrices
-    for removed in ("apply_hamiltonian", "energy_expectation"):
-        assert removed not in names
-        assert not hasattr(fockent, removed)
-        assert not hasattr(fockent.dynamics, removed)
+    # H acts on states only through the sector matrices; the gap-equation
+    # helpers, the truncation bound and the matrix check had no caller
+    removed = [
+        (fockent.dynamics, "apply_hamiltonian"),
+        (fockent.dynamics, "energy_expectation"),
+        (fockent.analytic, "GapProfile"),
+        (fockent.analytic, "gap_to_pair_amplitude"),
+        (fockent.analytic, "pair_amplitude_from_ratio"),
+        (fockent.states, "bogoliubov_truncation_bound"),
+        (fockent.ReducedDensityMatrix, "validate"),
+    ]
+    for owner, name in removed:
+        assert name not in names
+        assert not hasattr(fockent, name)
+        assert not hasattr(owner, name)

@@ -16,7 +16,6 @@ import pytest
 from fockent import (
     ApproximateDistribution,
     ExcitonChannel,
-    GapProfile,
     PairAmplitudeTable,
     SizeGuardError,
     TableKind,
@@ -35,11 +34,9 @@ from fockent import (
     exciton_registry,
     exciton_spinful,
     exciton_spinless,
-    gap_to_pair_amplitude,
     geometric_pair_distribution,
     mode_entanglement,
     multinomial,
-    pair_amplitude_from_ratio,
     qh_entropy,
     random_bogoliubov_c_table,
     random_exciton_table,
@@ -154,40 +151,6 @@ def test_projected_pair_occupation_errors():
         bcs_projected_x(g, 6, (1,))
     with pytest.raises(ValueError):
         bcs_projected_x({(1,): 0.0, (2,): 0.0}, 2, (1,))
-
-
-# ---------------------------------------------------------------------------
-# gap profiles
-
-
-def test_pair_amplitude_from_ratio():
-    for ratio in [0.1, 0.25, 0.4, 0.49]:
-        g = pair_amplitude_from_ratio(ratio)
-        assert 0 < g <= 1
-        assert g / (1 + g * g) == pytest.approx(ratio, abs=1e-14)
-    assert pair_amplitude_from_ratio(0.5) == pytest.approx(1.0)
-    assert pair_amplitude_from_ratio(0.0) == 0.0
-    with pytest.raises(ValueError):
-        pair_amplitude_from_ratio(0.51)
-    with pytest.raises(ValueError):
-        pair_amplitude_from_ratio(-0.1)
-
-
-def test_gap_to_pair_amplitude():
-    profile = GapProfile(
-        gap={(1,): 0.0, (2,): 1.0, (3,): 3.0},
-        kinetic={(1,): 2.0, (2,): 0.0, (3,): 4.0},
-    )
-    assert gap_to_pair_amplitude(profile, (1,)) == 0.0
-    # zero kinetic energy sits at the peak: g = 1
-    assert gap_to_pair_amplitude(profile, (2,)) == pytest.approx(1.0)
-    g = gap_to_pair_amplitude(profile, (3,))
-    energy = math.hypot(4.0, 3.0)
-    assert g / (1 + g * g) == pytest.approx(3.0 / (2 * energy), abs=1e-14)
-    with pytest.raises(ValueError):
-        GapProfile(gap={(1,): -0.5}, kinetic={(1,): 1.0})
-    with pytest.raises(ValueError):
-        GapProfile(gap={(1,): 0.5}, kinetic={})
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +270,13 @@ def test_negative_particle_number_is_refused(c, total):
         if c:
             with pytest.raises(ValueError, match=message):
                 oracle(c, total, (1,))
+    # the projected state and the pair occupation x_k state the same rule
+    registry = bogoliubov_registry(c, condensate_cutoff=4, pair_cutoff=2)
+    table = PairAmplitudeTable(TableKind.BOGOLIUBOV_C, c)
+    with pytest.raises(ValueError, match=message):
+        bogoliubov_projected(registry, table, total)
+    with pytest.raises(ValueError, match=message):
+        bcs_projected_x(c, total, (1,))
 
 
 def test_approximate_forms_reduce_to_exact_for_minimal_case():

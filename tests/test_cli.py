@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -639,6 +641,22 @@ def test_condensate_oracle_beyond_guard_exits_3_before_the_state(monkeypatch, ca
         "error: exact condensate enumeration (N/2=12, 10 pairs) "
         "dimension 646646 exceeds guard 5000\n"
     )
+
+
+def test_near_unit_pair_ratio_exits_3_promptly(tmp_path):
+    # |u|^2 - |v|^2 = 1 exactly, and |v/u| = 1 - 2**-53: the pair cutoff is
+    # ~3e17, which must be found without ~3e17 steps, and the pair grid
+    # breaches the guard
+    u, v = 2.0**26, math.sqrt(2**52 - 1)
+    entries = [{"k": [1], "u": [u, 0.0], "v": [v, 0.0]}]
+    path = tmp_path / "uv.json"
+    path.write_text(json.dumps({"kind": "bogoliubov_uv", "entries": entries}))
+    argv = ["bogoliubov", "--unprojected", "--pairs", "1", "--c", str(path)]
+    command = [sys.executable, "-m", "fockent.cli", *argv]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("error: pair grid (1 pairs x ")
+    assert "exceeds guard" in done.stderr
 
 
 def test_negative_particle_number_exits_2(capsys):

@@ -293,21 +293,6 @@ def test_non_integral_mode_indices_are_refused(subset):
             call()
 
 
-def test_validate_flags_broken_matrices():
-    patterns = ((0,), (1,))
-    good = ReducedDensityMatrix((0,), patterns, np.diag([0.25, 0.75]).astype(complex))
-    good.validate()
-    bad_trace = ReducedDensityMatrix((0,), patterns, np.diag([0.5, 0.75]).astype(complex))
-    with pytest.raises(NumericalInvariantError):
-        bad_trace.validate()
-    herm = np.array([[0.5, 0.2], [0.3, 0.5]], dtype=complex)
-    with pytest.raises(NumericalInvariantError):
-        ReducedDensityMatrix((0,), patterns, herm).validate()
-    negative = ReducedDensityMatrix((0,), patterns, np.diag([1.1, -0.1]).astype(complex))
-    with pytest.raises(NumericalInvariantError):
-        negative.validate()
-
-
 def test_entropy_floor_rejects_large_negative_eigenvalue():
     patterns = ((0,), (1,))
     slight = ReducedDensityMatrix(

@@ -24,7 +24,6 @@ from fockent import (
     bcs_unprojected,
     bogoliubov_projected,
     bogoliubov_registry,
-    bogoliubov_truncation_bound,
     bogoliubov_unprojected,
     boson,
     default_pair_cutoff,
@@ -561,20 +560,29 @@ def test_bcs_builders_prune_relative_to_the_largest_term():
 
 
 def test_default_pair_cutoff_controls_geometric_tail():
-    for r in [0.1, 0.5, 0.9]:
+    def search(r, tol=1e-14):
+        # the smallest n >= 1 with r^(2n) / (1 - r^2) below tol, step by step
+        n, scale = 1, 1.0 / (1.0 - r * r)
+        while (r ** (2 * n)) * scale >= tol:
+            n += 1
+        return n
+
+    near_one = [1.0 - 10.0**-k for k in range(1, 5)]
+    drawn = np.random.default_rng(11).uniform(0.0, 1.0, 1000).tolist()
+    for r in [0.1, 0.5, 0.9, *near_one, *drawn]:
         n = default_pair_cutoff(r)
+        assert n == search(r), r
         assert (r ** (2 * n)) / (1 - r * r) < 1e-14
         assert n == 1 or (r ** (2 * (n - 1))) / (1 - r * r) >= 1e-14
+    # |v/u| = 1 - 2**-53 needs ~3e17 steps of the search; the cutoff is its
+    # answer all the same: the tail is below tol at n and not at n - 1
+    r = 1.0 - 2.0**-53
+    n = default_pair_cutoff(r)
+    scale = 1.0 / (1.0 - r * r)
+    assert (r ** (2 * n)) * scale < 1e-14 <= (r ** (2 * (n - 1))) * scale
     assert default_pair_cutoff(0.0) == 1
     with pytest.raises(ValueError):
         default_pair_cutoff(1.0)
-
-
-def test_truncation_bound_formula():
-    table = PairAmplitudeTable(TableKind.BOGOLIUBOV_UV, {(1,): (1.25, 0.75)})
-    r = 0.75 / 1.25
-    want = r ** (2 * 3) / (1 - r * r)
-    assert bogoliubov_truncation_bound(table, 2) == pytest.approx(want)
 
 
 def test_bogoliubov_unprojected_pair_amplitudes_are_geometric():
