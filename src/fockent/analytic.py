@@ -155,10 +155,15 @@ def _boxes(c: Mapping[Momentum, complex], q) -> tuple[list[complex], int]:
     return [1.0] + [complex(c[k]) for k in keys], pos
 
 
-def _check_pair_number(total_number: int) -> None:
-    """Refuse a negative or odd total particle number N."""
+def _check_nonnegative_number(total_number: int) -> None:
+    """Refuse a negative total particle number N."""
     if total_number < 0:
         raise ValueError(f"total particle number {total_number} is negative")
+
+
+def _check_pair_number(total_number: int) -> None:
+    """Refuse a negative or odd total particle number N."""
+    _check_nonnegative_number(total_number)
     if total_number % 2 != 0:
         raise ValueError("total particle number must be even")
 

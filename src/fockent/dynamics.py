@@ -541,9 +541,7 @@ class ProperBasisReport:
     transformed: SecondQuantizedHamiltonian | None = None
 
 
-def check_proper_basis(
-    h: SecondQuantizedHamiltonian, tol: float = PROPER_TOL
-) -> ProperBasisReport:
+def check_proper_basis(h: SecondQuantizedHamiltonian) -> ProperBasisReport:
     """Diagonalize one_body and transform the two-body tensor.
 
     The rotation U satisfies T = U diag(e) U^dagger; new-basis operators
@@ -553,7 +551,7 @@ def check_proper_basis(
     allocated.
     """
     off_max = _off_diagonal_max(h.one_body)
-    if off_max <= tol:
+    if off_max <= PROPER_TOL:
         return ProperBasisReport(True, off_max)
 
     energies, rotation = np.linalg.eigh(h.one_body)

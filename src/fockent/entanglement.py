@@ -317,54 +317,44 @@ def _number_blocks(rows, cols, n_rows, n_cols, number) -> _Blocks | None:
     col_label = _number_of(cols, n_cols, number)
     if label is None or col_label is None:
         return None
-    size = np.bincount(label).tolist()
+    size = np.bincount(label)
     top = len(size)
-    width, terms = (np.bincount(x, minlength=top).tolist() for x in (col_label, number))
-    # block n (the rows of subset number n) gets the first cell of its slot
-    # among the blocks of its size, widest first, the chunk width of its
-    # size and its first run; the 1 x 1 blocks come first, one run each
-    present = sorted((n for n in range(top) if size[n]), key=lambda n: (size[n], -width[n]))
-    base, chunk_width, first = [0] * top, width[:], [0] * top
-    runs, groups = 0, []
-    for s, members in itertools.groupby(present, key=size.__getitem__):
-        members = list(members)
-        if s == 1:
-            for n in members:
-                first[n], runs = runs, runs + 1
-            continue
-        count, extent = len(members), width[members[0]]
-        cells = max(sum(terms[n] for n in members), count * s * s, BLOCK_CELLS)
+    width, terms = (np.bincount(x, minlength=top) for x in (col_label, number))
+    # blocks by size, widest first, ties in number order; a 1 x 1 block is one run,
+    # and a larger block n has its first run, chunk width and first cell in its size
+    absent, ones = np.bincount(size, minlength=2)[:2].tolist()
+    order = np.lexsort((-width, size))[absent:]
+    first, base, chunk_width = np.zeros(top, np.intp), np.zeros(top, np.intp), width.copy()
+    first[order[:ones]] = np.arange(ones)
+    runs, groups = ones, []
+    for s in sorted(set(size.tolist()) - {0, 1}):
+        members = order[size[order] == s]
+        widths = width[members]
+        count, extent = len(members), int(widths[0])
+        cells = max(int(terms[members].sum()), count * s * s, BLOCK_CELLS)
         w = min(cells // (count * s), extent)
-        for i, n in enumerate(members):
-            base[n], chunk_width[n], first[n] = i * s, w, runs
-        reach = [sum(width[n] > c for n in members) for c in range(0, extent, w)]
+        first[members], chunk_width[members], base[members] = runs, w, np.arange(0, count * s, s)
+        reach = [int(np.count_nonzero(widths > c)) for c in range(0, extent, w)]
         groups.append((s, w, runs, reach))
         runs += len(reach)
-    positions = None
+    # with no group every term is in a 1 x 1 block, and no position is read
+    run = positions = first[number]
     if groups:
-        run, width_of, positions = np.array([first, chunk_width, base])[:, number]
         # ranks among the rows, then among the columns, of each one's block
         rank = _ranks(np.concatenate((label, col_label + top)))
+        width_of = chunk_width[number]
         chunk, offset = np.divmod(rank[n_rows:][cols], width_of)
+        positions = (base[number] + rank[rows]) * width_of + offset
         run += chunk
-        positions += rank[rows]
-        positions *= width_of
-        positions += offset
-    else:
-        run = np.array(first)[number]
     take = run.argsort(kind="stable")
-    bounds = [0] + np.bincount(run, minlength=runs).cumsum().tolist()
-    ones = size.count(1)
+    bounds = [0, *np.bincount(run, minlength=runs).cumsum().tolist()]
     singles = bounds[ones]
-    ends = [end - singles for end in bounds[ones:]]
     groups = [
-        (s, w, [(ends[r - ones + c], ends[r - ones + c + 1], k) for c, k in enumerate(reach)])
-        for s, w, r, reach in groups
+        (s, w, [(bounds[r] - singles, bounds[r + 1] - singles, k) for r, k in enumerate(reach, r0)])
+        for s, w, r0, reach in groups
     ]
-    starts = np.array(bounds[:ones], dtype=np.intp)
-    counts = np.diff(bounds[: ones + 1])
-    positions = take[:0] if positions is None else positions[take[singles:]]
-    return _Blocks(take, positions, singles, starts, counts, groups)
+    starts, counts = np.array(bounds[:ones], dtype=np.intp), np.diff(bounds[: ones + 1])
+    return _Blocks(take, positions[take[singles:]], singles, starts, counts, groups)
 
 
 def _run_sums(parts: list[np.ndarray], starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

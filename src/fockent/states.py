@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .analytic import _check_pair_number, compositions, multinomial
+from .analytic import _check_nonnegative_number, _check_pair_number, compositions, multinomial
 from .errors import NormalizationError, TruncationError
 from .fock_core import (
     PRUNE_TOL,
@@ -45,6 +45,7 @@ from .fock_core import (
     _json_ints,
     _json_payload,
     _key_dtype,
+    _mode_index,
     _occupations,
     _operator_triplets,
     _term_run,
@@ -243,7 +244,9 @@ def uniform_registry(num_modes: int) -> ModeRegistry:
 
 def fermi_sea(registry: ModeRegistry, filled: Sequence[int]) -> ManyBodyState:
     """Single determinant with the given fermionic modes occupied."""
-    filled = sorted(set(int(i) for i in filled))
+    filled = [_mode_index(len(registry), i) for i in filled]
+    if len(set(filled)) != len(filled):
+        raise ValueError(f"filled modes have repeated indices: {filled}")
     for i in filled:
         if not registry.modes[i].fermionic:
             raise ValueError(f"mode {i} is bosonic; a filled sea needs fermionic modes")
@@ -355,8 +358,7 @@ def bcs_projected(
     momentum is excluded from the pairing.
     """
     _check_kind(table, TableKind.BCS_G)
-    if total_number < 0:
-        raise ValueError("total particle number must be nonnegative")
+    _check_nonnegative_number(total_number)
     if total_number % 2 == 1 and unpaired is None:
         raise ValueError("odd particle number requires an unpaired mode")
     if total_number % 2 == 0 and unpaired is not None:
@@ -376,6 +378,7 @@ def bcs_projected(
 
     what = f"projected pair state ({num_pairs} of {len(available)} pairs)"
     _check_elements(what, math.comb(len(available), num_pairs))
+    pair_modes = {k: _bcs_pair_modes(registry, k) for k in available}
 
     # prod(g) per subset as a product of mantissas in [0.5, 1) times a power
     # of two, so no product overflows or underflows; one exact shift then puts
@@ -387,7 +390,7 @@ def bcs_projected(
             e = math.frexp(abs(table.values[k]))[1]
             coefficient *= _ldexp(table.values[k], -e)
             exponent += e
-            up, down = _bcs_pair_modes(registry, k)
+            up, down = pair_modes[k]
             modes += [down, up]
         raw.append((coefficient, exponent))
         created.append(modes)
@@ -405,21 +408,21 @@ def bcs_projected(
     return combined.normalize()
 
 
-def default_pair_cutoff(ratio_magnitude: float, tol: float = PAIR_TAIL_TOL) -> int:
-    """Smallest n with r^(2n) / (1 - r^2) below tol (at least 1)."""
+def default_pair_cutoff(ratio_magnitude: float) -> int:
+    """Smallest n with r^(2n) / (1 - r^2) below ``PAIR_TAIL_TOL`` (at least 1)."""
     r = float(ratio_magnitude)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"|v/u| must lie in [0, 1), got {r}")
     if r == 0.0:
         return 1
     scale = 1.0 / (1.0 - r * r)
-    # start at the root of r^(2n) * scale = tol, which a step-by-one search
-    # would take ~ln(1/tol) / (1 - r) steps to reach, then step down and up
-    # with the search's own predicate so the answer is the search's
-    n = max(1, math.ceil(math.log(tol * (1.0 - r * r)) / (2.0 * math.log(r))))
-    while n > 1 and (r ** (2 * (n - 1))) * scale < tol:
+    # start at the root of r^(2n) * scale = PAIR_TAIL_TOL, which a step-by-one
+    # search would take ~ln(1/PAIR_TAIL_TOL) / (1 - r) steps to reach, then step
+    # down and up with the search's own predicate so the answer is the search's
+    n = max(1, math.ceil(math.log(PAIR_TAIL_TOL * (1.0 - r * r)) / (2.0 * math.log(r))))
+    while n > 1 and (r ** (2 * (n - 1))) * scale < PAIR_TAIL_TOL:
         n -= 1
-    while (r ** (2 * n)) * scale >= tol:
+    while (r ** (2 * n)) * scale >= PAIR_TAIL_TOL:
         n += 1
     return n
 

@@ -20,7 +20,9 @@ from fockent import (
     SizeGuardError,
     TableKind,
     bcs_pair_entropy,
+    bcs_projected,
     bcs_projected_x,
+    bcs_registry,
     binary_entropy,
     bogoliubov_approx,
     bogoliubov_exact,
@@ -270,13 +272,17 @@ def test_negative_particle_number_is_refused(c, total):
         if c:
             with pytest.raises(ValueError, match=message):
                 oracle(c, total, (1,))
-    # the projected state and the pair occupation x_k state the same rule
+    # the projected states and the pair occupation x_k state the same rule,
+    # the projected pair state too, though it allows an odd N
     registry = bogoliubov_registry(c, condensate_cutoff=4, pair_cutoff=2)
     table = PairAmplitudeTable(TableKind.BOGOLIUBOV_C, c)
     with pytest.raises(ValueError, match=message):
         bogoliubov_projected(registry, table, total)
     with pytest.raises(ValueError, match=message):
         bcs_projected_x(c, total, (1,))
+    pairs = PairAmplitudeTable(TableKind.BCS_G, c)
+    with pytest.raises(ValueError, match=message):
+        bcs_projected(bcs_registry(pairs.pair_indices()), pairs, total)
 
 
 def test_approximate_forms_reduce_to_exact_for_minimal_case():

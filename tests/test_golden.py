@@ -3,8 +3,11 @@
 Each case runs ``fockent <argv> --out <table>`` in a fresh interpreter
 with one BLAS thread and pins the SHA-256 of the table, its
 ``.meta.json`` sidecar (empty when none is written) and stdout.  The
-dynamics cases run on a Hubbard dimer (dense eigh) and on an 11-site
-interacting ring at N = 5 (dimension 462, sparse Chebyshev propagation).
+dynamics cases run on a Hubbard dimer (dense eigh) and on interacting
+rings of 11 sites at N = 5 (dimension 462) and 12 sites at N = 6
+(dimension 924), both by sparse Chebyshev propagation.  The 12-site
+ring's half chain has Gram side 64, above ``BLOCK_CROSSOVER``, so its
+entropies take the number-block path, with blocks of 6, 15 and 20 rows.
 A digest may change only together with a line in
 CHANGES.md that says why.  The digests were recorded with Python 3.11
 and numpy 2.4.6 (OpenBLAS 0.3.31) on x86-64; another numpy or BLAS build
@@ -81,7 +84,7 @@ def ring(sites=11):
     return {"modes": modes, "one_body": one_body, "two_body": two_body}
 
 
-HAMILTONIANS = {"dimer": hubbard_dimer, "ring": ring}
+HAMILTONIANS = {"dimer": hubbard_dimer, "ring": ring, "ring12": lambda: ring(12)}
 
 # name: (argv without --out, SHA-256)
 GOLDEN = {
@@ -140,6 +143,18 @@ GOLDEN = {
             "0,1,2,3,4",
         ],
         "9d61737d98eab725565b662390fd1feaf7e7f4c3adfde127e6376334340396b2",
+    ),
+    "dynamics_ring_12": (
+        [
+            "dynamics",
+            "--hamiltonian",
+            "{ring12}",
+            "--initial",
+            "1,0,1,0,1,0,1,0,1,0,1,0",
+            "--subset",
+            "0,1,2,3,4,5",
+        ],
+        "6a64c9726be8962a36d6bb07fc81e3efc5da718d711532f3183b8e7dec81acf0",
     ),
 }
 

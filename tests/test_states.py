@@ -174,6 +174,17 @@ def test_fermi_sea_occupies_exactly_the_given_modes():
     bos = registry_create([electron(0), boson(0)], cutoffs=2)
     with pytest.raises(ValueError):
         fermi_sea(bos, [1])
+    # each index obeys the one mode-index rule, and none repeats
+    four = registry_create([electron(i) for i in range(4)])
+    for filled, message in (
+        ([-1], "mode index -1 outside registry of size 4"),
+        ([4], "mode index 4 outside registry of size 4"),
+        ([1.5], "mode index 1.5 is not an integer"),
+        ([True], "mode index True is not an integer"),
+        ([0, 0], r"filled modes have repeated indices: \[0, 0\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            fermi_sea(four, filled)
 
 
 def test_uniform_filling_state_counts_and_occupations():
