@@ -145,6 +145,40 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     return out
 
 
+def _ldexp(x, e: int):
+    """x * 2**e for a float or complex x, exactly while its parts stay normal."""
+    if isinstance(x, complex):
+        return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))
+    return math.ldexp(x, e)
+
+
+def _frexp(x) -> tuple:
+    """(m, e) with x = m * 2**e, |m| in [0.5, 1] (or m = 0): exact for a float
+    or complex x while its parts stay normal, correctly rounded for an int."""
+    if isinstance(x, float):
+        return math.frexp(x)
+    if isinstance(x, int):
+        e = x.bit_length()
+        return x / (1 << e), e
+    e = math.frexp(abs(x))[1]
+    return _ldexp(x, -e), e
+
+
+def _powers(x, top: int) -> list:
+    """x**k for k = 0 .. top as (m, e) pairs of ``_frexp``: Python's own x**k
+    while |x|**top stays well inside the float range, else x**k by squaring
+    x**(k // 2), rescaled at every step."""
+    e = math.frexp(abs(x))[1]
+    if -1000 < (e - 1) * top and e * top < 1000:
+        return [_frexp(x**k) for k in range(top + 1)]
+    powers = [(1.0, 0)]
+    for k in range(1, top + 1):
+        root, f = powers[k // 2]
+        m, g = _frexp(root * root * (_ldexp(x, -e) if k % 2 else 1))
+        powers.append((m, 2 * f + g + (e if k % 2 else 0)))
+    return powers
+
+
 def _boxes(c: Mapping[Momentum, complex], q) -> tuple[list[complex], int]:
     """Box amplitudes, 1.0 for the condensate and then c_j in momentum
     order, and the target box: 0 for ``q`` None, else that of pair mode q."""
@@ -197,20 +231,35 @@ def bogoliubov_exact(
     half = total_number // 2
     amplitudes, pos = _boxes(c, q)
     boxes = [abs(a) ** 2 for a in amplitudes]
-    others = boxes[:pos] + boxes[pos + 1 :]
-    weights = np.zeros(half + 1)
+    # each term and each entry as a mantissa and a power of two (``_frexp``), so
+    # none leaves the float range; exact shifts put the terms of an entry, and
+    # then the entries, on one scale, where the sums round as unscaled ones do
+    powers = [_powers(w, half) for w in boxes]
+    rest = powers[:pos] + powers[pos + 1 :]
+    entries = []
     for n in range(half + 1):
-        acc = 0.0
-        for pattern in compositions(half - n, len(others)):
-            term = float(multinomial(half, (n, *pattern)) ** 2)
-            for weight, count in zip(others, pattern):
-                term *= weight**count
-            acc += term
-        weights[n] = acc * boxes[pos] ** n
-    total = weights.sum()
-    if total == 0.0:
-        raise ValueError("distribution vanishes; all weights are zero")
-    return weights / total
+        acc, top = 0.0, 0
+        for pattern in compositions(half - n, len(rest)):
+            term = multinomial(half, (n, *pattern)) ** 2
+            e = term.bit_length()
+            term /= 1 << e  # ``_frexp`` of the int, inline in this hot loop
+            for power, count in zip(rest, pattern):
+                if count:  # weight**0 is 1
+                    mantissa, f = power[count]
+                    term *= mantissa
+                    e += f
+            if not term:
+                continue
+            if not acc:
+                top = e
+            elif e > top:  # the sum so far moves to the new scale
+                acc, top = math.ldexp(acc, top - e), e
+            acc += math.ldexp(term, e - top)
+        acc, f = _frexp(acc * powers[pos][n][0])
+        entries.append((acc, top + powers[pos][n][1] + f))
+    top = max(e for w, e in entries if w)
+    weights = np.array([math.ldexp(w, e - top) for w, e in entries])
+    return weights / weights.sum()
 
 
 class ApproximateDistribution(NamedTuple):

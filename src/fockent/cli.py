@@ -157,10 +157,7 @@ def run_exciton(args):
     channel = ExcitonChannel(args.channel)
     spinful = channel is not ExcitonChannel.SPINLESS
     registry = states.exciton_registry(e_momenta, h_momenta, spinful=spinful)
-    if spinful:
-        state = states.exciton_spinful(registry, table, channel)
-    else:
-        state = states.exciton_spinless(registry, table)
+    state = states.exciton_spinful(registry, table, channel)
     rows = verification.exciton_rows(state, table, channel)
     return verification.EXCITON_COLUMNS, rows, meta
 

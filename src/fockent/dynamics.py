@@ -59,6 +59,7 @@ from .fock_core import (
     _json_int,
     _json_ints,
     _json_payload,
+    _mode_index,
     _occupations,
     _operator_triplets,
     _sector_keys,
@@ -137,12 +138,12 @@ class SecondQuantizedHamiltonian:
 
 
 def _complete_two_body(entries: Mapping, num_modes: int) -> dict:
-    """Validate index ranges and enforce <ij|V|lm> = conj(<lm|V|ij>)."""
+    """Check each index by ``_mode_index`` and enforce <ij|V|lm> = conj(<lm|V|ij>)."""
     completed: dict[TwoBodyKey, complex] = {}
     for key, value in entries.items():
-        key = tuple(int(x) for x in key)
-        if len(key) != 4 or not all(0 <= x < num_modes for x in key):
-            raise ValueError(f"two-body key {key} out of range for {num_modes} modes")
+        if len(key) != 4:
+            raise ValueError(f"two-body key {key} does not have four mode indices")
+        key = tuple(_mode_index(num_modes, x) for x in key)
         value = complex(value)
         if not np.isfinite(value):
             raise ValueError(f"two-body entry at {key} is not finite: {value}")

@@ -21,30 +21,25 @@ of the Gram matrix of its smaller side (M M^dagger over the present
 patterns, or M^T M^* over the present environments).  Its dimension, at
 most the number of terms, must not exceed ``size_guard()``; the guard
 and its check live in ``fock_core``, and the guard applies to the full
-Gram side of every subset on every call.  Gram matrices of one shape are
-stacked (``_grams``): one scatter and one batched product per block of
-columns, each matrix 0 plus its blocks' products as if formed alone,
-then one batched ``eigvalsh``.  A 1 x 1 Gram matrix skips ``eigvalsh``:
-LAPACK's ``zheevd`` returns the real part of its one entry, so the
-spectrum is read off exactly.
+Gram side of every subset on every call.  When every environment key
+carries a single subset particle number n_A, as in every state of fixed
+particle number, M and its Gram matrix are block-diagonal in n_A (the
+blocks of symmetry-resolved entanglement; Goldstein & Sela, PRL 120,
+200602 (2018)).  This is checked on the terms, never assumed.  Above
+``BLOCK_CROSSOVER`` Gram rows such a Gram matrix is formed one number
+block at a time, and a 1 x 1 block is the compensated sum of its row's
+|a|^2.  Any other Gram matrix, mixed numbers included, is one block.
 
-When every environment key carries a single subset particle number n_A,
-as in every state of fixed particle number, M and its Gram matrix are
-block-diagonal in n_A (the blocks of symmetry-resolved entanglement;
-Goldstein & Sela, PRL 120, 200602 (2018)).  This is checked on the
-terms, never assumed.  Above ``BLOCK_CROSSOVER`` Gram rows, a state that
-passes the check has each block's Gram matrix formed on its own: the
-blocks of one size are stacked in one (blocks x size x width) buffer,
-multiplied by one batched product and diagonalised by one batched
-``eigvalsh``, and a 1 x 1 block is the compensated sum of its row's
-|a|^2, read straight from the terms.  Smaller Gram matrices, and those
-of states that mix numbers in one environment (the condensate mode of
-an unprojected Bogoliubov state, a random state of indefinite number),
-are one block: the full Gram matrix, stacked with the others of its
-shape.  Every product is summed over dense chunks of columns whose size
-follows the number of terms, so memory stays linear in the terms plus
-the Gram matrices, and the patterns x environments matrix is never
-allocated.
+One product, ``_grams``, forms every Gram matrix: for each chunk of
+columns it scatters the terms at flat positions of a zero (count x size
+x width) buffer, a stack of count matrices, and adds the buffer's
+batched product to the stack's Gram matrices.  A stack holds the number
+blocks of one size, placed by their ``_Blocks`` layout, or the full Gram
+matrices of one shape (``_full_grams``).  Chunk widths follow the number
+of terms, so memory stays linear in the terms plus the Gram matrices and
+the patterns x environments matrix is never allocated.  One batched
+``eigvalsh`` then diagonalises a stack; a 1 x 1 Gram matrix skips it, as
+LAPACK's ``zheevd`` returns the real part of its one entry.
 
 The key work depends only on the registry, the keys and the subset, and
 every state of a trajectory has the same keys.  A small memo keeps the
@@ -168,28 +163,15 @@ def _norm(state: ManyBodyState) -> float:
     return n
 
 
-class _Split(NamedTuple):
-    """Every term's place in the amplitude matrix of each of a list of subsets.
-
-    Term t sits at M_j[rows[j, t], cols[j, t]] of subset j's matrix, whose
-    ``n_rows[j]`` present patterns and ``n_cols[j]`` present environments
-    are indexed in ascending order; ``number[j, t]`` is the term's subset
-    particle number and ``pattern[j, t]`` its subset pattern, as a
-    lexicographic index.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    n_rows: np.ndarray
-    n_cols: np.ndarray
-    number: np.ndarray
-    pattern: np.ndarray
-
-
-def _split(registry: ModeRegistry, keys: np.ndarray, subs: list[ModeSubset]) -> _Split:
+def _split(registry: ModeRegistry, keys: np.ndarray, subs: list[ModeSubset]) -> tuple:
     """Place each term of ``keys`` in the amplitude matrix of every subset
     of ``subs`` at once, on (subsets x terms) arrays in the key type.
 
+    Returns (rows, cols, n_rows, n_cols, number, pattern): term t sits at
+    M_j[rows[j, t], cols[j, t]] of subset j's matrix, whose ``n_rows[j]``
+    present patterns and ``n_cols[j]`` present environments are indexed in
+    ascending order; ``number[j, t]`` is the term's subset particle number
+    and ``pattern[j, t]`` its subset pattern, as a lexicographic index.
     Subset occupations are read from the keys as ``(key // stride) %
     radix``.  A subset shorter than the longest is padded with modes of
     stride 1 and radix 1, whose occupation is always 0 and changes no
@@ -219,57 +201,55 @@ def _split(registry: ModeRegistry, keys: np.ndarray, subs: list[ModeSubset]) -> 
     del occupation
     rows, n_rows = _row_groups(pattern)
     cols, n_cols = _row_groups(environment)
-    return _Split(rows, cols, n_rows, n_cols, number.astype(np.intp, copy=False), pattern)
+    return rows, cols, n_rows, n_cols, number.astype(np.intp, copy=False), pattern
 
 
-def _grams(
-    amplitudes: np.ndarray, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
-) -> np.ndarray:
-    """The stacked G_j = M_j M_j^dagger of the n_rows x n_cols matrices
-    with M_j[rows[j], cols[j]] = amplitudes.
+def _grams(amplitudes: np.ndarray, positions: np.ndarray, size: int, chunks) -> np.ndarray:
+    """Stacked size x size Gram matrices B B^dagger, summed over chunks.
 
-    The M_j are made dense one block of columns at a time, one scatter and
-    one batched product a block.  A block holds
-    at most max(terms, n_rows**2, BLOCK_CELLS) cells of each matrix, so
-    memory stays linear in the number of terms plus the size of G itself.
-    Each G_j is 0 plus its blocks' products in column order, so it rounds
-    as a Gram matrix formed on its own does.
+    Chunk (part, count, width) scatters ``amplitudes[part]`` at the flat
+    ``positions[part]`` of a zero (count x size x width) buffer B, and its
+    batched product adds to the first ``count`` Gram matrices; the first
+    chunk's product, which spans them all, starts the sum.  Each Gram
+    matrix so rounds as one formed alone does.
     """
-    count, terms = rows.shape
-    width = max(terms, n_rows * n_rows, BLOCK_CELLS) // n_rows
-    block_of = cols // width if n_cols > width else None
-    gram = np.zeros((count, n_rows, n_rows), dtype=complex)
-    for b, start in enumerate(range(0, n_cols, width)):
-        block = np.zeros((count, n_rows, min(width, n_cols - start)), dtype=complex)
-        if block_of is None:
-            block[np.arange(count)[:, None], rows, cols] = amplitudes
+    for i, (part, count, width) in enumerate(chunks):
+        buffer = np.zeros((count, size, width), dtype=complex)
+        buffer.reshape(-1)[positions[part]] = amplitudes[part]
+        product = buffer @ buffer.conj().transpose(0, 2, 1)
+        if i:
+            gram[:count] += product
         else:
-            which, term = np.nonzero(block_of == b)
-            block[which, rows[which, term], cols[which, term] - start] = amplitudes[term]
-        gram += block @ block.conj().transpose(0, 2, 1)
+            gram = product
     return gram
 
 
-def _dense_entropies(
-    values: np.ndarray, norm: float, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
-) -> list[float]:
-    """Entropies of the amplitude matrices M_j[rows[j], cols[j]] = values / norm,
-    all n_rows x n_cols, from their full Gram matrices.
+def _full_grams(
+    amplitudes: np.ndarray, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
+) -> np.ndarray:
+    """The stacked G_j = M_j M_j^dagger of the n_rows x n_cols matrices
+    with M_j[rows[j], cols[j]] = amplitudes, by ``_grams``.
 
-    The Gram matrices are formed and diagonalised in stacks of at most
-    max(1, SUBSET_CELLS // (n_rows * (n_rows + n_cols))) matrices, one
-    batched ``eigvalsh`` a stack.  A 1 x 1 Gram matrix is its own spectrum:
-    LAPACK's ``zheevd`` returns the real part of the one entry.
+    A chunk holds at most max(terms, n_rows**2, BLOCK_CELLS) cells of each
+    matrix and is exactly as wide as the columns it holds, so memory stays
+    linear in the number of terms plus the size of G itself.  Matrix j's
+    term at (row, col) of a chunk of width w sits at the flat position
+    (j * n_rows + row) * w + col.  With one chunk, the (matrices x terms)
+    positions take the amplitudes by broadcasting.
     """
-    amplitudes = values / norm
-    per = max(1, SUBSET_CELLS // (n_rows * (n_rows + n_cols)))
-    entropies = []
-    for start in range(0, len(rows), per):
-        take = slice(start, start + per)
-        gram = _grams(amplitudes, rows[take], cols[take], n_rows, n_cols)
-        spectra = gram.real.reshape(-1, 1) if n_rows == 1 else np.linalg.eigvalsh(gram)
-        entropies += map(_entropy, spectra)
-    return entropies
+    count, terms = rows.shape
+    width = max(terms, n_rows * n_rows, BLOCK_CELLS) // n_rows
+    first = np.arange(0, count * n_rows, n_rows)[:, None]
+    if n_cols <= width:
+        positions = (rows + first) * n_cols + cols
+        return _grams(amplitudes, positions, n_rows, [(slice(None), count, n_cols)])
+    chunk, positions = np.divmod(cols, width)
+    widths = np.minimum(width, n_cols - np.arange(0, n_cols, width))
+    positions += (rows + first) * widths[chunk]
+    order = chunk.argsort(axis=None, kind="stable")
+    ends = np.bincount(chunk.ravel(), minlength=len(widths)).cumsum().tolist()
+    chunks = [(slice(s, e), count, w) for s, e, w in zip([0, *ends], ends, widths.tolist())]
+    return _grams(amplitudes[order % terms], positions.ravel()[order], n_rows, chunks)
 
 
 def _number_of(index: np.ndarray, size: int, number: np.ndarray) -> np.ndarray | None:
@@ -396,14 +376,8 @@ def _blockwise_spectrum(values: np.ndarray, norm: float, blocks: _Blocks) -> np.
         parts.append(_run_sums(squares, starts, counts))
     amplitudes = values[take[singles:]] / norm
     for size, width, chunks in groups:
-        for i, (start, end, count) in enumerate(chunks):
-            buffer = np.zeros((count, size, width), dtype=complex)
-            buffer.reshape(-1)[positions[start:end]] = amplitudes[start:end]
-            product = buffer @ buffer.conj().transpose(0, 2, 1)
-            if i:
-                gram[:count] += product
-            else:
-                gram = product
+        chunks = [(slice(start, end), count, width) for start, end, count in chunks]
+        gram = _grams(amplitudes, positions, size, chunks)
         parts.append(np.linalg.eigvalsh(gram).ravel())
     return np.sort(np.concatenate(parts))
 
@@ -479,7 +453,7 @@ def reduced_density_matrix(state: ManyBodyState, subset: Sequence[int]) -> Reduc
 
     norm = _norm(state)
     rows, cols, n_rows, n_cols, _, pattern = _split(registry, state.keys, [sub])
-    gram = _grams(state.values / norm, rows, cols, int(n_rows[0]), int(n_cols[0]))[0]
+    gram = _full_grams(state.values / norm, rows, cols, int(n_rows[0]), int(n_cols[0]))[0]
     present = np.empty(int(n_rows[0]), dtype=np.intp)
     present[rows[0]] = pattern[0]
     matrix = np.zeros((dim, dim), dtype=complex)
@@ -536,8 +510,8 @@ def _split_entropies(
     """Entropies of the distinct subsets ``subs``, from one split, behind
     the guard.  Above ``BLOCK_CROSSOVER`` Gram rows a subset with number
     blocks takes the block path and its layout goes to the memo; every
-    other subset, mixed numbers included, joins the stack of full Gram
-    matrices of its shape."""
+    other subset, mixed numbers included, joins the stacks of full Gram
+    matrices of its shape, one batched ``eigvalsh`` a stack."""
     registry, keys, values = state.registry, state.keys, state.values
     rows, cols, n_rows, n_cols, number = _split(registry, keys, subs)[:5]
     swap = n_rows > n_cols
@@ -559,10 +533,14 @@ def _split_entropies(
         _remember(subs[j], (registry, keys, n_rows[j], blocks))
         entropies[j] = _entropy(_blockwise_spectrum(values, norm, blocks))
     for (n, m), members in shapes.items():
-        take = members if len(members) < len(subs) else slice(None)
-        found = _dense_entropies(values, norm, rows[take], cols[take], n, m)
-        for j, entropy in zip(members, found):
-            entropies[j] = entropy
+        per = max(1, SUBSET_CELLS // (n * (n + m)))
+        for start in range(0, len(members), per):
+            part = members[start : start + per]
+            take = part if len(part) < len(subs) else slice(None)
+            gram = _full_grams(values / norm, rows[take], cols[take], n, m)
+            spectra = gram.real.reshape(-1, 1) if n == 1 else np.linalg.eigvalsh(gram)
+            for j, spectrum in zip(part, spectra):
+                entropies[j] = _entropy(spectrum)
     return entropies
 
 

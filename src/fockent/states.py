@@ -30,7 +30,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .analytic import _check_nonnegative_number, _check_pair_number, compositions, multinomial
+from .analytic import (
+    _check_nonnegative_number,
+    _check_pair_number,
+    _frexp,
+    _ldexp,
+    _powers,
+    compositions,
+    multinomial,
+)
 from .errors import NormalizationError, TruncationError
 from .fock_core import (
     PRUNE_TOL,
@@ -254,33 +262,11 @@ def fermi_sea(registry: ModeRegistry, filled: Sequence[int]) -> ManyBodyState:
     return ManyBodyState._from_keys(registry, [key], [1.0])
 
 
-def _exciton_state(
-    registry: ModeRegistry, table: PairAmplitudeTable, branches
-) -> ManyBodyState:
-    """Sum of A(k,k') * weight * e^dagger h^dagger |0> over ``branches``, normalized."""
-    _check_kind(table, TableKind.EXCITON_A)
-    coefficients, created = [], []
-    for (k, kp) in table.pair_indices():
-        a = table.values[(k, kp)]
-        for e_spin, h_spin, weight in branches:
-            e_idx = registry.index_of(electron(k, e_spin))
-            h_idx = registry.index_of(hole(kp, h_spin))
-            coefficients.append(a * weight)
-            created.append((h_idx, e_idx))
-    run = _term_run(registry, coefficients, np.array(created).T, (True, True))
-    _, keys, values = _operator_triplets(registry, np.zeros(1, _key_dtype(registry)), [run])
-    return ManyBodyState._from_keys(registry, keys, values).normalize()
-
-
-def exciton_spinless(registry: ModeRegistry, table: PairAmplitudeTable) -> ManyBodyState:
-    """Sum over (k, k') of A(k,k') e^dagger(k) h^dagger(k') on the vacuum."""
-    return _exciton_state(registry, table, [(Spin.NONE, Spin.NONE, 1.0)])
-
-
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 # (electron spin, hole spin, coefficient) branches per channel
 _CHANNEL_BRANCHES = {
+    ExcitonChannel.SPINLESS: [(Spin.NONE, Spin.NONE, 1.0)],
     ExcitonChannel.TRIPLET_UP: [(Spin.UP, Spin.UP, 1.0)],
     ExcitonChannel.TRIPLET_DOWN: [(Spin.DOWN, Spin.DOWN, 1.0)],
     ExcitonChannel.TRIPLET_ZERO: [
@@ -294,18 +280,42 @@ _CHANNEL_BRANCHES = {
 }
 
 
+def _exciton_state(
+    registry: ModeRegistry, table: PairAmplitudeTable, channel: ExcitonChannel
+) -> ManyBodyState:
+    """Sum of A(k,k') * weight * e^dagger h^dagger |0> over the channel's
+    branches, normalized: the one exciton builder."""
+    _check_kind(table, TableKind.EXCITON_A)
+    coefficients, created = [], []
+    for (k, kp) in table.pair_indices():
+        a = table.values[(k, kp)]
+        for e_spin, h_spin, weight in _CHANNEL_BRANCHES[channel]:
+            e_idx = registry.index_of(electron(k, e_spin))
+            h_idx = registry.index_of(hole(kp, h_spin))
+            coefficients.append(a * weight)
+            created.append((h_idx, e_idx))
+    run = _term_run(registry, coefficients, np.array(created).T, (True, True))
+    _, keys, values = _operator_triplets(registry, np.zeros(1, _key_dtype(registry)), [run])
+    return ManyBodyState._from_keys(registry, keys, values).normalize()
+
+
+def exciton_spinless(registry: ModeRegistry, table: PairAmplitudeTable) -> ManyBodyState:
+    """Sum over (k, k') of A(k,k') e^dagger(k) h^dagger(k') on the vacuum."""
+    return _exciton_state(registry, table, ExcitonChannel.SPINLESS)
+
+
 def exciton_spinful(
     registry: ModeRegistry, table: PairAmplitudeTable, channel: ExcitonChannel
 ) -> ManyBodyState:
-    """Spin-resolved electron-hole pair state in one spin channel.
+    """Electron-hole pair state in one channel, the spinless one included.
 
     The mixed channels place the pair in (up, down) +/- (down, up)
     branches with weight 1/sqrt(2); the stretched channels use a single
     equal-spin branch and reduce to the spinless case.
     """
     if channel not in _CHANNEL_BRANCHES:
-        raise ValueError(f"unknown spinful channel {channel}")
-    return _exciton_state(registry, table, _CHANNEL_BRANCHES[channel])
+        raise ValueError(f"unknown exciton channel {channel}")
+    return _exciton_state(registry, table, channel)
 
 
 def _bcs_pair_modes(registry: ModeRegistry, k: Momentum) -> tuple[int, int]:
@@ -313,11 +323,6 @@ def _bcs_pair_modes(registry: ModeRegistry, k: Momentum) -> tuple[int, int]:
         registry.index_of(electron(k, Spin.UP)),
         registry.index_of(electron(negated(k), Spin.DOWN)),
     )
-
-
-def _ldexp(z: complex, e: int) -> complex:
-    """z * 2**e, exactly while the parts stay normal."""
-    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
 
 
 def bcs_unprojected(registry: ModeRegistry, table: PairAmplitudeTable) -> ManyBodyState:
@@ -387,8 +392,8 @@ def bcs_projected(
     for chosen in itertools.combinations(available, num_pairs):
         coefficient, exponent, modes = 1.0 + 0.0j, 0, list(base)
         for k in chosen:
-            e = math.frexp(abs(table.values[k]))[1]
-            coefficient *= _ldexp(table.values[k], -e)
+            mantissa, e = _frexp(table.values[k])
+            coefficient *= mantissa
             exponent += e
             up, down = pair_modes[k]
             modes += [down, up]
@@ -428,17 +433,16 @@ def default_pair_cutoff(ratio_magnitude: float) -> int:
 
 
 def bogoliubov_unprojected(
-    registry: ModeRegistry,
-    table: PairAmplitudeTable,
-    cutoff: int | None = None,
+    registry: ModeRegistry, table: PairAmplitudeTable, cutoff: int
 ) -> ManyBodyState:
     """Condensate with correlated (q, -q) pair excitations, no fixed N.
 
-    Pair occupations carry amplitude prod (-v_q/u_q)^(n_q) up to the
-    cutoff (auto-chosen so the dropped geometric tail is below 1e-14).
-    The condensate factor is an equal-weight superposition of the even
-    occupations the registry admits, so it stays unentangled and the
-    state superposes even total numbers only.
+    Pair occupations carry amplitude prod (-v_q/u_q)^(n_q), each n_q up to
+    ``cutoff`` (``default_pair_cutoff`` gives the one whose dropped
+    geometric tail is below 1e-14).  The condensate factor is an
+    equal-weight superposition of the even occupations the registry
+    admits, so it stays unentangled and the state superposes even total
+    numbers only.
     """
     _check_kind(table, TableKind.BOGOLIUBOV_UV)
     condensate = registry.index_of(boson(0))
@@ -449,27 +453,26 @@ def bogoliubov_unprojected(
         r = abs(ratio)
         if r >= 1.0:
             raise ValueError(f"|v/u| = {r} at {q} must be below 1")
-        n_max = cutoff if cutoff is not None else default_pair_cutoff(r)
         q_idx = registry.index_of(boson(q))
         nq_idx = registry.index_of(boson(negated(q)))
         mode_cut = min(registry.cutoffs[q_idx], registry.cutoffs[nq_idx])
-        if n_max > mode_cut:
+        if cutoff > mode_cut:
             raise TruncationError(
-                f"pair cutoff {n_max} exceeds registry cutoff {mode_cut} at {q}"
+                f"pair cutoff {cutoff} exceeds registry cutoff {mode_cut} at {q}"
             )
-        pairs.append((registry._strides[q_idx] + registry._strides[nq_idx], ratio, n_max))
+        pairs.append((registry._strides[q_idx] + registry._strides[nq_idx], ratio))
 
     evens = registry.cutoffs[condensate] // 2 + 1
-    grid = math.prod(n_max + 1 for _, _, n_max in pairs) * evens
+    grid = (cutoff + 1) ** len(pairs) * evens
     _check_elements(f"pair grid ({len(pairs)} pairs x {evens} condensate occupations)", grid)
 
     # the pair grid, first pair slowest; each amplitude multiplies the factors
     # ratio**n in pair order, through _times
     dtype = _key_dtype(registry)
     keys, amplitudes = np.zeros(1, dtype=dtype), np.ones(1, dtype=complex)
-    for step, ratio, n_max in pairs:
-        keys = (keys[:, None] + np.arange(n_max + 1).astype(dtype) * step).ravel()
-        powers = np.array([ratio**n for n in range(n_max + 1)])
+    for step, ratio in pairs:
+        keys = (keys[:, None] + np.arange(cutoff + 1).astype(dtype) * step).ravel()
+        powers = np.array([ratio**n for n in range(cutoff + 1)])
         amplitudes = _times(amplitudes[:, None], powers).ravel()
     # prune before repeating the grid over the even condensate occupations
     kept = np.abs(amplitudes) > PRUNE_TOL
@@ -510,20 +513,25 @@ def bogoliubov_projected(
     what = f"projected condensate state (N/2={half}, {num_pairs} pairs)"
     _check_elements(what, math.comb(half + num_pairs, num_pairs))
 
-    keys, amplitudes = [], []
+    # each amplitude as a mantissa and a power of two (``analytic._frexp``),
+    # then one exact shift puts the largest in [0.5, 1), as in bcs_projected
+    powers = [_powers(-c, half) for _, c in pair_modes]
+    keys, raw = [], []
     for pattern in compositions(half, 1 + len(pair_modes)):
         n0, rest = pattern[0], pattern[1:]
         key = 2 * n0 * strides[condensate]
-        amp = complex(multinomial(half, pattern))
-        for (step, c), n in zip(pair_modes, rest):
+        amp, e = _frexp(multinomial(half, pattern))
+        for (step, _), power, n in zip(pair_modes, powers, rest):
             key += n * step
-            amp *= (-c) ** n
+            if n:  # (-c)**0 is 1
+                amp *= power[n][0]
+                e += power[n][1]
         keys.append(key)
-        amplitudes.append(amp)
-    state = ManyBodyState._from_keys(registry, keys, amplitudes)
-    if state.is_zero:
-        raise NormalizationError("projected condensate state vanishes")
-    return state.normalize()
+        amp, f = _frexp(amp)
+        raw.append((amp, e + f))
+    top = max(e for amp, e in raw if amp)
+    amplitudes = [_ldexp(amp, e - top) for amp, e in raw]
+    return ManyBodyState._from_keys(registry, keys, amplitudes).normalize()
 
 
 def uniform_filling_state(

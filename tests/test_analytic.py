@@ -285,6 +285,51 @@ def test_negative_particle_number_is_refused(c, total):
         bcs_projected(bcs_registry(pairs.pair_indices()), pairs, total)
 
 
+def exact_condensate_entropy(c, total_number):
+    """Entropy of one pair mode's distribution at N: p(k) proportional to
+    C(N/2, k)^2 w^k, with w = |c|^2 the float ``bogoliubov_exact`` takes,
+    summed as exact integers and taken at 40 digits."""
+    half, w = total_number // 2, Fraction(abs(c) ** 2)
+    terms = [
+        math.comb(half, k) ** 2 * w.numerator**k * w.denominator ** (half - k)
+        for k in range(half + 1)
+    ]
+    total = sum(terms)
+    shift = max(total.bit_length() - 256, 0)
+    return entropy_oracle([Fraction(t >> shift, total >> shift) for t in terms])
+
+
+@pytest.mark.parametrize("total_number", [1100, 2000])
+def test_large_condensate_stays_in_the_float_range(total_number):
+    # the largest multinomial^2 leaves the float range from N = 1,034 on, and
+    # so does the unscaled state's norm at N = 2,000; both scale by exact
+    # powers of two instead
+    c = 0.45 * complex(math.cos(0.7), math.sin(0.7))
+    table = PairAmplitudeTable(TableKind.BOGOLIUBOV_C, {(1,): c})
+    want = exact_condensate_entropy(c, total_number)
+    for q in (None, (1,)):
+        exact = bogoliubov_exact(table.values, total_number, q)
+        assert distribution_entropy(exact) == pytest.approx(want, abs=1e-14)
+    registry = bogoliubov_registry(
+        [(1,)], condensate_cutoff=total_number, pair_cutoff=total_number // 2
+    )
+    state = bogoliubov_projected(registry, table, total_number)
+    for mode in (0, 1):
+        assert mode_entanglement(state, (mode,)) == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: qh_entropy(-0.5), ValueError, "filling factor -0.5 is negative"),
+        (lambda: bogoliubov_exact({(1,): 0.1}, 4, (2,)), KeyError, r"pair index \(2,\)"),
+    ],
+)
+def test_analytic_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_approximate_forms_reduce_to_exact_for_minimal_case():
     # N=2 with a single pair mode: both shortcuts are exact and the
     # residual vanishes

@@ -449,6 +449,20 @@ def test_invalid_configuration_exits_2(tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "edge.csv")]) == 0, argv
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fermi", "--filled", "9"], "cannot fill 9 of 8 modes"),
+        (["dynamics", "--initial", "1,0", "--times", "0:5"], "time grid must be start:stop:steps"),
+    ],
+)
+def test_scenario_refusals_exit_2(tmp_path, capsys, argv, message):
+    if argv[0] == "dynamics":
+        argv = argv + ["--hamiltonian", str(write_hopping(tmp_path))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_non_finite_or_repeated_entries_exit_2(tmp_path, capsys):
     # an 11-site ring at N = 5 (dimension 462) takes the sparse path, whose
     # degree search would not end on a NaN bound; the loader refuses first

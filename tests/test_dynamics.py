@@ -117,6 +117,11 @@ def test_two_body_completion_and_conflicts():
         )
     with pytest.raises(ValueError):
         SecondQuantizedHamiltonian(reg, np.zeros((3, 3)), two_body={(0, 1, 2, 3): 1.0})
+    # each index follows the one mode-index rule: no float, bool or string
+    for key in ((0.5, 1, 0, 1), (True, 1, 0, 1), ("1", 0, 1, 0)):
+        with pytest.raises(ValueError, match="is not an integer") as refused:
+            SecondQuantizedHamiltonian(reg, np.zeros((3, 3)), two_body={key: 1.0})
+        assert "\n" not in str(refused.value)
 
 
 def test_hopping_matrix_single_particle_sector():

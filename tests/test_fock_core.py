@@ -37,7 +37,7 @@ from fockent import (
     superpose,
     vacuum_state,
 )
-from fockent.fock_core import PRUNE_TOL, _grouped
+from fockent.fock_core import PRUNE_TOL, ModeLabel, ModeRegistry, Species, _grouped
 
 
 def mixed_registry():
@@ -169,6 +169,23 @@ def test_fermionic_anticommutation_dense():
             cc = ops[i] @ ops[j] + ops[j] @ ops[i]
             if i != j:
                 assert np.max(np.abs(cc)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ModeRegistry((generic(0),), (1, 1)), "modes and cutoffs length mismatch"),
+        (lambda: ModeRegistry((electron(0),), (2,)), "must have cutoff 1"),
+        (lambda: registry_create([boson(0), boson(1)], [2]), "2 bosonic modes but 1 cutoffs"),
+    ],
+)
+def test_registry_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_label_text_names_spin_and_extra_tag():
+    assert str(ModeLabel(Species.ELECTRON, (1, 2), Spin.UP, 3)) == "electron:1,2:up:x3"
 
 
 def test_bosonic_commutator_below_cutoff():

@@ -650,6 +650,32 @@ def test_bogoliubov_unprojected_matches_tuple_reference():
     ]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bogoliubov_registry([0], 2, 1), "pair momenta must be nonzero"),
+        (lambda: uniform_filling_state(uniform_registry(4), 5, 2), "registry has only 4 modes"),
+        (
+            lambda: uniform_filling_state(registry_create([boson(0), electron(0)], 2), 2, 1),
+            "mode 0 is bosonic",
+        ),
+        (
+            lambda: single_particle_superposition(uniform_registry(3), [0.6, 0.8]),
+            "2 coefficients for registry of size 3",
+        ),
+        (
+            lambda: load_amplitude_table(
+                {"kind": "bcs_g", "entries": [{"k": [1], "value": 10**400}]}
+            ),
+            "entry 0 value .* is beyond the float range",
+        ),
+    ],
+)
+def test_state_builder_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_bogoliubov_unprojected_cutoff_must_fit_registry():
     reg = bogoliubov_registry([(1,)], condensate_cutoff=4, pair_cutoff=2)
     table = PairAmplitudeTable(TableKind.BOGOLIUBOV_UV, {(1,): (1.25, 0.75)})
