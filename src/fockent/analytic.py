@@ -7,7 +7,9 @@ against enumeration.  All entropies use the natural logarithm.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -125,23 +127,23 @@ def bcs_projected_x(
 
 
 def compositions(total: int, boxes: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``boxes`` nonnegative ints summing to ``total``."""
-    if boxes == 0:
-        if total == 0:
-            yield ()
+    """All tuples of ``boxes`` nonnegative ints summing to ``total``, in
+    lexicographic order: stars and bars, with the cuts between boxes at
+    each nondecreasing choice of ``boxes - 1`` places in 0 .. total."""
+    if boxes <= 1:
+        if boxes or total == 0:
+            yield (total,) * boxes
         return
-    if boxes == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, boxes - 1):
-            yield (head,) + tail
+    for cuts in itertools.combinations_with_replacement(range(total + 1), boxes - 1):
+        yield tuple(map(operator.sub, cuts + (total,), (0,) + cuts))
 
 
 def multinomial(total: int, parts: Sequence[int]) -> int:
-    out = math.factorial(total)
+    """total! / prod(p!) for parts summing to ``total``, as a product of binomials."""
+    out = 1
     for p in parts:
-        out //= math.factorial(p)
+        out *= math.comb(total, p)
+        total -= p
     return out
 
 
@@ -162,6 +164,13 @@ def _frexp(x) -> tuple:
         return x / (1 << e), e
     e = math.frexp(abs(x))[1]
     return _ldexp(x, -e), e
+
+
+def _shifted(terms) -> list:
+    """Values of (m, e) terms, each m * 2**e, by one exact shift that puts the
+    largest in [0.5, 1); all 0 if every m is 0."""
+    top = max((math.frexp(abs(m))[1] + e for m, e in terms if m), default=0)
+    return [_ldexp(m, e - top) for m, e in terms]
 
 
 def _powers(x, top: int) -> list:
@@ -238,11 +247,9 @@ def bogoliubov_exact(
     rest = powers[:pos] + powers[pos + 1 :]
     entries = []
     for n in range(half + 1):
-        acc, top = 0.0, 0
+        acc, top, lead = 0.0, 0, math.comb(half, n)
         for pattern in compositions(half - n, len(rest)):
-            term = multinomial(half, (n, *pattern)) ** 2
-            e = term.bit_length()
-            term /= 1 << e  # ``_frexp`` of the int, inline in this hot loop
+            term, e = _frexp((lead * multinomial(half - n, pattern)) ** 2)
             for power, count in zip(rest, pattern):
                 if count:  # weight**0 is 1
                     mantissa, f = power[count]
@@ -255,19 +262,18 @@ def bogoliubov_exact(
             elif e > top:  # the sum so far moves to the new scale
                 acc, top = math.ldexp(acc, top - e), e
             acc += math.ldexp(term, e - top)
-        acc, f = _frexp(acc * powers[pos][n][0])
-        entries.append((acc, top + powers[pos][n][1] + f))
-    top = max(e for w, e in entries if w)
-    weights = np.array([math.ldexp(w, e - top) for w, e in entries])
+        entries.append((acc * powers[pos][n][0], top + powers[pos][n][1]))
+    weights = np.array(_shifted(entries))
     return weights / weights.sum()
 
 
 class ApproximateDistribution(NamedTuple):
     """Distribution from a closed-form shortcut plus its assumption residual.
 
-    ``residual`` is the magnitude of the dropped cross-term sum; the
-    shortcut is trustworthy only where the residual is small, so callers
-    should report it alongside the probabilities.
+    ``residual`` is the magnitude of the dropped cross-term sum among the
+    pair modes other than the target, so it is 0 whenever at most one is
+    left, whatever the shortcut's error; the shortcut's measured error is
+    the total variation to the exact distribution (``tv_approx``).
     """
 
     probabilities: np.ndarray
@@ -306,10 +312,7 @@ def bogoliubov_approx(
             exponent = total_number - 2 * n0 - 2 * n
             geo += 1.0 if exponent == 0 else coherent**exponent
         weights[n] = (weight**n) * geo
-    total = weights.sum()
-    if total == 0.0:
-        raise ValueError("distribution vanishes; all weights are zero")
-    return ApproximateDistribution(weights / total, float(residual))
+    return ApproximateDistribution(weights / weights.sum(), float(residual))
 
 
 def geometric_pair_distribution(ratio_magnitude: float, cutoff: int) -> np.ndarray:

@@ -570,6 +570,9 @@ def check_proper_basis(h: SecondQuantizedHamiltonian) -> ProperBasisReport:
         rotation,
         optimize=True,
     )
+    # the rotation keeps <ab|V|cd> = conj(<cd|V|ab>) only to rounding, which the
+    # completion's absolute check refuses at large entries; this mean holds it exactly
+    transformed = (transformed + transformed.transpose(2, 3, 0, 1).conj()) / 2
     sparse: dict[TwoBodyKey, complex] = {}
     for idx in np.argwhere(np.abs(transformed) > TENSOR_PRUNE):
         key = tuple(int(x) for x in idx)

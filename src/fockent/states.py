@@ -34,8 +34,8 @@ from .analytic import (
     _check_nonnegative_number,
     _check_pair_number,
     _frexp,
-    _ldexp,
     _powers,
+    _shifted,
     compositions,
     multinomial,
 )
@@ -280,6 +280,15 @@ _CHANNEL_BRANCHES = {
 }
 
 
+def _on_vacuum(registry: ModeRegistry, coefficients, created) -> ManyBodyState:
+    """Sum over terms t of coefficients[t] times the creation operators of
+    modes created[t], applied in that order, on the vacuum."""
+    modes = np.array(created, dtype=np.intp).T
+    run = _term_run(registry, coefficients, modes, [True] * len(modes))
+    _, keys, values = _operator_triplets(registry, np.zeros(1, _key_dtype(registry)), [run])
+    return ManyBodyState._from_keys(registry, keys, values)
+
+
 def _exciton_state(
     registry: ModeRegistry, table: PairAmplitudeTable, channel: ExcitonChannel
 ) -> ManyBodyState:
@@ -294,9 +303,7 @@ def _exciton_state(
             h_idx = registry.index_of(hole(kp, h_spin))
             coefficients.append(a * weight)
             created.append((h_idx, e_idx))
-    run = _term_run(registry, coefficients, np.array(created).T, (True, True))
-    _, keys, values = _operator_triplets(registry, np.zeros(1, _key_dtype(registry)), [run])
-    return ManyBodyState._from_keys(registry, keys, values).normalize()
+    return _on_vacuum(registry, coefficients, created).normalize()
 
 
 def exciton_spinless(registry: ModeRegistry, table: PairAmplitudeTable) -> ManyBodyState:
@@ -383,7 +390,7 @@ def bcs_projected(
 
     what = f"projected pair state ({num_pairs} of {len(available)} pairs)"
     _check_elements(what, math.comb(len(available), num_pairs))
-    pair_modes = {k: _bcs_pair_modes(registry, k) for k in available}
+    pairs = {k: (*_bcs_pair_modes(registry, k), *_frexp(table.values[k])) for k in available}
 
     # prod(g) per subset as a product of mantissas in [0.5, 1) times a power
     # of two, so no product overflows or underflows; one exact shift then puts
@@ -392,19 +399,13 @@ def bcs_projected(
     for chosen in itertools.combinations(available, num_pairs):
         coefficient, exponent, modes = 1.0 + 0.0j, 0, list(base)
         for k in chosen:
-            mantissa, e = _frexp(table.values[k])
+            up, down, mantissa, e = pairs[k]
             coefficient *= mantissa
             exponent += e
-            up, down = pair_modes[k]
             modes += [down, up]
         raw.append((coefficient, exponent))
         created.append(modes)
-    top = max((math.frexp(abs(c))[1] + e for c, e in raw if c), default=0)
-    coefficients = [_ldexp(c, e - top) for c, e in raw]
-    modes = np.array(created, dtype=np.intp).T
-    run = _term_run(registry, coefficients, modes, [True] * len(modes))
-    _, keys, values = _operator_triplets(registry, np.zeros(1, _key_dtype(registry)), [run])
-    combined = ManyBodyState._from_keys(registry, keys, values)
+    combined = _on_vacuum(registry, _shifted(raw), created)
     if combined.is_zero:
         raise NormalizationError(
             "projected pair state vanishes; the amplitude table has no weight "
@@ -432,6 +433,21 @@ def default_pair_cutoff(ratio_magnitude: float) -> int:
     return n
 
 
+def _boson_pair_steps(registry: ModeRegistry, table: PairAmplitudeTable, need: int) -> list:
+    """(key step, table value) per pair (q, -q) of the table, in momentum
+    order; the step adds one quantum to each mode of the pair.  Refuses a
+    pair whose registry cutoff is below ``need``."""
+    steps = []
+    for q in table.pair_indices():
+        q_idx = registry.index_of(boson(q))
+        nq_idx = registry.index_of(boson(negated(q)))
+        mode_cut = min(registry.cutoffs[q_idx], registry.cutoffs[nq_idx])
+        if mode_cut < need:
+            raise TruncationError(f"pair cutoff {mode_cut} at {q} below required {need}")
+        steps.append((registry._strides[q_idx] + registry._strides[nq_idx], table.values[q]))
+    return steps
+
+
 def bogoliubov_unprojected(
     registry: ModeRegistry, table: PairAmplitudeTable, cutoff: int
 ) -> ManyBodyState:
@@ -446,21 +462,10 @@ def bogoliubov_unprojected(
     """
     _check_kind(table, TableKind.BOGOLIUBOV_UV)
     condensate = registry.index_of(boson(0))
-    pairs = []
-    for q in table.pair_indices():
-        u, v = table.values[q]
-        ratio = -v / u
-        r = abs(ratio)
-        if r >= 1.0:
-            raise ValueError(f"|v/u| = {r} at {q} must be below 1")
-        q_idx = registry.index_of(boson(q))
-        nq_idx = registry.index_of(boson(negated(q)))
-        mode_cut = min(registry.cutoffs[q_idx], registry.cutoffs[nq_idx])
-        if cutoff > mode_cut:
-            raise TruncationError(
-                f"pair cutoff {cutoff} exceeds registry cutoff {mode_cut} at {q}"
-            )
-        pairs.append((registry._strides[q_idx] + registry._strides[nq_idx], ratio))
+    pairs = [(step, -v / u) for step, (u, v) in _boson_pair_steps(registry, table, cutoff)]
+    for q, (_, ratio) in zip(table.pair_indices(), pairs):
+        if abs(ratio) >= 1.0:
+            raise ValueError(f"|v/u| = {abs(ratio)} at {q} must be below 1")
 
     evens = registry.cutoffs[condensate] // 2 + 1
     grid = (cutoff + 1) ** len(pairs) * evens
@@ -499,16 +504,7 @@ def bogoliubov_projected(
         raise TruncationError(
             f"condensate cutoff {registry.cutoffs[condensate]} below required {total_number}"
         )
-    strides = registry._strides
-    pair_modes = []
-    for q in table.pair_indices():
-        q_idx = registry.index_of(boson(q))
-        nq_idx = registry.index_of(boson(negated(q)))
-        if min(registry.cutoffs[q_idx], registry.cutoffs[nq_idx]) < half:
-            raise TruncationError(
-                f"pair cutoff at {q} below required {half}"
-            )
-        pair_modes.append((strides[q_idx] + strides[nq_idx], table.values[q]))
+    pair_modes = _boson_pair_steps(registry, table, half)
     num_pairs = len(pair_modes)
     what = f"projected condensate state (N/2={half}, {num_pairs} pairs)"
     _check_elements(what, math.comb(half + num_pairs, num_pairs))
@@ -517,9 +513,9 @@ def bogoliubov_projected(
     # then one exact shift puts the largest in [0.5, 1), as in bcs_projected
     powers = [_powers(-c, half) for _, c in pair_modes]
     keys, raw = [], []
-    for pattern in compositions(half, 1 + len(pair_modes)):
+    for pattern in compositions(half, 1 + num_pairs):
         n0, rest = pattern[0], pattern[1:]
-        key = 2 * n0 * strides[condensate]
+        key = 2 * n0 * registry._strides[condensate]
         amp, e = _frexp(multinomial(half, pattern))
         for (step, _), power, n in zip(pair_modes, powers, rest):
             key += n * step
@@ -527,11 +523,8 @@ def bogoliubov_projected(
                 amp *= power[n][0]
                 e += power[n][1]
         keys.append(key)
-        amp, f = _frexp(amp)
-        raw.append((amp, e + f))
-    top = max(e for amp, e in raw if amp)
-    amplitudes = [_ldexp(amp, e - top) for amp, e in raw]
-    return ManyBodyState._from_keys(registry, keys, amplitudes).normalize()
+        raw.append((amp, e))
+    return ManyBodyState._from_keys(registry, keys, _shifted(raw)).normalize()
 
 
 def uniform_filling_state(

@@ -165,12 +165,19 @@ def test_compositions_enumerate_simplex_points():
     assert len(list(compositions(5, 3))) == math.comb(7, 2)
     assert list(compositions(0, 0)) == [()]
     assert list(compositions(2, 0)) == []
+    # the sum-filtered product, in its (lexicographic) order
+    for total, boxes in itertools.product(range(7), range(5)):
+        grid = itertools.product(range(total + 1), repeat=boxes)
+        assert list(compositions(total, boxes)) == [p for p in grid if sum(p) == total]
 
 
 def test_multinomial_values():
     assert multinomial(4, (2, 1, 1)) == 12
     assert multinomial(6, (3, 3)) == math.comb(6, 3)
     assert multinomial(0, ()) == 1
+    for k in (0, 1, 2, 1717, 2499, 4998, 4999):
+        want = math.factorial(4999) // (math.factorial(k) * math.factorial(4999 - k))
+        assert multinomial(4999, (k, 4999 - k)) == want
 
 
 # ---------------------------------------------------------------------------

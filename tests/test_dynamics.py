@@ -117,6 +117,8 @@ def test_two_body_completion_and_conflicts():
         )
     with pytest.raises(ValueError):
         SecondQuantizedHamiltonian(reg, np.zeros((3, 3)), two_body={(0, 1, 2, 3): 1.0})
+    with pytest.raises(ValueError, match="does not have four mode indices"):
+        SecondQuantizedHamiltonian(reg, np.zeros((3, 3)), None, {(0, 1, 0): 1.0})
     # each index follows the one mode-index rule: no float, bool or string
     for key in ((0.5, 1, 0, 1), (True, 1, 0, 1), ("1", 0, 1, 0)):
         with pytest.raises(ValueError, match="is not an integer") as refused:
@@ -297,6 +299,43 @@ def test_proper_basis_transform_preserves_sector_spectra():
         before = np.linalg.eigvalsh(hamiltonian_matrix(h, total).matrix)
         after = np.linalg.eigvalsh(hamiltonian_matrix(report.transformed, total).matrix)
         assert before == pytest.approx(after, abs=1e-10)
+
+
+def random_two_body(sites=8, size=1e4, seed=3):
+    """A disordered ring's one-body part and a dense random two-body tensor,
+    entries ~ size."""
+    rng = np.random.default_rng(seed)
+    two_body = {}
+    for key in itertools.product(range(sites), repeat=4):
+        partner = key[2:] + key[:2]
+        if key <= partner:
+            value = complex(*rng.normal(size=2)) if key < partner else rng.normal()
+            two_body[key] = size * value
+    ring = disordered_ring(sites, 0.0, repulsion=0.0)
+    return SecondQuantizedHamiltonian(ring.registry, ring.one_body, None, two_body)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: disordered_ring(4, 0.0, repulsion=1e5),
+        lambda: disordered_ring(6, 0.3, repulsion=1e6),
+        lambda: disordered_ring(8, 0.0, repulsion=1e5),
+        lambda: disordered_ring(8, 0.3, repulsion=1e6),
+        random_two_body,
+    ],
+    ids=["ring4-1e5", "ring6-1e6", "ring8-1e5", "ring8-1e6", "random8-1e4"],
+)
+def test_proper_basis_transform_keeps_spectra_at_large_two_body_entries(make):
+    # the rotated tensor is Hermitian only to rounding, far above the absolute
+    # tolerance of user input at entries this large
+    h = make()
+    report = check_proper_basis(h)
+    assert not report.proper
+    for total in range(len(h.registry) + 1):
+        before = np.linalg.eigvalsh(hamiltonian_matrix(h, total).matrix)
+        after = np.linalg.eigvalsh(hamiltonian_matrix(report.transformed, total).matrix)
+        assert np.max(np.abs(after - before)) <= 1e-12 * np.max(np.abs(before))
 
 
 def test_size_guard_env_override(monkeypatch):
@@ -803,6 +842,23 @@ def test_matvecs_per_trajectory_on_the_benchmark_ring(monkeypatch, phase):
     assert 0 < len(calls) <= 130
 
 
+def test_evolve_many_at_a_vanishing_time_returns_the_start(monkeypatch):
+    # ||H|| t far below the rounding unit: on the sparse path, the Chebyshev
+    # series of degree 0, which takes no matvec
+    calls = []
+    matvec = _SparseOperator.__matmul__
+    monkeypatch.setattr(
+        _SparseOperator, "__matmul__", lambda self, v: calls.append(1) or matvec(self, v)
+    )
+    h = disordered_ring(12, 0.0)
+    assert sector_dimension(h.registry, 6) > DENSE_CROSSOVER
+    start = basis_state(h.registry, [1, 0] * 6)
+    [state] = evolve_many(start, h, [1e-30])
+    assert calls == []
+    [(key, amplitude)] = state.amplitudes.items()
+    assert key in start.amplitudes and abs(amplitude - 1.0) < 1e-28
+
+
 def bincount_matvec(rows, cols, values, vector):
     """The triplet matvec: each row's products summed from 0.0 in array order."""
     product = values * vector[cols]
@@ -951,7 +1007,7 @@ def test_negative_and_overfull_sectors_are_empty(total):
     assert eigenstates(h, total) == []
 
 
-def disordered_ring(sites, phase, seed=1):
+def disordered_ring(sites, phase, seed=1, repulsion=2.0):
     rng = np.random.default_rng(seed)
     reg = registry_create([generic(i) for i in range(sites)])
     one_body = np.diag(rng.uniform(-0.2, 0.2, sites)).astype(complex)
@@ -960,7 +1016,7 @@ def disordered_ring(sites, phase, seed=1):
         j = (i + 1) % sites
         one_body[i, j] = -np.exp(1j * phase)
         one_body[j, i] = np.conj(one_body[i, j])
-        two_body[(i, j, i, j)] = two_body[(j, i, j, i)] = 2.0
+        two_body[(i, j, i, j)] = two_body[(j, i, j, i)] = repulsion
     return SecondQuantizedHamiltonian(reg, one_body, None, two_body)
 
 

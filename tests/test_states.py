@@ -669,6 +669,14 @@ def test_bogoliubov_unprojected_matches_tuple_reference():
             ),
             "entry 0 value .* is beyond the float range",
         ),
+        (
+            lambda: exciton_spinful(
+                exciton_registry([0], [0], spinful=True),
+                PairAmplitudeTable(TableKind.EXCITON_A, {((0,), (0,)): 1.0}),
+                "singlet",
+            ),
+            "unknown exciton channel singlet",
+        ),
     ],
 )
 def test_state_builder_refusals(call, message):
@@ -676,11 +684,22 @@ def test_state_builder_refusals(call, message):
         call()
 
 
+SHORT_PAIR = r"^pair cutoff 2 at \(1,\) below required 3$"
+
+
 def test_bogoliubov_unprojected_cutoff_must_fit_registry():
     reg = bogoliubov_registry([(1,)], condensate_cutoff=4, pair_cutoff=2)
     table = PairAmplitudeTable(TableKind.BOGOLIUBOV_UV, {(1,): (1.25, 0.75)})
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=SHORT_PAIR):
         bogoliubov_unprojected(reg, table, cutoff=3)
+
+
+def test_bogoliubov_projected_cutoff_must_fit_registry():
+    # the same refusal, worded alike, where N/2 = 3 pair quanta need room
+    reg = bogoliubov_registry([(1,)], condensate_cutoff=6, pair_cutoff=2)
+    table = PairAmplitudeTable(TableKind.BOGOLIUBOV_C, {(1,): 0.5})
+    with pytest.raises(TruncationError, match=SHORT_PAIR):
+        bogoliubov_projected(reg, table, 6)
 
 
 def test_bogoliubov_builders_refuse_pairs_sharing_modes():
