@@ -246,8 +246,9 @@ def bogoliubov_exact(
     powers = [_powers(w, half) for w in boxes]
     rest = powers[:pos] + powers[pos + 1 :]
     entries = []
+    lead = 1  # C(N/2, n), each from the last by one exact division
     for n in range(half + 1):
-        acc, top, lead = 0.0, 0, math.comb(half, n)
+        acc, top = 0.0, 0
         for pattern in compositions(half - n, len(rest)):
             term, e = _frexp((lead * multinomial(half - n, pattern)) ** 2)
             for power, count in zip(rest, pattern):
@@ -263,6 +264,7 @@ def bogoliubov_exact(
                 acc, top = math.ldexp(acc, top - e), e
             acc += math.ldexp(term, e - top)
         entries.append((acc * powers[pos][n][0], top + powers[pos][n][1]))
+        lead = lead * (half - n) // (n + 1)
     weights = np.array(_shifted(entries))
     return weights / weights.sum()
 

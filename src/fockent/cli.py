@@ -29,6 +29,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -52,6 +53,7 @@ from .fock_core import (
     basis_state,
     electron,
     registry_create,
+    sector_dimension,
 )
 from .states import (
     ExcitonChannel,
@@ -265,7 +267,8 @@ def _parse_times(text: str, state) -> np.ndarray:
     if not all(math.isfinite(t) for t in values):
         raise ValueError(f"times must be finite, got {text}")
     count = steps if ":" in text else len(values)
-    _check_trajectory(state.registry, state.particle_numbers(), count)
+    dimensions = (sector_dimension(state.registry, n) for n in state.particle_numbers())
+    _check_trajectory(dimensions, count)
     return np.linspace(start, stop, steps) if ":" in text else np.array(values)
 
 
@@ -387,32 +390,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Run the parsed scenario, write its table and summary; the exit code."""
+    columns, rows, meta = args.func(args)
+    column = args.error_column
+    if args.out is not None or column is not None:
+        emit_table(rows, columns, args.format, args.out)
+    if column is None:  # verify has printed its own report
+        return 0 if all(row["passed"] for row in rows) else 1
+    if args.out is not None and meta is not None:
+        Path(f"{args.out}.meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    errors = [row[column] for row in rows if row[column] is not None]
+    if rows and not errors:
+        print("max |error| = n/a")
+        return 0
+    worst = max(errors, default=0.0)
+    status = "ok" if worst <= args.tol else "tol exceeded"
+    print(f"max |error| = {worst:.6e} ({status} at tol {args.tol:g})")
+    return 0 if status == "ok" else 1
+
+
 def main(argv=None) -> int:
     # the parser is built per call, so func resolves run_<scenario> at call time
     args = build_parser().parse_args(argv)
     try:
-        columns, rows, meta = args.func(args)
-        column = args.error_column
-        if args.out is not None or column is not None:
-            emit_table(rows, columns, args.format, args.out)
-        if column is None:  # verify has printed its own report
-            return 0 if all(row["passed"] for row in rows) else 1
-        if args.out is not None and meta is not None:
-            Path(f"{args.out}.meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-        errors = [row[column] for row in rows if row[column] is not None]
-        if rows and not errors:
-            print("max |error| = n/a")
-            return 0
-        worst = max(errors, default=0.0)
-        status = "ok" if worst <= args.tol else "tol exceeded"
-        print(f"max |error| = {worst:.6e} ({status} at tol {args.tol:g})")
-        return 0 if status == "ok" else 1
+        code = _run(args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return code
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NormalizationError, NumericalInvariantError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader closed standard output: exit as a shell reports for
+        # `yes | head -1`, with standard output on the null device so that
+        # the interpreter's flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

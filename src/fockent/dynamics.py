@@ -12,10 +12,13 @@ The terms of H, as one term table (``_terms``), go through the batched
 operator kernel of ``fock_core``, which owns the sign rule and the sector
 order.  ``_sector_entries`` is the one sector product: it runs the kernel
 on chunks of source keys, every term on each chunk and at most
-``ASSEMBLY_CELLS`` (terms x keys) cells a chunk, adds up each (row, col)
-of a chunk's triplets with ``fock_core._summed``, the one sum by key, and
-sorts the entries into row-major order, which ``hamiltonian_matrix``
-scatters and ``evolve_many`` pads.
+``ASSEMBLY_CELLS`` (terms x keys) cells a chunk, takes each target key's
+row from its rank in the sector (``fock_core._Sector.rank``, table
+gathers and no search), adds up each (row, col) of a chunk's triplets
+with ``fock_core._summed``, the one sum by key, and sorts the entries
+into row-major order, which ``hamiltonian_matrix`` scatters and
+``evolve_many`` pads.  ``evolve_many`` builds each sector's index once,
+for its dimension, its entries and the rank of the state's keys.
 There is no full-space matrix, and no other product of H with a state.
 Sectors up to ``DENSE_CROSSOVER`` basis vectors are diagonalised
 densely, larger ones are propagated by one numpy-only Chebyshev
@@ -50,7 +53,7 @@ from .fock_core import (
     Species,
     Spin,
     registry_create,
-    sector_dimension,
+    _Sector,
     _check_elements,
     _check_int64_keys,
     _check_trajectory,
@@ -62,7 +65,6 @@ from .fock_core import (
     _mode_index,
     _occupations,
     _operator_triplets,
-    _sector_keys,
     _summed,
     _term_run,
 )
@@ -178,14 +180,6 @@ class SectorMatrix:
         return len(self.keys)
 
 
-def _positions(keys: np.ndarray):
-    """A function that gives the index in ``keys`` of every target key; each
-    target must be present.  ``keys`` is sorted once, for every call."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    return lambda targets: order[np.searchsorted(ordered, targets)]
-
-
 def _terms(h: SecondQuantizedHamiltonian) -> list:
     """The term table of H: runs of ``fock_core._term_run``.
 
@@ -207,31 +201,31 @@ def _terms(h: SecondQuantizedHamiltonian) -> list:
     return [_term_run(h.registry, *run) for run in runs if len(run[0])]
 
 
-def _sector_entries(h: SecondQuantizedHamiltonian, total: int):
+def _sector_entries(h: SecondQuantizedHamiltonian, sector: _Sector):
     """The one sector product: ``(keys, rows, cols, values)``, the distinct
     entries of H on the sector in row-major order, each 0.0 plus its terms
     in term order.  The int64 check comes first, then the size guard of
-    ``_sector_keys``.
+    ``_Sector.keys``.
 
     The kernel runs on chunks of source keys, every term on each chunk,
     with at most ``ASSEMBLY_CELLS`` (terms x keys) cells a chunk (one key
-    at least).  Entry (row, col) takes all its terms from the source key
-    col, so no sum crosses a chunk: each chunk is summed by itself with
-    ``_summed``, and the entries, not the triplets, are then sorted into
-    row-major order.
+    at least).  Each target key's row is its rank in the sector
+    (``_Sector.rank``), found from its digits with no search.  Entry
+    (row, col) takes all its terms from the source key col, so no sum
+    crosses a chunk: each chunk is summed by itself with ``_summed``, and
+    the entries, not the triplets, are then sorted into row-major order.
     """
     registry = h.registry
     _check_int64_keys(registry)
-    keys = _sector_keys(registry, total)
+    keys = sector.keys
     dim = len(keys)
     table = _terms(h)
     chunk = max(1, ASSEMBLY_CELLS // max(sum(len(run[0]) for run in table), 1))
-    positions = _positions(keys)
     # empty first blocks, so that an empty sector gives no entries
     flats, sums = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
     for start in range(0, dim, chunk):
         source, target, value = _operator_triplets(registry, keys[start : start + chunk], table)
-        flat, summed, _ = _summed(positions(target) * dim + (source + start), value)
+        flat, summed, _ = _summed(sector.rank(target) * dim + (source + start), value)
         flats.append(flat)
         sums.append(summed)
     flat = np.concatenate(flats)
@@ -243,7 +237,7 @@ def _sector_entries(h: SecondQuantizedHamiltonian, total: int):
 def hamiltonian_matrix(h: SecondQuantizedHamiltonian, total: int) -> SectorMatrix:
     """Dense matrix of H on the fixed-N sector; a negative total is an
     empty sector."""
-    keys, rows, cols, values = _sector_entries(h, total)
+    keys, rows, cols, values = _sector_entries(h, _Sector(h.registry, total))
     matrix = np.zeros((len(keys), len(keys)), dtype=complex)
     matrix[rows, cols] = values
     return SectorMatrix(h.registry, keys, matrix)
@@ -471,10 +465,11 @@ def _propagate_sparse(
     return trajectory
 
 
-def _sector_vector(keys: np.ndarray, present: np.ndarray, values) -> np.ndarray:
-    """The amplitudes ``values`` at the keys ``present``, laid out on ``keys``."""
-    psi = np.zeros(len(keys), dtype=complex)
-    psi[_positions(keys)(present)] = values
+def _sector_vector(sector: _Sector, present: np.ndarray, values) -> np.ndarray:
+    """The amplitudes ``values`` at the keys ``present``, laid out on the
+    sector's keys by their rank."""
+    psi = np.zeros(sector.dimension, dtype=complex)
+    psi[sector.rank(present)] = values
     return psi
 
 
@@ -501,24 +496,24 @@ def evolve_many(
         if not math.isfinite(t):
             raise ValueError(f"cannot propagate to the time {t}, which is not finite")
     numbers = _occupations(registry, state.keys).sum(axis=1)
-    totals = sorted(set(numbers.tolist()))
-    _check_trajectory(registry, totals, len(times))
+    sectors = [_Sector(registry, total) for total in sorted(set(numbers.tolist()))]
+    _check_trajectory([sector.dimension for sector in sectors], len(times))
 
     # empty first blocks, so that a zero state evolves to zero states
     key_blocks = [np.zeros(0, dtype=np.int64)]
     column_blocks = [[np.zeros(0, dtype=complex)] * len(times)]
-    for total in totals:
-        present = numbers == total
+    for sector in sectors:
+        present = numbers == sector.total
         terms = (state.keys[present], state.values[present])
-        if sector_dimension(registry, total) > DENSE_CROSSOVER:
-            keys, *entries = _sector_entries(h, total)
+        if sector.dimension > DENSE_CROSSOVER:
+            keys, *entries = _sector_entries(h, sector)
             operator = _SparseOperator.from_entries(*entries, len(keys))
-            evolved = _propagate_sparse(operator, _sector_vector(keys, *terms), times)
+            evolved = _propagate_sparse(operator, _sector_vector(sector, *terms), times)
         else:
-            sector = hamiltonian_matrix(h, total)
-            keys = sector.keys
-            energies, vectors = np.linalg.eigh(sector.matrix)
-            coefficients = vectors.conj().T @ _sector_vector(keys, *terms)
+            dense = hamiltonian_matrix(h, sector.total)
+            keys = dense.keys
+            energies, vectors = np.linalg.eigh(dense.matrix)
+            coefficients = vectors.conj().T @ _sector_vector(sector, *terms)
             evolved = [vectors @ (np.exp(-1j * energies * t) * coefficients) for t in times]
         key_blocks.append(keys)
         column_blocks.append(evolved)

@@ -48,9 +48,14 @@ block path, and nothing else: a subset that mixes numbers is never kept.
 A layout is moved, with a copy of the keys, into a memory map of its own
 when it is kept, and is reused when the registry is the same object and
 the keys are equal to the memo's copy.  The memo is looked up before the
-split, so a subset whose layout is kept does no key work.  Every subset
-is validated and the norm gate passed once per call, before any work;
-the guard and the crossover are checked for every subset, hit or miss.
+split, so a subset whose layout is kept does no key work; a lookup with
+other keys drops the stale layout before its successor is built.  A
+state of at most ``BLOCK_CROSSOVER`` terms, whose Gram side can never
+take the block path, does not look the memo up at all, so the one-term
+start of a trajectory leaves the layouts of its later states in place.
+Every subset is validated and the norm gate passed once per call, before
+any work; the guard and the crossover are checked for every subset, hit
+or miss.
 
 The reduced density matrix is the pattern-side Gram matrix laid out on
 every subset pattern, ordered lexicographically (lowest subset mode most
@@ -490,7 +495,9 @@ def subset_entropies(state: ManyBodyState, subsets: Sequence[Sequence[int]]) -> 
     entropies: dict[ModeSubset, float] = {}
     misses = []
     for sub in dict.fromkeys(subs):
-        kept = _kept(registry, keys, sub)
+        # no Gram side of a state of at most BLOCK_CROSSOVER terms takes the
+        # block path, so such a state leaves the memo as it is
+        kept = _kept(registry, keys, sub) if len(keys) > BLOCK_CROSSOVER else None
         if kept is None:
             misses.append(sub)
         else:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -671,6 +672,31 @@ def test_near_unit_pair_ratio_exits_3_promptly(tmp_path):
     assert done.returncode == 3, done.stderr
     assert done.stderr.startswith("error: pair grid (1 pairs x ")
     assert "exceeds guard" in done.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("read, steps", [(1, 5000), (0, 3)], ids=["head", "small"])
+def test_reader_closing_the_pipe_exits_141(tmp_path, buffered, read, steps):
+    # as `fockent dynamics ... | head -1`: 5,000 rows (about 300 kB) outgrow
+    # the pipe, so the writer meets the closed pipe mid-table; three rows that
+    # stay in the buffer meet it at the flush before exit
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring_payload(4)))
+    times = f"0:5:{steps}"
+    argv = ["dynamics", "--hamiltonian", str(path), "--initial", "1,0,1,0", "--times", times]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "fockent.cli", *argv]
+    with subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as child:
+        lines = [child.stdout.readline() for _ in range(read)]
+        child.stdout.close()
+        stderr = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert lines == [b"time,entropy,norm_err\n"] * read
+    assert (code, stderr) == (141, b"")
 
 
 def test_negative_particle_number_exits_2(capsys):

@@ -63,7 +63,7 @@ from fockent.dynamics import (
     _SparseOperator,
     _terms,
 )
-from fockent.fock_core import _key_dtype, _operator_triplets, _sector_keys, _summed
+from fockent.fock_core import _Sector, _key_dtype, _operator_triplets, _sector_keys, _summed
 
 
 def hopping_hamiltonian(tau=1.0):
@@ -662,9 +662,9 @@ def test_assembly_in_chunks_is_bit_identical_to_one_chunk(monkeypatch, make, tot
     h = make()
     for total in totals:
         monkeypatch.setattr(fockent.dynamics, "ASSEMBLY_CELLS", 1)
-        *chunked, values = _sector_entries(h, total)
+        *chunked, values = _sector_entries(h, _Sector(h.registry, total))
         monkeypatch.setattr(fockent.dynamics, "ASSEMBLY_CELLS", 2**62)
-        *whole, want = _sector_entries(h, total)
+        *whole, want = _sector_entries(h, _Sector(h.registry, total))
         for got, expected in zip(chunked, whole):
             np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(values.view(np.uint64), want.view(np.uint64))
@@ -676,11 +676,11 @@ def test_proper_basis_assembly_memory_is_linear_in_entries():
     # held at once, so the peak is the entries (32 B each, and their sort)
     # and one chunk's working set, below what the triplets alone would take
     h = check_proper_basis(disordered_ring(10, 0.3)).transformed
-    keys, *_ = _sector_entries(h, 5)
+    keys, *_ = _sector_entries(h, _Sector(h.registry, 5))
     triplets = len(_operator_triplets(h.registry, keys, _terms(h))[0])
     tracemalloc.start()
     try:
-        keys, rows, cols, values = _sector_entries(h, 5)
+        keys, rows, cols, values = _sector_entries(h, _Sector(h.registry, 5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -739,6 +739,18 @@ def test_packed_keys_beyond_int64_raise_size_guard():
         with pytest.raises(SizeGuardError) as info:
             call()
         assert info.value.dimension == 2**64
+
+
+def test_int64_refusal_comes_before_the_sector_guard():
+    # 70 modes at N = 35: C(70, 35) keys, far above the guard, packed beyond int64
+    reg = registry_create([generic(i) for i in range(70)])
+    h = SecondQuantizedHamiltonian(reg, np.zeros((70, 70)))
+    for call in (lambda: hamiltonian_matrix(h, 35), lambda: _sector_entries(h, _Sector(reg, 35))):
+        with pytest.raises(SizeGuardError, match="beyond the int64 range") as info:
+            call()
+        assert info.value.dimension == 2**70
+    with pytest.raises(SizeGuardError, match="^sector N=35 dimension "):
+        _sector_keys(reg, 35)
 
 
 # ---------------------------------------------------------------------------

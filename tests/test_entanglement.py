@@ -508,6 +508,37 @@ def test_memo_reuses_a_layout_only_for_the_same_registry_and_keys(memo):
     assert list(memo) == [half, rest]
 
 
+def test_few_term_states_leave_the_kept_layout(memo, monkeypatch):
+    # a trajectory from a basis vector: its one-term start, traced between two
+    # states on the sector's keys, must not evict their kept layout
+    state = block_states()["fermions_fixed_n"]
+    registry, half = state.registry, tuple(range(6))
+    want = mode_entanglement(state, half)
+    entry = memo[half]
+    built = []
+    number_blocks = entanglement._number_blocks
+    monkeypatch.setattr(
+        entanglement,
+        "_number_blocks",
+        lambda *args: built.append(half in memo) or number_blocks(*args),
+    )
+    one = ManyBodyState._from_keys(registry, state.keys[:1], [1.0])
+    assert mode_entanglement(one, half) == 0.0
+    # nor may any state of at most BLOCK_CROSSOVER terms, whose Gram side never passes it
+    few = ManyBodyState._from_keys(registry, state.keys[:32], state.values[:32]).normalize()
+    mode_entanglement(few, half)
+    assert memo[half] is entry
+    assert mode_entanglement(state, half) == want
+    assert memo[half] is entry and built == []
+    # a state above BLOCK_CROSSOVER terms on other keys drops the stale
+    # layout before its own is built
+    kept = np.abs(state.values) > np.quantile(np.abs(state.values), 0.3)
+    pruned = ManyBodyState._from_keys(registry, state.keys[kept], state.values[kept]).normalize()
+    mode_entanglement(pruned, half)
+    assert built == [False]
+    assert np.array_equal(memo[half][1], pruned.keys)
+
+
 def test_memo_hit_rechecks_norm_crossover_and_guard(memo, monkeypatch):
     state = block_states()["fermions_fixed_n"]
     half = tuple(range(6))

@@ -37,7 +37,15 @@ from fockent import (
     superpose,
     vacuum_state,
 )
-from fockent.fock_core import PRUNE_TOL, ModeLabel, ModeRegistry, Species, _grouped
+from fockent.fock_core import (
+    PRUNE_TOL,
+    ModeLabel,
+    ModeRegistry,
+    Species,
+    _grouped,
+    _Sector,
+    _sector_keys,
+)
 
 
 def mixed_registry():
@@ -401,6 +409,74 @@ def test_enumerate_sector_matches_bruteforce():
         got = enumerate_sector(reg, total)
         assert got == brute
         assert sector_dimension(reg, total) == len(brute)
+
+
+def recurrence_dimension(registry, total):
+    """Sector dimension by the mode-by-mode recurrence over totals."""
+    if total < 0:
+        return 0
+    ways = [1] + [0] * total
+    for c in registry.cutoffs:
+        new = [0] * (total + 1)
+        for r in range(total + 1):
+            for n in range(min(c, total - r) + 1):
+                new[r + n] += ways[r]
+        ways = new
+    return ways[total]
+
+
+RANK_REGISTRIES = {
+    # one group (a full dimension of at most 256), two, three and six
+    "fermions7": registry_create([generic(i) for i in range(7)]),
+    "fermions12": registry_create([generic(i) for i in range(12)]),
+    "fermions30": registry_create([generic(i) for i in range(30)]),
+    "fermions63": registry_create([generic(i) for i in range(63)]),
+    "bosons": registry_create([boson(i) for i in range(3)], cutoffs=[2, 4, 1]),
+    "bosons10": registry_create([boson(i) for i in range(10)], cutoffs=3),
+    # each group's last mode is cut at N + 1 occupations
+    "bosons_wide": registry_create([boson(i) for i in range(4)], cutoffs=[1, 30, 2, 40]),
+    "mixed": registry_create(
+        [electron(0), boson(0), hole(1), boson(1), electron(2)], cutoffs=[2, 3]
+    ),
+    "mixed9": registry_create(
+        [electron(k) for k in range(3)]
+        + [boson(k) for k in range(3)]
+        + [hole(k) for k in range(3)],
+        cutoffs=4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RANK_REGISTRIES))
+def test_sector_rank_matches_a_sorted_search(name):
+    # the empty (negative and over-full) sectors, the one-key sectors N = 0
+    # and N = capacity, and the sectors next to them that the guard admits
+    reg = RANK_REGISTRIES[name]
+    top = sum(reg.cutoffs)
+    rng = np.random.default_rng(len(reg))
+    totals = {-2, -1, 0, 1, 2, 3, top - 2, top - 1, top, top + 1}
+    for total in sorted(t for t in totals if recurrence_dimension(reg, t) <= 5000):
+        sector = _Sector(reg, total)
+        assert sector.dimension == recurrence_dimension(reg, total) == sector_dimension(reg, total)
+        keys = _sector_keys(reg, total)
+        assert keys.tolist() == sorted(keys.tolist(), key=reg.unpack)
+        assert len(keys) == sector.dimension and len(set(keys.tolist())) == len(keys)
+        targets = keys[rng.integers(0, len(keys), 3 * len(keys))] if len(keys) else keys
+        order = np.argsort(keys)
+        want = order[np.searchsorted(keys[order], targets)]
+        got = sector.rank(targets)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got.astype(np.uint64), want.astype(np.uint64))
+        np.testing.assert_array_equal(sector.rank(keys), np.arange(len(keys)))
+
+
+def test_sector_of_no_modes():
+    reg = registry_create([])
+    for total in (-1, 0, 1):
+        sector = _Sector(reg, total)
+        assert sector.keys.tolist() == ([0] if total == 0 else [])
+        assert sector.rank(sector.keys).tolist() == sector.keys.tolist()
+        assert sector.dimension == recurrence_dimension(reg, total)
 
 
 def test_particle_numbers_and_vacuum():
