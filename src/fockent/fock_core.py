@@ -12,12 +12,15 @@ amplitude.  ``ManyBodyState.amplitudes`` is a dict view built on request.
 Key arrays have one data type, ``_key_dtype(registry)``: int64 while
 ``full_dimension() <= KEY_LIMIT = 2**63``, Python integers above that.
 ``ManyBodyState._from_keys`` is the one way from arrays of distinct keys
-and finite amplitudes to a state, ``_summed`` the one sum of values by
-key, and ``_Sector`` the one index of a fixed-N sector.  From one table
-of counts it gives the sector's dimension (``sector_dimension``), its
-keys in the one sector order (``_sector_keys``; ``enumerate_sector`` is
-their unpacked view) and the rank of a key in that order, by one table
-gather for each group of modes and no search.  The keys own the sector
+and finite amplitudes to a state; its core, ``_from_rows``, checks and
+prunes a whole (states x keys) array of amplitudes at once, on keys known
+to be distinct, as a trajectory needs.  ``_summed`` is the one sum of
+values by key, and ``_Sector`` the one index of a fixed-N sector.  From
+one table of counts it gives the sector's dimension
+(``sector_dimension``), its keys in the one sector order
+(``_sector_keys``; ``enumerate_sector`` is their unpacked view) and the
+rank of a key in that order, by one table gather for each group of modes
+and no search.  The keys own the sector
 check, so no sector larger than ``size_guard()`` is built.
 Sums over terms run left to right (``_running_sum``, ``_summed``) and
 complex products part by part (``_times``), so they round exactly as
@@ -294,20 +297,44 @@ class ManyBodyState:
 
         Refuses a NaN or infinite amplitude, drops |a| <= PRUNE_TOL, stores
         -0.0 parts as 0.0 (as a sum started from 0.0 does), keeps the array
-        order and refuses a repeated key.
+        order and refuses a repeated key.  The state keeps a copy of ``keys``.
         """
-        keys = np.asarray(keys, dtype=_key_dtype(registry))
+        keys = np.array(keys, dtype=_key_dtype(registry))
         amplitudes = np.asarray(amplitudes, dtype=complex)
-        if not np.isfinite(amplitudes).all():
-            bad = amplitudes[~np.isfinite(amplitudes)]
-            raise ValueError(f"amplitude {bad[0]} is not finite")
-        kept = np.abs(amplitudes) > PRUNE_TOL
-        keys, values = keys[kept], amplitudes[kept] + 0.0
-        ordered = np.sort(keys)
+        [state] = cls._from_rows(registry, keys, amplitudes[None], truncated)
+        ordered = np.sort(state.keys)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("packed keys repeat; each key may carry one amplitude")
-        keys.flags.writeable = values.flags.writeable = False
-        return cls(registry, keys, values, truncated)
+        return state
+
+    @classmethod
+    def _from_rows(
+        cls, registry: ModeRegistry, keys: np.ndarray, rows: np.ndarray, truncated: bool = False
+    ) -> list["ManyBodyState"]:
+        """One state per row of ``rows``, a (states x keys) array, with
+        ``rows[s, i]`` at ``keys[i]``, keys that are trusted to be distinct
+        and of the registry's key type.
+
+        The whole array is checked and pruned at once, as ``_from_keys``
+        does one state.  ``keys`` becomes read-only and is shared by every
+        row that prunes nothing; each state's values are a read-only row
+        or a pruned copy of one.
+        """
+        if not np.isfinite(rows).all():
+            bad = rows[~np.isfinite(rows)]
+            raise ValueError(f"amplitude {bad[0]} is not finite")
+        kept = np.abs(rows) > PRUNE_TOL
+        rows = rows + 0.0
+        keys.flags.writeable = False
+        states = []
+        for row, mask in zip(rows, kept):
+            row_keys = keys
+            if not mask.all():
+                row_keys, row = keys[mask], row[mask]
+                row_keys.flags.writeable = False
+            row.flags.writeable = False
+            states.append(cls(registry, row_keys, row, truncated))
+        return states
 
     @property
     def amplitudes(self) -> dict[int, complex]:
@@ -619,8 +646,10 @@ def inner_product(bra: ManyBodyState, ket: ManyBodyState) -> complex:
 
 def number_expectation(state: ManyBodyState, mode: int) -> float:
     """<n_mode> for a normalized state."""
-    mode = _mode_index(len(state.registry), mode)
-    occupation = _occupations(state.registry, state.keys)[:, mode]
+    registry = state.registry
+    mode = _mode_index(len(registry), mode)
+    digit = state.keys // registry._strides[mode] % registry.radix(mode)
+    occupation = digit.astype(np.int64)
     v = state.values
     return float(_running_sum(occupation * (v.real * v.real + v.imag * v.imag)))
 

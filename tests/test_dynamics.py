@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 import fockent
+import fockent.dynamics as dynamics
 from fockent import (
     SecondQuantizedHamiltonian,
     SizeGuardError,
@@ -808,6 +809,18 @@ def test_bessel_table_matches_mpmath(x):
     assert 2 * mpmath.mpf(abs(x) / 2) ** (degree + 1) / mpmath.factorial(degree + 1) <= 2.0**-53
 
 
+def test_bessel_table_rescales_tiny_and_mixed_arguments():
+    # at x = 1e-30 the backward recurrence grows by about 2**105 an order, so
+    # the orders are tested and scaled every few steps; one table holds
+    # arguments from below 2**-300 (no recurrence) to 40, of either sign
+    x = np.array([1e-200, 2.0**-299, 1e-30, -0.7, 40.0, 1e-3])
+    got = _bessel_table(x, 60)
+    assert got.shape == (len(x), 61) and np.isfinite(got).all()
+    for row, value in zip(got, x):
+        want = [float(mpmath.besselj(k, value)) for k in range(61)]
+        assert np.max(np.abs(row - want)) <= 1e-15
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**52, -1e300])
 def test_chebyshev_degree_refuses_a_non_finite_or_huge_bound(bad):
     with pytest.raises(ValueError):
@@ -851,7 +864,9 @@ def test_matvecs_per_trajectory_on_the_benchmark_ring(monkeypatch, phase):
     start = basis_state(h.registry, [1, 0] * 6)
     trajectory = evolve_many(start, h, np.linspace(0.0, 5.0, 50))
     assert len(trajectory) == 50 and trajectory[0].amplitudes == start.amplitudes
-    assert 0 < len(calls) <= 130
+    # the degree at radius x 5: 113 from Gershgorin's radius, 88 or 89 from
+    # the Collatz-Wielandt interval (84 or 85 from the true half-width)
+    assert 0 < len(calls) <= 100
 
 
 def test_evolve_many_at_a_vanishing_time_returns_the_start(monkeypatch):
@@ -869,6 +884,70 @@ def test_evolve_many_at_a_vanishing_time_returns_the_start(monkeypatch):
     assert calls == []
     [(key, amplitude)] = state.amplitudes.items()
     assert key in start.amplitudes and abs(amplitude - 1.0) < 1e-28
+
+
+def no_diagonal_ring():
+    # an on-site energy on mode 0 only: rows whose key leaves mode 0 empty
+    # have no diagonal entry
+    t = -np.roll(np.eye(7), 1, axis=1) * np.exp(0.4j)
+    t = t + t.conj().T
+    t[0, 0] = 0.7
+    return SecondQuantizedHamiltonian(registry_create([generic(i) for i in range(7)]), t), 3
+
+
+def disconnected_clusters():
+    # two three-mode clusters with no hopping between them: the N = 3 sector
+    # splits into blocks by the number in each cluster
+    t = np.zeros((6, 6), complex)
+    for i, j in ((0, 1), (1, 2), (3, 4), (4, 5), (5, 3)):
+        t[i, j], t[j, i] = -np.exp(0.3j * i), -np.exp(-0.3j * i)
+    t += np.diag([0.5, -0.2, 0.1, 1.5, 0.0, -0.4])
+    reg = registry_create([generic(i) for i in range(6)])
+    two_body = {(0, 1, 0, 1): 2.0, (3, 5, 3, 5): -1.0}
+    return SecondQuantizedHamiltonian(reg, t, None, two_body), 3
+
+
+def boson_chain():
+    # three bosonic modes, cutoffs 2, 3 and 2: hopping with a phase and an
+    # on-site (U/2) n (n - 1)
+    reg = registry_create([boson(i) for i in range(3)], cutoffs=[2, 3, 2])
+    t = np.diag([0.3, -0.1, 0.2]).astype(complex)
+    for i in range(2):
+        t[i, i + 1], t[i + 1, i] = -np.exp(0.7j), -np.exp(-0.7j)
+    two_body = {(i, i, i, i): 1.5 for i in range(3)}
+    return SecondQuantizedHamiltonian(reg, t, None, two_body), 4
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (disordered_ring(8, 0.3), 4),
+        no_diagonal_ring,
+        lambda: (hubbard_dimer(), 4),
+        lambda: (disordered_ring(6, 0.0), 0),
+        disconnected_clusters,
+        boson_chain,
+    ],
+    ids=["flux", "no-diagonal", "one-key", "no-entries", "disconnected", "bosons"],
+)
+def test_spectral_interval_holds_the_spectrum_inside_gershgorin(make):
+    h, total = make()
+    keys, rows, cols, values = _sector_entries(h, _Sector(h.registry, total))
+    dim = len(keys)
+    operator = _SparseOperator.from_entries(rows, cols, values, dim)
+    low = operator.center - operator.radius
+    high = operator.center + operator.radius
+    matrix = np.zeros((dim, dim), complex)
+    matrix[rows, cols] = values
+    energies = np.linalg.eigvalsh(matrix)
+    assert low <= energies[0] and energies[-1] <= high
+    diagonal = matrix.diagonal().real
+    off = np.abs(matrix).sum(axis=1) - np.abs(diagonal)
+    gershgorin = (diagonal - off).min(), (diagonal + off).max()
+    slack = 1e-12 * (1.0 + np.abs(gershgorin).max())
+    assert gershgorin[0] - slack <= low and high <= gershgorin[1] + slack
+    if len(rows) > dim:  # off-diagonal entries: the power steps narrow it
+        assert high - low < gershgorin[1] - gershgorin[0] - 0.05
 
 
 def bincount_matvec(rows, cols, values, vector):
@@ -1043,6 +1122,26 @@ def test_evolve_many_refuses_a_non_finite_time_on_either_path(bad):
     for state in (dense, sparse):
         with pytest.raises(ValueError, match=f"^cannot propagate to the time {bad}, "):
             evolve_many(state, h, [0.5, bad])
+
+
+def test_evolve_many_refuses_a_trajectory_that_is_not_finite(monkeypatch):
+    # E t overflows on the dense path; on the sparse path one amplitude is
+    # made NaN: either way the whole trajectory is refused
+    reg = registry_create([generic(0), generic(1)])
+    h = SecondQuantizedHamiltonian(reg, np.diag([1e308, 0.0]))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="is not finite"):
+        evolve_many(basis_state(reg, (1, 0)), h, [1.0, 10.0])
+    propagate = dynamics._propagate_sparse
+
+    def spoiled(*args):
+        trajectory = propagate(*args)
+        trajectory[-1, 3] = complex(math.nan, 0.0)
+        return trajectory
+
+    monkeypatch.setattr(dynamics, "_propagate_sparse", spoiled)
+    h = disordered_ring(11, 0.3)
+    with pytest.raises(ValueError, match=r"^amplitude \(nan\+0j\) is not finite$"):
+        evolve_many(basis_state(h.registry, (1, 0) * 5 + (0,)), h, [0.0, 0.5])
 
 
 @pytest.mark.parametrize("phase", [0.0, 0.3], ids=["real", "flux"])

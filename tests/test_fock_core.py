@@ -43,6 +43,8 @@ from fockent.fock_core import (
     ModeRegistry,
     Species,
     _grouped,
+    _occupations,
+    _running_sum,
     _Sector,
     _sector_keys,
 )
@@ -605,6 +607,54 @@ def test_array_state_matches_dict_oracle(name):
     want = dict_superpose([(c, s.amplitudes) for c, s in terms])
     assert items_repr(superpose(terms).amplitudes) == items_repr(want)
     assert superpose([(1.0, psi), (-1.0, psi)]).is_zero
+
+
+NUMBER_REGISTRIES = {
+    "bosons": lambda: registry_create([boson(i) for i in range(4)], cutoffs=[2, 5, 1, 3]),
+    "mixed": ORACLE_REGISTRIES["mixed"],
+    "wide": ORACLE_REGISTRIES["wide"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_REGISTRIES))
+def test_number_expectation_reads_one_digit_bit_for_bit(name):
+    # the one mode's digit gives the same float as the occupation table of
+    # every mode did, keys beyond int64 (object arrays) included
+    reg = NUMBER_REGISTRIES[name]()
+    rng = np.random.default_rng(5)
+    state = sparse_random_state(reg, rng, random_keys(reg, rng, 50)).normalize()
+    v = state.values
+    weights = v.real * v.real + v.imag * v.imag
+    table = _occupations(reg, state.keys)
+    for mode in range(len(reg)):
+        want = float(_running_sum(table[:, mode] * weights))
+        assert repr(number_expectation(state, mode)) == repr(want)
+
+
+def test_from_rows_is_from_keys_row_by_row():
+    # distinct keys and a (states x keys) array: rows that prune nothing
+    # share one read-only keys array, and every state is bit for bit the
+    # state _from_keys builds from its row
+    reg = mixed_registry()
+    rng = np.random.default_rng(2)
+    keys = np.array(random_keys(reg, rng, 12), dtype=np.int64)
+    rows = rng.standard_normal((4, 12)) + 1j * rng.standard_normal((4, 12))
+    rows[1, [2, 5]] = [3e-16, -2e-16j]  # pruned
+    rows[2, 0] = complex(-0.0, 0.5)  # stored as 0.0
+    rows[3, 1] = complex(0.25, -0.0)
+    states = ManyBodyState._from_rows(reg, keys.copy(), rows.copy(), truncated=True)
+    assert [s.num_terms for s in states] == [12, 10, 12, 12]
+    assert states[0].keys is states[2].keys is states[3].keys
+    for state, row in zip(states, rows):
+        want = ManyBodyState._from_keys(reg, keys, row, truncated=True)
+        assert state.keys.tolist() == want.keys.tolist() and state.truncated
+        np.testing.assert_array_equal(state.values.view(np.int64), want.values.view(np.int64))
+        assert not state.keys.flags.writeable and not state.values.flags.writeable
+    assert repr(complex(states[2].values[0])) == repr(0.5j)
+    assert repr(complex(states[3].values[1])) == repr(0.25 + 0j)
+    rows[3, 7] = complex(1.0, math.nan)
+    with pytest.raises(ValueError, match=r"amplitude \(1\+nanj\) is not finite"):
+        ManyBodyState._from_rows(reg, keys.copy(), rows)
 
 
 def test_state_arrays_are_read_only():

@@ -142,7 +142,7 @@ GOLDEN = {
             "--subset",
             "0,1,2,3,4",
         ],
-        "9d61737d98eab725565b662390fd1feaf7e7f4c3adfde127e6376334340396b2",
+        "4e9c739c55c186f903878c3f92b08f6047455407100da748b6ffe77ec727ab4d",
     ),
     "dynamics_ring_12": (
         [
@@ -154,7 +154,7 @@ GOLDEN = {
             "--subset",
             "0,1,2,3,4,5",
         ],
-        "6a64c9726be8962a36d6bb07fc81e3efc5da718d711532f3183b8e7dec81acf0",
+        "e9ddd212c91d82d41dbff0d75d5d3e8e21e03f2735ef4df5f51b1a32866dff8d",
     ),
 }
 
