@@ -305,20 +305,9 @@ def eigenstates(h: SecondQuantizedHamiltonian, total: int) -> list[tuple[float, 
     ]
 
 
-def _split_diagonal(cols: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal of a padded operator (0 in a row with no diagonal
-    entry), and its off-diagonal values: the same cells, the diagonal
-    ones 0, as padding is."""
-    on_diagonal = cols == np.arange(cols.shape[1])
-    return np.where(on_diagonal, values, 0).sum(axis=0), np.where(on_diagonal, 0, values)
-
-
-def _spectral_interval(
-    cols: np.ndarray, diagonal: np.ndarray, off_diagonal: np.ndarray
-) -> tuple[float, float]:
+def _spectral_interval(cols: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     """Center c and radius r with every eigenvalue of H in [c - r, c + r]:
-    one-sided Collatz-Wielandt bounds, from the padded rows of H split by
-    ``_split_diagonal``.
+    one-sided Collatz-Wielandt bounds, from the padded rows of H.
 
     Write H = D + E, with D the real diagonal and E the rest.  For a unit
     x, x*Hx <= |x|^T (D + |E|) |x|, and D + |E| + sI is entrywise
@@ -345,9 +334,12 @@ def _spectral_interval(
     rounding of c and r.
     """
     width, dimension = cols.shape
-    diagonal = diagonal.real
+    on_diagonal = cols == np.arange(dimension)
+    diagonal = np.where(on_diagonal, values.real, 0.0).sum(axis=0)
     largest = float(np.abs(diagonal).max())
-    magnitudes = np.abs(off_diagonal).astype(complex)
+    magnitudes = np.abs(values)
+    magnitudes[on_diagonal] = 0.0
+    magnitudes = magnitudes.astype(complex)
     # the two sides, interleaved as the parts of a complex vector: H, then -H,
     # and their diagonals shifted by one more than -min(+-d)
     signed = np.stack([diagonal, -diagonal], axis=1).reshape(-1)
@@ -355,7 +347,8 @@ def _spectral_interval(
     shifted = np.stack(shifted, axis=1).reshape(-1)
 
     def product(x: np.ndarray) -> np.ndarray:
-        return (magnitudes * np.take(x, cols)).sum(axis=0)
+        gathered = np.take(x, cols)
+        return np.multiply(magnitudes, gathered, out=gathered).sum(axis=0)
 
     def bounds(x: np.ndarray, image: np.ndarray) -> np.ndarray:
         """max_i (+-d_i + (|E| x)_i / x_i) on each side: bounds on the
@@ -420,13 +413,13 @@ class _SparseOperator:
         padded_values = np.zeros((width, dimension), dtype=complex)
         padded_cols[depth, rows] = cols
         padded_values[depth, rows] = values
-        interval = _spectral_interval(padded_cols, *_split_diagonal(padded_cols, padded_values))
-        return cls(padded_cols, padded_values, *interval)
+        return cls(padded_cols, padded_values, *_spectral_interval(padded_cols, padded_values))
 
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
         """H vector: each row's products added to 0.0 in column order, the
         padding last, bit for bit as ``np.bincount`` over the triplets."""
-        return (self.values * np.take(vector, self.cols)).sum(axis=0)
+        products = np.take(vector, self.cols)
+        return np.multiply(self.values, products, out=products).sum(axis=0)
 
 
 def _chebyshev_degree(x: float) -> int:
@@ -569,9 +562,9 @@ def _propagate_sparse(
     phases = np.exp(-1j * turn) * (1 - 1j * turn_error)
     coefficients = phases[:, None] * (units * bessel)
 
-    diagonal, off_diagonal = _split_diagonal(operator.cols, operator.values)
-    shifted = diagonal - center
-    off = _SparseOperator(operator.cols, off_diagonal, center, radius)
+    on_diagonal = operator.cols == np.arange(len(psi))
+    shifted = np.where(on_diagonal, operator.values, 0).sum(axis=0) - center
+    off = _SparseOperator(operator.cols, np.where(on_diagonal, 0, operator.values), center, radius)
     trajectory = np.zeros((len(times), len(psi)), dtype=complex)
     block = np.empty((CHEBYSHEV_BLOCK, len(psi)), dtype=complex)
     previous, current = psi, psi
