@@ -95,7 +95,7 @@ DENSE_CROSSOVER = 100
 MILLER_MARGIN = 20
 
 # _spectral_interval narrows Gershgorin's ends by this many power steps, each
-# about one matvec (1.0-1.3 of them at dimension 924 to 48,620).  On a
+# about one matvec (1.0-1.4 of them at dimension 924 to 48,620).  On a
 # 12-site disordered ring at half filling (dimension 924), the degree at
 # t = 5 is 113 at 0 steps, 101 at 2, 94 at 4, 91 at 6, 89 at 8, 88 at 10 and
 # 87 at 15, and at t = 50 875, 750, 690, 660, 644, 635 and 623.  The
@@ -470,16 +470,15 @@ def _bessel_table(x: np.ndarray, degree: int) -> np.ndarray:
     of J_0..J_n for every x at once, and J_0 + 2 sum_k J_2k = 1, summed
     pairwise, fixes it.  The factors 2k/x are one outer quotient, and the
     orders are built as contiguous rows, one per order, and transposed at
-    the end.  An order
-    grows by at most (max 2k/x + 1) times the larger of the two before
-    it, so the orders are tested only every m steps, m the most with
-    (max 2k/x + 2)^m <= 2**400, and one at least: an x whose last two
-    orders pass 2**500 has all its orders scaled by 2**-500, so none
-    passes 2**900 and nothing overflows; orders that underflow are far
-    below the roundoff.  Below |x| = 2**-300 a factor 2k/x could overflow;
-    there J_0 = 1, J_1 = x/2 and J_k = 0 beyond, to double precision, and
-    the recurrence runs on 1 instead.  It runs on |x|, and
-    J_k(-x) = (-1)^k J_k(x).
+    the end.  An order grows by at most (max 2k/x + 1) times the larger
+    of the two before it, so the orders are tested only every m steps, m
+    the most with (max 2k/x + 2)^m <= 2**400, and one at least: an x
+    whose last two orders pass 2**500 has all its orders scaled by
+    2**-500, so none passes 2**900 and nothing overflows; orders that
+    underflow are far below the roundoff.  Below |x| = 2**-300 a factor
+    2k/x could overflow; there J_0 = 1, J_1 = x/2 and J_k = 0 beyond, to
+    double precision, and the recurrence runs on 1 instead.  It runs on
+    |x|, and J_k(-x) = (-1)^k J_k(x).
     """
     size = np.abs(x)
     tiny = size < 2.0**-300

@@ -821,6 +821,21 @@ def test_bessel_table_rescales_tiny_and_mixed_arguments():
         assert np.max(np.abs(row - want)) <= 1e-15
 
 
+def test_chebyshev_phases_carry_the_rounding_of_center_times_t():
+    # H = diag(1000.3, 1000.7): center t is near 7300, whose rounding alone
+    # (an ulp is 9e-13) would move the phase by far more than 1e-14
+    operator = padded_operator(np.array([0, 1]), np.array([0, 1]), np.array([1000.3, 1000.7]), 2)
+    psi = np.array([0.6, 0.8j])
+    times = [7.3, -2.9, 0.0]
+    trajectory = _propagate_sparse(operator, psi, times)
+    with mpmath.workdps(40):
+        for t, got in zip(times, trajectory):
+            for energy, start, amplitude in zip((1000.3, 1000.7), psi, got):
+                turn = mpmath.mpf(energy) * mpmath.mpf(t)
+                want = complex(mpmath.mpc(start) * mpmath.expj(-turn))
+                assert abs(amplitude - want) <= 1e-14
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**52, -1e300])
 def test_chebyshev_degree_refuses_a_non_finite_or_huge_bound(bad):
     with pytest.raises(ValueError):
