@@ -16,10 +16,11 @@ on chunks of source keys, every term on each chunk and at most
 row from its rank in the sector (``fock_core._Sector.rank``, table
 gathers and no search), adds up each (row, col) of a chunk's triplets
 with ``fock_core._summed``, the one sum by key, and sorts the entries
-into row-major order, which ``hamiltonian_matrix`` scatters and
-``evolve_many`` pads.  ``evolve_many`` builds each sector's index once,
-for its dimension, its entries and the rank of the state's keys.
-There is no full-space matrix, and no other product of H with a state.
+into row-major order.  ``hamiltonian_matrix`` scatters them into a
+dense matrix; ``evolve_many`` builds each sector's index and entries
+once, for either solver, scatters them too or splits them into the
+sparse operator, and ranks the state's keys on the same index.  There
+is no full-space matrix, and no other product of H with a state.
 Sectors up to ``DENSE_CROSSOVER`` basis vectors are diagonalised
 densely, larger ones are propagated by one numpy-only Chebyshev
 recurrence for all times (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
@@ -29,9 +30,11 @@ radius is a guaranteed one: one-sided Collatz-Wielandt bounds on the
 largest eigenvalues of H and -H, Gershgorin's ends narrowed by a few
 power steps on D +- |E| (``_spectral_interval``; on the 12-site
 benchmark rings the degree at t = 5 falls from 113 to 88).  The
-sparse operator pads every row to the longest (ELLPACK): a (width,
-dimension) array of columns and one of values, 24 bytes a cell, so that
-a matvec is one gather, one product and one sum down the columns.  The
+sparse operator keeps the diagonal of H apart, one entry a row, and pads
+every row of the rest to the longest (ELLPACK): a (width, dimension)
+array of columns and one of values, 24 bytes a cell, so that a matvec
+of the off-diagonal part is one gather, one product and one sum down the
+columns, and the recurrence adds the diagonal less the center.  The
 size guard of ``fock_core`` bounds the sector dimension and, squared,
 the amplitudes of a trajectory, the cells of a padded operator, the
 Chebyshev coefficients of a trajectory and the dense two-body tensor of
@@ -254,10 +257,17 @@ def _sector_entries(h: SecondQuantizedHamiltonian, sector: _Sector):
 def hamiltonian_matrix(h: SecondQuantizedHamiltonian, total: int) -> SectorMatrix:
     """Dense matrix of H on the fixed-N sector; a negative total is an
     empty sector."""
-    keys, rows, cols, values = _sector_entries(h, _Sector(h.registry, total))
-    matrix = np.zeros((len(keys), len(keys)), dtype=complex)
+    keys, *entries = _sector_entries(h, _Sector(h.registry, total))
+    return SectorMatrix(h.registry, keys, _scattered(*entries, len(keys)))
+
+
+def _scattered(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dimension: int
+) -> np.ndarray:
+    """The dense (dimension x dimension) matrix of distinct entries."""
+    matrix = np.zeros((dimension, dimension), dtype=complex)
     matrix[rows, cols] = values
-    return SectorMatrix(h.registry, keys, matrix)
+    return matrix
 
 
 def _canonicalize_cluster(block: np.ndarray) -> np.ndarray:
@@ -305,9 +315,12 @@ def eigenstates(h: SecondQuantizedHamiltonian, total: int) -> list[tuple[float, 
     ]
 
 
-def _spectral_interval(cols: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+def _spectral_interval(
+    diagonal: np.ndarray, cols: np.ndarray, values: np.ndarray, width: int
+) -> tuple[float, float]:
     """Center c and radius r with every eigenvalue of H in [c - r, c + r]:
-    one-sided Collatz-Wielandt bounds, from the padded rows of H.
+    one-sided Collatz-Wielandt bounds, from the diagonal of H, the padded
+    rows of its off-diagonal cells and w = ``width``, the longest row of H.
 
     Write H = D + E, with D the real diagonal and E the rest.  For a unit
     x, x*Hx <= |x|^T (D + |E|) |x|, and D + |E| + sI is entrywise
@@ -326,20 +339,18 @@ def _spectral_interval(cols: np.ndarray, values: np.ndarray) -> tuple[float, flo
     stand alone.
 
     Rounding: each end is max_i (+-d_i + y_i / x_i), y = |E| x summed
-    over the w cells of a padded row, so it is off by at most
-    (w + 2) 2**-53 (2 |end| + max|d|), to first order, plus w 2**-775 from
-    products that underflow.  The radius is widened by the relative
-    margin (w + 8) 2**-52 of the scale max|d| + 2 max(|low|, |high|),
+    over the off-diagonal cells of a row, at most w of them, so it is off
+    by at most (w + 2) 2**-53 (2 |end| + max|d|), to first order, plus
+    w 2**-775 from products that underflow.  The radius is widened by the
+    relative margin (w + 8) 2**-52 of the scale max|d| + 2 max(|low|, |high|),
     held at 2**-700 or more, which covers that twice over and the
-    rounding of c and r.
+    rounding of c and r.  w counts the diagonal too, so that the margin
+    does not depend on how D is stored: a row with a diagonal entry sums
+    at most w - 1 cells, which the margin bounds all the more.
     """
-    width, dimension = cols.shape
-    on_diagonal = cols == np.arange(dimension)
-    diagonal = np.where(on_diagonal, values.real, 0.0).sum(axis=0)
+    diagonal = diagonal.real
     largest = float(np.abs(diagonal).max())
-    magnitudes = np.abs(values)
-    magnitudes[on_diagonal] = 0.0
-    magnitudes = magnitudes.astype(complex)
+    magnitudes = np.abs(values).astype(complex)
     # the two sides, interleaved as the parts of a complex vector: H, then -H,
     # and their diagonals shifted by one more than -min(+-d)
     signed = np.stack([diagonal, -diagonal], axis=1).reshape(-1)
@@ -356,7 +367,7 @@ def _spectral_interval(cols: np.ndarray, values: np.ndarray) -> tuple[float, flo
         ratios = signed + image.view(float) / x.view(float)
         return np.array([ratios[0::2].max(), ratios[1::2].max()])
 
-    x = np.full(dimension, 1.0 + 1.0j)
+    x = np.full(len(diagonal), 1.0 + 1.0j)
     image = product(x)
     best = bounds(x, image)  # Gershgorin's
     if largest + 2 * np.abs(best).max() <= 2.0**500:
@@ -374,22 +385,26 @@ def _spectral_interval(cols: np.ndarray, values: np.ndarray) -> tuple[float, flo
 
 @dataclass(frozen=True)
 class _SparseOperator:
-    """A sector operator in a padded-row (ELLPACK) layout.
+    """A sector operator H = D + E: its diagonal apart, and its off-diagonal
+    entries in a padded-row (ELLPACK) layout.
 
-    Row r of the matrix is ``values[:, r]`` at the columns ``cols[:, r]``,
-    its elements in column order, padded to the longest row, the width,
+    ``diagonal`` is D, one complex entry a row, 0 where H has none.  Row r
+    of E is ``values[:, r]`` at the columns ``cols[:, r]``, its elements
+    in column order, padded to the longest off-diagonal row, the width,
     with column 0 and value 0.  The two (width, dimension) arrays take 24
     bytes a cell, against 32 bytes an element as (row, col, value)
-    triplets.  Cells per element: 1.72 on a 12-site ring at half filling
-    in real space (rows of 3 to 13 elements), 1.00 in its proper basis
-    (262 a row).  ``center`` and ``radius`` bound the spectrum, rounding
-    included: every eigenvalue lies in [center - radius, center + radius]
-    (``_spectral_interval``, one-sided Collatz-Wielandt bounds from the
-    padded rows, never wider than Gershgorin's up to a margin of a few
-    units in the last place), so that H~ = (H - center) / radius, the
-    argument of the Chebyshev recurrence, has ||H~||_2 <= 1.
+    triplets.  Cells per element of H: 1.59 on a 12-site ring at half
+    filling in real space (rows of 2 to 12 off-diagonal elements), 0.996
+    in its proper basis (261 a row).  ``center`` and ``radius`` bound the
+    spectrum, rounding included: every eigenvalue lies in
+    [center - radius, center + radius] (``_spectral_interval``, one-sided
+    Collatz-Wielandt bounds from D and the padded rows of E, never wider
+    than Gershgorin's up to a margin of a few units in the last place), so
+    that H~ = (H - center) / radius, the argument of the Chebyshev
+    recurrence, has ||H~||_2 <= 1.
     """
 
+    diagonal: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     center: float
@@ -399,25 +414,39 @@ class _SparseOperator:
     def from_entries(
         cls, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dimension: int
     ) -> "_SparseOperator":
-        """Pad distinct entries, given in row-major order, to the rows.
+        """Split distinct entries, given in row-major order, into the
+        diagonal (``rows == cols``, whatever the value) and the padded
+        off-diagonal rows.
 
-        The padded arrays are refused beyond guard**2 cells before they are
-        allocated.  The spectral bound is taken from the padded arrays.
+        Each diagonal entry goes to one spare row past the padded ones, which
+        is sliced off as the diagonal, and the entries after it in its row
+        move up one cell, so the entry arrays are not copied.  The padded
+        arrays are refused beyond guard**2 cells before they are allocated.
         """
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         lengths = np.diff(starts, append=len(rows))
-        width = int(lengths.max()) if len(lengths) else 0
+        is_diagonal = rows == cols
+        has_diagonal = np.zeros(dimension, dtype=bool)
+        has_diagonal[rows[is_diagonal]] = True
+        width = int((lengths - has_diagonal[rows[starts]]).max(initial=0))
         _check_elements(f"padded operator ({width} entries x {dimension} rows)", width * dimension)
         depth = np.arange(len(rows)) - np.repeat(starts, lengths)
-        padded_cols = np.zeros((width, dimension), dtype=np.intp)
-        padded_values = np.zeros((width, dimension), dtype=complex)
+        depth -= has_diagonal[rows] & (cols > rows)
+        depth[is_diagonal] = width
+        padded_cols = np.zeros((width + 1, dimension), dtype=np.intp)
+        padded_values = np.zeros((width + 1, dimension), dtype=complex)
         padded_cols[depth, rows] = cols
         padded_values[depth, rows] = values
-        return cls(padded_cols, padded_values, *_spectral_interval(padded_cols, padded_values))
+        diagonal = padded_values[width]
+        padded_cols, padded_values = padded_cols[:width], padded_values[:width]
+        longest = int(lengths.max(initial=0))
+        interval = _spectral_interval(diagonal, padded_cols, padded_values, longest)
+        return cls(diagonal, padded_cols, padded_values, *interval)
 
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
-        """H vector: each row's products added to 0.0 in column order, the
-        padding last, bit for bit as ``np.bincount`` over the triplets."""
+        """E vector, the off-diagonal part only: each row's products added
+        to 0.0 in column order, the padding last, bit for bit as
+        ``np.bincount`` over the off-diagonal triplets."""
         products = np.take(vector, self.cols)
         return np.multiply(self.values, products, out=products).sum(axis=0)
 
@@ -483,7 +512,9 @@ def _bessel_table(x: np.ndarray, degree: int) -> np.ndarray:
     size = np.abs(x)
     tiny = size < 2.0**-300
     top = degree + MILLER_MARGIN
-    factors = np.divide.outer(2.0 * np.arange(top + 1), np.where(tiny, 1.0, size))
+    divisors = size.copy()
+    divisors[tiny] = 1.0
+    factors = np.divide.outer(2.0 * np.arange(top + 1), divisors)
     every = max(1, int(400 / math.log2(factors[top].max(initial=0.0) + 2.0)))
     table = np.zeros((top + 2, len(x)))
     table[top] = 1.0
@@ -537,12 +568,14 @@ def _propagate_sparse(
     Two choices keep the rounding down.  The products radius t and
     center t are carried with their rounding errors (``_exact_product``):
     the phase is exp(-i p)(1 - i e), and J_k(p + e) = J_k(p) + e J_k'(p),
-    with J_k' = (J_{k-1} - J_{k+1}) / 2.  And H~ is applied as the
-    off-diagonal cells plus the diagonal less the center, so that the
-    center is not taken off a product already rounded.  On the 11- and
-    12-site golden rings at 50 times on [0, 5], the worst distance of a
-    state from a 60-digit propagation is 1.8e-15 and 1.4e-15 with them,
-    3.5e-15 and 3.8e-15 without (2.2e-15 from Gershgorin's wider interval).
+    with J_k' = (J_{k-1} - J_{k+1}) / 2.  And H~ is applied as
+    ``operator @ v``, the off-diagonal cells, plus (diagonal - center) v,
+    so that the center is not taken off a product already rounded; the
+    operator keeps its diagonal apart, so no copy of the cells is made.
+    On the 11- and 12-site golden rings at 50 times on [0, 5], the worst
+    distance of a state from a 60-digit propagation is 1.8e-15 and 1.4e-15
+    with them, 3.5e-15 and 3.8e-15 without (2.2e-15 from Gershgorin's
+    wider interval).
     """
     times = np.asarray(times, dtype=float)
     center, radius = operator.center, operator.radius
@@ -550,7 +583,7 @@ def _propagate_sparse(
     what = f"Chebyshev coefficients ({len(times)} times x {degree + 1} orders)"
     _check_elements(what, len(times) * (degree + 1))
     orders = np.arange(degree + 1)
-    units = np.array([1, -1j, -1, 1j])[orders % 4] * np.where(orders == 0, 1, 2)
+    units = np.array([1, -1j, -1, 1j])[orders % 4] * (2 - (orders == 0))
     argument, argument_error = _exact_product(radius, times)
     bessel = _bessel_table(argument, degree)
     ahead = np.zeros_like(bessel)  # J_{k+1}, 0 past the degree
@@ -561,15 +594,13 @@ def _propagate_sparse(
     phases = np.exp(-1j * turn) * (1 - 1j * turn_error)
     coefficients = phases[:, None] * (units * bessel)
 
-    on_diagonal = operator.cols == np.arange(len(psi))
-    shifted = np.where(on_diagonal, operator.values, 0).sum(axis=0) - center
-    off = _SparseOperator(operator.cols, np.where(on_diagonal, 0, operator.values), center, radius)
+    shifted = operator.diagonal - center
     trajectory = np.zeros((len(times), len(psi)), dtype=complex)
     block = np.empty((CHEBYSHEV_BLOCK, len(psi)), dtype=complex)
     previous, current = psi, psi
     for k in range(degree + 1):
         if k > 0:
-            image = (off @ current + shifted * current) / radius
+            image = (operator @ current + shifted * current) / radius
             previous, current = current, image if k == 1 else 2 * image - previous
         row = k % CHEBYSHEV_BLOCK
         block[row] = current
@@ -591,15 +622,17 @@ def evolve_many(
 ) -> list[ManyBodyState]:
     """exp(-i H t) |state> for each t, sector by sector.
 
-    A sector of dimension up to ``DENSE_CROSSOVER`` is diagonalised
-    densely, and each time rotates the phases of its eigencoefficients.  A
-    larger sector stays sparse: one Chebyshev recurrence on the padded
-    operator, of a degree set by the largest |t| and a bound on the
-    spectrum, gives the state at every time (``_propagate_sparse``), so
-    that no dense matrix is built.  Times may come in any order and with
-    either sign; a NaN or infinite time is refused before either path is
-    taken.  A trajectory of more than guard**2 amplitudes is refused before
-    anything is allocated.
+    Each sector's entries come from one sector product.  A sector of
+    dimension up to ``DENSE_CROSSOVER`` scatters them into a dense matrix
+    and is diagonalised, and each time rotates the phases of its
+    eigencoefficients.  A larger sector stays sparse: its entries are
+    split into the operator's diagonal and padded rows and then dropped,
+    and one Chebyshev recurrence, of a degree set by the largest |t| and a
+    bound on the spectrum, gives the state at every time
+    (``_propagate_sparse``), so that no dense matrix is built.  Times may
+    come in any order and with either sign; a NaN or infinite time is
+    refused before either path is taken.  A trajectory of more than
+    guard**2 amplitudes is refused before anything is allocated.
     """
     if state.registry != h.registry:
         raise RegistryMismatchError("state and Hamiltonian use different registries")
@@ -617,16 +650,15 @@ def evolve_many(
     row_blocks = [np.zeros((len(times), 0), dtype=complex)]
     for sector in sectors:
         present = numbers == sector.total
-        terms = (state.keys[present], state.values[present])
+        keys, *entries = _sector_entries(h, sector)
+        psi = _sector_vector(sector, state.keys[present], state.values[present])
         if sector.dimension > DENSE_CROSSOVER:
-            keys, *entries = _sector_entries(h, sector)
             operator = _SparseOperator.from_entries(*entries, len(keys))
-            evolved = _propagate_sparse(operator, _sector_vector(sector, *terms), times)
+            del entries  # 32 B an entry, which the recurrence does not read
+            evolved = _propagate_sparse(operator, psi, times)
         else:
-            dense = hamiltonian_matrix(h, sector.total)
-            keys = dense.keys
-            energies, vectors = np.linalg.eigh(dense.matrix)
-            coefficients = vectors.conj().T @ _sector_vector(sector, *terms)
+            energies, vectors = np.linalg.eigh(_scattered(*entries, len(keys)))
+            coefficients = vectors.conj().T @ psi
             evolved = [vectors @ (np.exp(-1j * energies * t) * coefficients) for t in times]
             evolved = np.reshape(evolved, (len(times), len(keys)))
         key_blocks.append(keys)

@@ -13,8 +13,9 @@ dict adds each cell from 0.0 in term order: sector matrices bit for bit.
 Assembly in chunks of source keys is checked bit for bit against one
 chunk, and its memory against the entries it returns.  The sparse
 Chebyshev propagator is checked against dense ``eigh`` and its Bessel
-coefficients against ``mpmath.besselj``, and its padded-row matvec bit for
-bit against the triplet ``bincount`` matvec.
+coefficients against ``mpmath.besselj``, the padded-row matvec of the
+operator's off-diagonal part bit for bit against the triplet ``bincount``
+matvec, and the propagator's memory against one gather of the cells.
 """
 
 import itertools
@@ -23,6 +24,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import mpmath
@@ -54,6 +56,7 @@ from fockent import (
     superpose,
 )
 from fockent.dynamics import (
+    CHEBYSHEV_BLOCK,
     DEGENERACY_RTOL,
     DENSE_CROSSOVER,
     _bessel_table,
@@ -994,27 +997,40 @@ def ragged_matrix(dim=30, seed=11):
 def test_padded_matvec_matches_bincount_oracle(make):
     matrix = make()
     dim = len(matrix)
-    rows, cols = np.nonzero(matrix)  # row-major: the order the operator sums in
+    # row 1's diagonal entry has terms that sum to exactly 0.0, and row 2 has
+    # no diagonal entry: neither leaves a cell among the off-diagonal ones
+    matrix[1, 1] = matrix[2, 2] = 0.0
+    off = matrix - np.diag(matrix.diagonal())
+    lengths = np.count_nonzero(off, axis=1)
+    assert lengths[1] and lengths[2]
+    rows, cols = np.nonzero(matrix)
+    values = matrix[rows, cols]
+    rows, cols = np.append(rows, [1, 1]), np.append(cols, [1, 1])
+    values = np.append(values, [0.75 - 2j, -0.75 + 2j])
     shuffle = np.random.default_rng(3).permutation(len(rows))
-    operator = padded_operator(rows[shuffle], cols[shuffle], matrix[rows, cols][shuffle], dim)
-    lengths = np.count_nonzero(matrix, axis=1)
+    operator = padded_operator(rows[shuffle], cols[shuffle], values[shuffle], dim)
     assert operator.cols.shape == operator.values.shape == (lengths.max(), dim)
     padding = np.arange(lengths.max())[:, None] >= lengths
     assert not operator.cols[padding].any() and not operator.values[padding].any()
+    assert not (operator.cols == np.arange(dim))[~padding].any()
+    diagonal = np.ascontiguousarray(matrix.diagonal())
+    np.testing.assert_array_equal(operator.diagonal.view(np.int64), diagonal.view(np.int64))
 
+    rows, cols = np.nonzero(off)  # row-major: the order the operator sums in
     rng = np.random.default_rng(dim)
     dense = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     for vector in (dense, -np.eye(dim, dtype=complex)[dim // 2], np.zeros(dim, complex)):
         got = operator @ vector
-        want = bincount_matvec(rows, cols, matrix[rows, cols], vector)
+        want = bincount_matvec(rows, cols, off[rows, cols], vector)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-        np.testing.assert_allclose(got, matrix @ vector, rtol=0, atol=1e-12)
+        whole = got + operator.diagonal * vector
+        np.testing.assert_allclose(whole, matrix @ vector, rtol=0, atol=1e-12)
 
 
 def test_padded_operator_beyond_guard_squared_is_refused_before_allocating(monkeypatch):
     monkeypatch.setenv("FOCKENT_SIZE_GUARD", "100")
-    rows, cols, values = np.array([0, 0, 9]), np.array([0, 1, 2]), np.ones(3, complex)
-    # two entries in row 0: 2 x 5000 cells hold guard**2 = 10**4
+    rows, cols, values = np.array([0, 0, 9]), np.array([1, 2, 2]), np.ones(3, complex)
+    # two off-diagonal entries in row 0: 2 x 5000 cells hold guard**2 = 10**4
     assert padded_operator(rows, cols, values, 5000).values.shape == (2, 5000)
     tracemalloc.start()
     try:
@@ -1026,6 +1042,65 @@ def test_padded_operator_beyond_guard_squared_is_refused_before_allocating(monke
     assert (info.value.dimension, info.value.guard) == (100_000, 10_000)
     assert "padded operator (2 entries x 50000 rows)" in str(info.value)
     assert peak < 2**18  # the padded arrays would take 2.4 MB
+
+
+def test_propagation_holds_one_gather_of_the_cells_and_no_copy():
+    # a dense Hermitian matrix: 299 off-diagonal cells a row, so the cells
+    # outweigh every vector; a matvec gathers them once, and the recurrence
+    # holds nothing else of their size
+    rng = np.random.default_rng(8)
+    dim, times = 300, [0.0, 0.5]
+    a = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / dim
+    rows, cols = np.nonzero(np.ones((dim, dim)))
+    operator = padded_operator(rows, cols, (a + a.conj().T)[rows, cols], dim)
+    psi = np.eye(dim, dtype=complex)[0]
+    degree = _chebyshev_degree(operator.radius * max(times))
+    vector = 16 * dim
+    held = (CHEBYSHEV_BLOCK + len(times)) * vector + 16 * len(times) * (degree + 1)
+    tracemalloc.start()
+    try:
+        _propagate_sparse(operator, psi, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copy of the cells, as taking the diagonal off them would need, is
+    # another values.nbytes (1.4 MB)
+    assert peak <= operator.values.nbytes + held + 8 * vector + 2**14
+
+
+def test_evolve_many_drops_the_sector_entries_before_propagating(monkeypatch):
+    # one sector index and one sector product a sector, for either solver,
+    # and none of the product's entries alive once the sparse recurrence starts
+    indexed, made, alive = [], [], []
+    sector_entries, propagate = dynamics._sector_entries, dynamics._propagate_sparse
+
+    def counted(*args):
+        indexed.append(args[1])
+        return _Sector(*args)
+
+    def recorded(*args):
+        entries = sector_entries(*args)
+        made.append([weakref.ref(array) for array in entries[1:]])
+        return entries
+
+    def checked(*args):
+        alive.extend(ref() is not None for refs in made for ref in refs)
+        return propagate(*args)
+
+    monkeypatch.setattr(dynamics, "_Sector", counted)
+    monkeypatch.setattr(dynamics, "_sector_entries", recorded)
+    monkeypatch.setattr(dynamics, "_propagate_sparse", checked)
+    h = disordered_ring(11, 0.3)
+    reg = h.registry
+    assert sector_dimension(reg, 4) > DENSE_CROSSOVER >= sector_dimension(reg, 1)
+    start = superpose(
+        [
+            (0.6j, basis_state(reg, (0,) * 10 + (1,))),
+            (0.8, basis_state(reg, (1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0))),
+        ]
+    )
+    assert len(evolve_many(start, h, [0.0, 0.5])) == 2
+    assert indexed == [1, 4] and len(made) == 2 and alive == [False] * 6
 
 
 def bruteforce_sector(reg, total):
