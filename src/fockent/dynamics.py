@@ -39,10 +39,12 @@ size guard of ``fock_core`` bounds the sector dimension and, squared,
 the amplitudes of a trajectory, the cells of a padded operator, the
 Chebyshev coefficients of a trajectory and the dense two-body tensor of
 ``check_proper_basis``; registries whose keys are not int64 are refused.
-States are read as their key and amplitude arrays, split into sectors by
-the particle number of each key, and a trajectory goes back through
-``ManyBodyState._from_rows`` in one pass, every time at once on the
-sectors' keys; eigenstates go through ``ManyBodyState._from_keys``.
+States are read as their key and amplitude arrays and split into sectors
+by the particle number of each key.  A trajectory is one (times x keys)
+array, allocated once: each sector writes its own columns in place, and
+``ManyBodyState._from_rows`` takes the array over, with no copy, every
+time at once on the sectors' keys.  Eigenstates go through
+``ManyBodyState._from_keys``.
 """
 
 from __future__ import annotations
@@ -85,10 +87,13 @@ TENSOR_PRUNE = 1e-14
 
 # Sectors above this dimension are propagated by the sparse Chebyshev
 # recurrence, smaller ones by dense eigh.  On disordered interacting flux
-# rings at 50 times on [0, 5], one BLAS thread, best of 7 (dense against
-# Chebyshev): 5.2-5.3 ms against 6.1-6.8 ms at dimension 70, 4.8-6.0 against
-# 4.6-6.3 at 84, 6.8-9.0 against 5.4-7.2 at 120, 34.9 against 9.8 at 252.
-# The two break even near 100.
+# rings at 50 times on [0, 5], one BLAS thread, best of 7 on a 2-core host,
+# two rounds (dense against Chebyshev): 1.3-1.4 ms against 1.6 ms at
+# dimension 56, 1.7 against 1.8 at 70, 2.0-2.1 against 1.7 at 78, 2.1
+# against 1.8-1.9 at 84, 3.2 against 1.9 at 105, 3.7 against 2.0 at 120,
+# 10-11 against 2.5-2.7 at 210.  The two break even between 70 and 78, so
+# the sectors from there to 100 take the slower path; the value stays,
+# because moving it changes the last bits of those sectors' trajectories.
 DENSE_CROSSOVER = 100
 
 # Miller's backward recurrence for J_k starts this many orders above the
@@ -331,12 +336,11 @@ def _spectral_interval(
     +-D + |E| + sI, s one more than -min(+-d), move x toward that
     matrix's Perron vector, and the bound with it.  Every positive x gives
     a valid bound, so each end is the narrower of Gershgorin's and the last
-    iterate's.  The two sides share one product: |E| is stored complex and
-    the upper side's x is the real part of one vector, the lower side's
-    the imaginary part.  Each step scales x by its largest entry and lifts
-    entries below 2**-300 to it, so x stays positive and in range; above
-    a scale of 2**500 (below) a step could overflow and Gershgorin's ends
-    stand alone.
+    iterate's.  The two sides share one product: |E| is stored once, real
+    (8 B a cell), and x has one row a side.  Each step scales x by its
+    largest entry and lifts entries below 2**-300 to it, so x stays
+    positive and in range; above a scale of 2**500 (below) a step could
+    overflow and Gershgorin's ends stand alone.
 
     Rounding: each end is max_i (+-d_i + y_i / x_i), y = |E| x summed
     over the off-diagonal cells of a row, at most w of them, so it is off
@@ -350,34 +354,26 @@ def _spectral_interval(
     """
     diagonal = diagonal.real
     largest = float(np.abs(diagonal).max())
-    magnitudes = np.abs(values).astype(complex)
-    # the two sides, interleaved as the parts of a complex vector: H, then -H,
-    # and their diagonals shifted by one more than -min(+-d)
-    signed = np.stack([diagonal, -diagonal], axis=1).reshape(-1)
-    shifted = [diagonal + (1.0 - diagonal.min()), (1.0 + diagonal.max()) - diagonal]
-    shifted = np.stack(shifted, axis=1).reshape(-1)
+    magnitudes = np.abs(values)
+    # the two sides, one row each: H, then -H, and their diagonals shifted by
+    # one more than -min(+-d)
+    signed = np.stack([diagonal, -diagonal])
+    shifted = np.stack([diagonal + (1.0 - diagonal.min()), (1.0 + diagonal.max()) - diagonal])
 
     def product(x: np.ndarray) -> np.ndarray:
-        gathered = np.take(x, cols)
-        return np.multiply(magnitudes, gathered, out=gathered).sum(axis=0)
+        gathered = np.take(x, cols, axis=1)
+        return np.multiply(magnitudes, gathered, out=gathered).sum(axis=1)
 
-    def bounds(x: np.ndarray, image: np.ndarray) -> np.ndarray:
-        """max_i (+-d_i + (|E| x)_i / x_i) on each side: bounds on the
-        largest eigenvalues of H and of -H."""
-        ratios = signed + image.view(float) / x.view(float)
-        return np.array([ratios[0::2].max(), ratios[1::2].max()])
-
-    x = np.full(len(diagonal), 1.0 + 1.0j)
+    x = np.ones((2, len(diagonal)))
     image = product(x)
-    best = bounds(x, image)  # Gershgorin's
+    best = (signed + image / x).max(axis=1)  # Gershgorin's
     if largest + 2 * np.abs(best).max() <= 2.0**500:
         for _ in range(INTERVAL_STEPS):
-            parts = shifted * x.view(float) + image.view(float)
-            parts /= parts.max()
-            np.maximum(parts, 2.0**-300, out=parts)
-            x = parts.view(complex)
+            x = shifted * x + image
+            x /= x.max()
+            np.maximum(x, 2.0**-300, out=x)
             image = product(x)
-        best = np.minimum(best, bounds(x, image))
+        best = np.minimum(best, (signed + image / x).max(axis=1))
     high, low = float(best[0]), -float(best[1])
     scale = max(largest + 2 * max(abs(low), abs(high)), 2.0**-700)
     return (low + high) / 2, (high - low) / 2 + (width + 8) * 2.0**-52 * scale
@@ -551,9 +547,14 @@ def _exact_product(a: float, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _propagate_sparse(
-    operator: _SparseOperator, psi: np.ndarray, times: Sequence[float]
+    operator: _SparseOperator,
+    psi: np.ndarray,
+    times: Sequence[float],
+    trajectory: np.ndarray,
 ) -> np.ndarray:
-    """psi at each time, one row each, from one Chebyshev recurrence.
+    """Add psi at each time, from one Chebyshev recurrence, into
+    ``trajectory``, a (times x dimension) array or view with one row a
+    time, and return it; started from zeros, it holds the states.
 
     With H~ = (H - center) / radius, ||H~||_2 <= 1 and (Jacobi-Anger)
     exp(-i H t) = exp(-i center t) sum_k (2 - delta_k0) (-i)^k J_k(radius t) T_k(H~)
@@ -561,9 +562,10 @@ def _propagate_sparse(
     v_k = T_k(H~) psi, from v_0 = psi, v_1 = H~ psi and
     v_{k+1} = 2 H~ v_k - v_{k-1}, do not depend on t, so one recurrence of
     ``_chebyshev_degree(radius max|t|)`` matvecs serves every time, of either
-    sign.  Every ``CHEBYSHEV_BLOCK`` vectors are added into the trajectory
-    with one matrix product.  The table of (times x (degree + 1))
-    coefficients is refused beyond guard**2 entries before it is allocated.
+    sign.  Every ``CHEBYSHEV_BLOCK`` vectors are added into the given
+    trajectory with one matrix product, so none of its own is allocated.
+    The table of (times x (degree + 1)) coefficients is refused beyond
+    guard**2 entries before it is allocated.
 
     Two choices keep the rounding down.  The products radius t and
     center t are carried with their rounding errors (``_exact_product``):
@@ -595,7 +597,6 @@ def _propagate_sparse(
     coefficients = phases[:, None] * (units * bessel)
 
     shifted = operator.diagonal - center
-    trajectory = np.zeros((len(times), len(psi)), dtype=complex)
     block = np.empty((CHEBYSHEV_BLOCK, len(psi)), dtype=complex)
     previous, current = psi, psi
     for k in range(degree + 1):
@@ -631,8 +632,14 @@ def evolve_many(
     bound on the spectrum, gives the state at every time
     (``_propagate_sparse``), so that no dense matrix is built.  Times may
     come in any order and with either sign; a NaN or infinite time is
-    refused before either path is taken.  A trajectory of more than
-    guard**2 amplitudes is refused before anything is allocated.
+    refused before either path is taken.
+
+    The trajectory is one (times x keys) array, the sectors' keys side by
+    side.  It is allocated once, after the int64 refusal, the refusal of
+    more than guard**2 amplitudes and every sector's guard, so a refused
+    call allocates none of it.  Each sector writes its own columns in
+    place, and its operator is dropped once they are written;
+    ``ManyBodyState._from_rows`` then takes the array over, with no copy.
     """
     if state.registry != h.registry:
         raise RegistryMismatchError("state and Hamiltonian use different registries")
@@ -641,30 +648,31 @@ def evolve_many(
     for t in times:
         if not math.isfinite(t):
             raise ValueError(f"cannot propagate to the time {t}, which is not finite")
+    _check_int64_keys(registry)
     numbers = _occupations(registry, state.keys).sum(axis=1)
     sectors = [_Sector(registry, total) for total in sorted(set(numbers.tolist()))]
     _check_trajectory([sector.dimension for sector in sectors], len(times))
-
-    # empty first blocks, so that a zero state evolves to zero states
-    key_blocks = [np.zeros(0, dtype=np.int64)]
-    row_blocks = [np.zeros((len(times), 0), dtype=complex)]
+    # every sector's keys, and so its guard, before the trajectory is allocated;
+    # an empty first block, so that a zero state evolves to zero states
+    keys = np.concatenate([np.zeros(0, dtype=np.int64), *(sector.keys for sector in sectors)])
+    rows = np.zeros((len(times), len(keys)), dtype=complex)
+    end = 0
     for sector in sectors:
+        start, end = end, end + sector.dimension
         present = numbers == sector.total
-        keys, *entries = _sector_entries(h, sector)
+        _, *entries = _sector_entries(h, sector)
         psi = _sector_vector(sector, state.keys[present], state.values[present])
         if sector.dimension > DENSE_CROSSOVER:
-            operator = _SparseOperator.from_entries(*entries, len(keys))
+            operator = _SparseOperator.from_entries(*entries, sector.dimension)
             del entries  # 32 B an entry, which the recurrence does not read
-            evolved = _propagate_sparse(operator, psi, times)
+            _propagate_sparse(operator, psi, times, rows[:, start:end])
+            del operator
         else:
-            energies, vectors = np.linalg.eigh(_scattered(*entries, len(keys)))
+            energies, vectors = np.linalg.eigh(_scattered(*entries, sector.dimension))
             coefficients = vectors.conj().T @ psi
-            evolved = [vectors @ (np.exp(-1j * energies * t) * coefficients) for t in times]
-            evolved = np.reshape(evolved, (len(times), len(keys)))
-        key_blocks.append(keys)
-        row_blocks.append(evolved)
-    rows = np.concatenate(row_blocks, axis=1)
-    return ManyBodyState._from_rows(registry, np.concatenate(key_blocks), rows, state.truncated)
+            for row, t in zip(rows, times):
+                row[start:end] = vectors @ (np.exp(-1j * energies * t) * coefficients)
+    return ManyBodyState._from_rows(registry, keys, rows, state.truncated)
 
 
 def _off_diagonal_max(matrix: np.ndarray) -> float:

@@ -13,9 +13,10 @@ Key arrays have one data type, ``_key_dtype(registry)``: int64 while
 ``full_dimension() <= KEY_LIMIT = 2**63``, Python integers above that.
 ``ManyBodyState._from_keys`` is the one way from arrays of distinct keys
 and finite amplitudes to a state; its core, ``_from_rows``, checks and
-prunes a whole (states x keys) array of amplitudes at once, on keys known
-to be distinct, as a trajectory needs.  ``_summed`` is the one sum of
-values by key, and ``_Sector`` the one index of a fixed-N sector.  From
+prunes a whole (states x keys) array of amplitudes at once and takes it
+over without a copy, on keys known to be distinct, as a trajectory
+needs.  ``_summed`` is the one sum of values by key, and ``_Sector`` the
+one index of a fixed-N sector.  From
 one table of counts it gives the sector's dimension
 (``sector_dimension``), its keys in the one sector order
 (``_sector_keys``; ``enumerate_sector`` is their unpacked view) and the
@@ -297,10 +298,11 @@ class ManyBodyState:
 
         Refuses a NaN or infinite amplitude, drops |a| <= PRUNE_TOL, stores
         -0.0 parts as 0.0 (as a sum started from 0.0 does), keeps the array
-        order and refuses a repeated key.  The state keeps a copy of ``keys``.
+        order and refuses a repeated key.  The state keeps copies of ``keys``
+        and ``amplitudes``, which are left as they are.
         """
         keys = np.array(keys, dtype=_key_dtype(registry))
-        amplitudes = np.asarray(amplitudes, dtype=complex)
+        amplitudes = np.array(amplitudes, dtype=complex)
         [state] = cls._from_rows(registry, keys, amplitudes[None], truncated)
         ordered = np.sort(state.keys)
         if np.any(ordered[1:] == ordered[:-1]):
@@ -316,15 +318,16 @@ class ManyBodyState:
         and of the registry's key type.
 
         The whole array is checked and pruned at once, as ``_from_keys``
-        does one state.  ``keys`` becomes read-only and is shared by every
-        row that prunes nothing; each state's values are a read-only row
-        or a pruned copy of one.
+        does one state.  It takes ``rows`` over: its -0.0 parts become 0.0
+        in place, and each state's values are a read-only row of it, or a
+        pruned copy of one.  ``keys`` becomes read-only and is shared by
+        every row that prunes nothing.
         """
         if not np.isfinite(rows).all():
             bad = rows[~np.isfinite(rows)]
             raise ValueError(f"amplitude {bad[0]} is not finite")
         kept = np.abs(rows) > PRUNE_TOL
-        rows = rows + 0.0
+        rows += 0.0
         keys.flags.writeable = False
         states = []
         for row, mask in zip(rows, kept):

@@ -15,7 +15,9 @@ chunk, and its memory against the entries it returns.  The sparse
 Chebyshev propagator is checked against dense ``eigh`` and its Bessel
 coefficients against ``mpmath.besselj``, the padded-row matvec of the
 operator's off-diagonal part bit for bit against the triplet ``bincount``
-matvec, and the propagator's memory against one gather of the cells.
+matvec, and the propagator's memory against one gather of the cells,
+the spectral interval's against one real copy of them and that of
+``evolve_many`` against one trajectory, which each sector writes in place.
 """
 
 import itertools
@@ -64,10 +66,18 @@ from fockent.dynamics import (
     _chebyshev_degree,
     _propagate_sparse,
     _sector_entries,
+    _spectral_interval,
     _SparseOperator,
     _terms,
 )
-from fockent.fock_core import _Sector, _key_dtype, _operator_triplets, _sector_keys, _summed
+from fockent.fock_core import (
+    _Sector,
+    _key_dtype,
+    _occupations,
+    _operator_triplets,
+    _sector_keys,
+    _summed,
+)
 
 
 def hopping_hamiltonian(tau=1.0):
@@ -794,7 +804,7 @@ def test_chebyshev_propagation_matches_eigh(dim):
     psi /= np.linalg.norm(psi)
     # one recurrence for every time, unsorted and of either sign
     times = [0.37, 0.0, 40.0, -0.9, 1e-3, 4.0]
-    trajectory = _propagate_sparse(operator, psi, times)
+    trajectory = _propagate_sparse(operator, psi, times, np.zeros((len(times), dim), complex))
     assert trajectory.shape == (len(times), dim)
     assert np.array_equal(trajectory[1], psi)
     for t, got in zip(times, trajectory):
@@ -830,7 +840,7 @@ def test_chebyshev_phases_carry_the_rounding_of_center_times_t():
     operator = padded_operator(np.array([0, 1]), np.array([0, 1]), np.array([1000.3, 1000.7]), 2)
     psi = np.array([0.6, 0.8j])
     times = [7.3, -2.9, 0.0]
-    trajectory = _propagate_sparse(operator, psi, times)
+    trajectory = _propagate_sparse(operator, psi, times, np.zeros((3, 2), complex))
     with mpmath.workdps(40):
         for t, got in zip(times, trajectory):
             for energy, start, amplitude in zip((1000.3, 1000.7), psi, got):
@@ -845,7 +855,7 @@ def test_chebyshev_degree_refuses_a_non_finite_or_huge_bound(bad):
         _chebyshev_degree(bad)
     operator = padded_operator(np.array([0, 1]), np.array([1, 0]), np.ones(2, complex), 2)
     with pytest.raises(ValueError):
-        _propagate_sparse(operator, np.array([1.0, 0.0], complex), [0.0, bad])
+        _propagate_sparse(operator, np.array([1.0, 0.0], complex), [0.0, bad], np.zeros((2, 2)))
 
 
 def test_chebyshev_table_beyond_guard_squared_is_refused_before_allocating(monkeypatch):
@@ -855,12 +865,13 @@ def test_chebyshev_table_beyond_guard_squared_is_refused_before_allocating(monke
     rows, cols = np.nonzero(matrix)
     operator = padded_operator(rows, cols, matrix[rows, cols], 40)
     psi = np.eye(40, dtype=complex)[0]
-    assert _propagate_sparse(operator, psi, [0.0, 50.0]).shape == (2, 40)
+    trajectory = np.zeros((2, 40), complex)
+    assert _propagate_sparse(operator, psi, [0.0, 50.0], trajectory) is trajectory
     degree = _chebyshev_degree(operator.radius * 1e5)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError) as info:
-            _propagate_sparse(operator, psi, [0.0, 1e5])
+            _propagate_sparse(operator, psi, [0.0, 1e5], np.zeros((2, 40), complex))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1059,13 +1070,33 @@ def test_propagation_holds_one_gather_of_the_cells_and_no_copy():
     held = (CHEBYSHEV_BLOCK + len(times)) * vector + 16 * len(times) * (degree + 1)
     tracemalloc.start()
     try:
-        _propagate_sparse(operator, psi, times)
+        _propagate_sparse(operator, psi, times, np.zeros((len(times), dim), complex))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # a copy of the cells, as taking the diagonal off them would need, is
     # another values.nbytes (1.4 MB)
     assert peak <= operator.values.nbytes + held + 8 * vector + 2**14
+
+
+def test_spectral_interval_holds_one_real_copy_of_the_cells():
+    # a dense Hermitian matrix, 299 off-diagonal cells a row: |E| is held
+    # once at 8 B a cell and the gather of both sides' x at 16 B; a complex
+    # |E| (16 B) and the complex gather read 32 B a cell
+    rng = np.random.default_rng(9)
+    dim = 300
+    a = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / dim
+    rows, cols = np.nonzero(np.ones((dim, dim)))
+    operator = padded_operator(rows, cols, (a + a.conj().T)[rows, cols], dim)
+    cells = operator.values.size
+    tracemalloc.start()
+    try:
+        interval = _spectral_interval(operator.diagonal, operator.cols, operator.values, dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert interval == (operator.center, operator.radius)
+    assert peak <= 24 * cells + 256 * dim + 2**14
 
 
 def test_evolve_many_drops_the_sector_entries_before_propagating(monkeypatch):
@@ -1101,6 +1132,68 @@ def test_evolve_many_drops_the_sector_entries_before_propagating(monkeypatch):
     )
     assert len(evolve_many(start, h, [0.0, 0.5])) == 2
     assert indexed == [1, 4] and len(made) == 2 and alive == [False] * 6
+
+
+def test_each_sector_of_a_trajectory_is_its_component_evolved_alone():
+    # a dense sector (N = 1, dimension 11) and a sparse one (N = 4, 330)
+    # write their columns of one trajectory, each a strided view of it
+    h = disordered_ring(11, 0.3)
+    reg = h.registry
+    dense = superpose([(0.6j, basis_state(reg, (0,) * 10 + (1,)))])
+    sparse = superpose([(0.8, basis_state(reg, (1, 0) * 4 + (0,) * 3))])
+    times = [0.0, 0.7, -2.5, 5.0]
+    trajectory = evolve_many(superpose([(1.0, dense), (1.0, sparse)]), h, times)
+    for component in (dense, sparse):
+        [total] = component.particle_numbers()
+        for state, alone in zip(trajectory, evolve_many(component, h, times)):
+            own = _occupations(reg, state.keys).sum(axis=1) == total
+            assert state.keys[own].tolist() == alone.keys.tolist()
+            np.testing.assert_array_equal(
+                state.values[own].view(np.uint64), alone.values.view(np.uint64)
+            )
+
+
+def test_evolve_many_holds_one_trajectory():
+    # a 14-site ring at half filling (dimension 3,432) at 400 times: the
+    # trajectory (22 MB) is allocated once and taken over by the states, so
+    # the peak is it, one block product's temporary of its size and the
+    # operator, 2.2 trajectories; each copy of it more adds one
+    h = disordered_ring(14, 0.3)
+    start = basis_state(h.registry, [1, 0] * 7)
+    times = np.linspace(0.0, 5.0, 400)
+    trajectory = 16 * len(times) * sector_dimension(h.registry, 7)
+    tracemalloc.start()
+    try:
+        states = evolve_many(start, h, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 400
+    assert peak <= 2.5 * trajectory
+
+
+def test_evolve_many_guards_every_sector_before_allocating(monkeypatch):
+    # N = 3 (dimension 120) is admitted, N = 4 (210) is not: the refusal
+    # comes before the trajectory, or the first sector's columns, exist
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "200")
+    h = disordered_ring(10, 0.3)
+    reg = h.registry
+    start = superpose(
+        [
+            (0.6, basis_state(reg, (1, 0) * 3 + (0,) * 4)),
+            (0.8, basis_state(reg, (1, 0) * 4 + (0,) * 2)),
+        ]
+    )
+    times = np.linspace(0.0, 5.0, 100)
+    trajectory = 16 * len(times) * (120 + 210)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="^sector N=4 dimension 210 exceeds guard 200$"):
+            evolve_many(start, h, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < trajectory / 4
 
 
 def bruteforce_sector(reg, total):

@@ -657,6 +657,32 @@ def test_from_rows_is_from_keys_row_by_row():
         ManyBodyState._from_rows(reg, keys.copy(), rows)
 
 
+def test_from_rows_takes_its_rows_over_without_a_copy():
+    # each state's values are a row of the given array, its -0.0 parts made
+    # 0.0 in place
+    reg = mixed_registry()
+    keys = np.array([0, 1, 3], dtype=np.int64)
+    rows = np.array([[complex(-0.0, 0.5), 0.25, 0.5j], [0.6, complex(0.8, -0.0), 0.0]])
+    first, second = ManyBodyState._from_rows(reg, keys, rows)
+    assert np.shares_memory(first.values, rows) and np.shares_memory(first.keys, keys)
+    assert not np.signbit(rows.view(float)).any()
+    assert repr(complex(first.values[0])) == repr(0.5j) and second.num_terms == 2
+
+
+def test_from_keys_copies_its_amplitudes_and_leaves_them_as_they_were():
+    reg = mixed_registry()
+    values = np.array([complex(-0.0, 0.5), complex(0.6, -0.0)])
+    values.flags.writeable = False
+    state = ManyBodyState._from_keys(reg, [3, 1], values)
+    assert np.signbit(values.view(float)).tolist() == [True, False, False, True]
+    assert not np.signbit(state.values.view(float)).any()
+    writable = values.copy()
+    state = ManyBodyState._from_keys(reg, [3, 1], writable)
+    assert not np.shares_memory(state.values, writable)
+    writable[:] = 7.0
+    assert state.amplitudes == {3: 0.5j, 1: 0.6 + 0j}
+
+
 def test_state_arrays_are_read_only():
     reg = mixed_registry()
     keys, values = np.array([3, 0, 1]), np.array([0.6, 0.0, 0.8j])
