@@ -631,27 +631,29 @@ def evolve_many(
     and one Chebyshev recurrence, of a degree set by the largest |t| and a
     bound on the spectrum, gives the state at every time
     (``_propagate_sparse``), so that no dense matrix is built.  Times may
-    come in any order and with either sign; a NaN or infinite time is
-    refused before either path is taken.
+    come in any order and with either sign.
 
-    The trajectory is one (times x keys) array, the sectors' keys side by
-    side.  It is allocated once, after the int64 refusal, the refusal of
-    more than guard**2 amplitudes and every sector's guard, so a refused
-    call allocates none of it.  Each sector writes its own columns in
+    The refusals come in this order: keys beyond int64, then more than
+    guard**2 amplitudes, which needs only the number of times, so a
+    refused call converts none of them, then a NaN or infinite time, and
+    then every sector's guard, all before either path is taken.  The
+    trajectory is one (times x keys) array, the sectors' keys side by
+    side.  It is allocated once, after every refusal, so a refused call
+    allocates none of it.  Each sector writes its own columns in
     place, and its operator is dropped once they are written;
     ``ManyBodyState._from_rows`` then takes the array over, with no copy.
     """
     if state.registry != h.registry:
         raise RegistryMismatchError("state and Hamiltonian use different registries")
     registry = state.registry
-    times = [float(t) for t in times]
-    for t in times:
-        if not math.isfinite(t):
-            raise ValueError(f"cannot propagate to the time {t}, which is not finite")
     _check_int64_keys(registry)
     numbers = _occupations(registry, state.keys).sum(axis=1)
     sectors = [_Sector(registry, total) for total in sorted(set(numbers.tolist()))]
     _check_trajectory([sector.dimension for sector in sectors], len(times))
+    times = [float(t) for t in times]
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"cannot propagate to the time {t}, which is not finite")
     # every sector's keys, and so its guard, before the trajectory is allocated;
     # an empty first block, so that a zero state evolves to zero states
     keys = np.concatenate([np.zeros(0, dtype=np.int64), *(sector.keys for sector in sectors)])

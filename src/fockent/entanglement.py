@@ -45,11 +45,11 @@ The key work depends only on the registry, the keys and the subset, and
 every state of a trajectory has the same keys.  A small memo keeps the
 number-block layouts (``_Blocks``) of the last few subsets that take the
 block path, and nothing else: a subset that mixes numbers is never kept.
-A layout is moved, with a copy of the keys, into a memory map of its own
-when it is kept, and is reused when the registry is the same object and
-the keys are equal to the memo's copy.  The memo is looked up before the
-split, so a subset whose layout is kept does no key work; a lookup with
-other keys drops the stale layout before its successor is built.  A
+A layout is kept as built, beside the memo's own copy of the keys, for
+keys of either type, and is reused when the registry is the same object
+and the keys are equal to the memo's copy.  The memo is looked up before
+the split, so a subset whose layout is kept does no key work; a lookup
+with other keys drops the stale layout before its successor is built.  A
 state of at most ``BLOCK_CROSSOVER`` terms, whose Gram side can never
 take the block path, does not look the memo up at all, so the one-term
 start of a trajectory leaves the layouts of its later states in place.
@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import mmap
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -118,8 +117,8 @@ BLOCK_CELLS = 4096
 BLOCK_CROSSOVER = 32
 
 # The memo keeps the layouts of at most this many subsets, holding at most
-# this many terms together (24 bytes each: key, ``take`` and ``positions``);
-# a layout of more terms is not kept.
+# this many terms together (24 bytes each with int64 keys: key, ``take`` and
+# ``positions``); a layout of more terms is not kept.
 MEMO_ENTRIES = 8
 MEMO_TERMS = 1 << 19
 
@@ -413,25 +412,13 @@ def _kept(registry: ModeRegistry, keys: np.ndarray, sub: ModeSubset) -> _Kept | 
 
 
 def _remember(sub: ModeSubset, entry: _Kept) -> None:
-    """Keep a memo entry while the memo's bounds allow, its keys, ``take``
-    and ``positions`` copied into one anonymous memory map, read-only.
-
-    Only layouts of int64 keys are kept, since the map holds int64.  A
-    kept layout outlives the call that built it; kept on the malloc heap,
-    its arrays split the free space that the next large temporary (a
-    LAPACK workspace, say) needs, and the heap grows instead: 3 MB more
-    max RSS on the dynamics benchmark.
-    """
+    """Keep a memo entry, the layout as built beside the memo's own copy
+    of the keys, while the memo's bounds allow; the least recently used
+    entries go first."""
     registry, keys, n_rows, blocks = entry
-    if keys.dtype != np.int64 or len(keys) > MEMO_TERMS:
+    if len(keys) > MEMO_TERMS:
         return
-    arrays = [keys, blocks.take, blocks.positions]
-    ends = np.cumsum([len(a) for a in arrays])
-    kept = np.frombuffer(mmap.mmap(-1, 8 * int(ends[-1])), dtype=np.int64)
-    np.concatenate(arrays, out=kept)
-    kept.flags.writeable = False
-    keys, take, positions = np.split(kept, ends[:-1])
-    _layouts[sub] = (registry, keys, n_rows, blocks._replace(take=take, positions=positions))
+    _layouts[sub] = (registry, keys.copy(), n_rows, blocks)
     while len(_layouts) > MEMO_ENTRIES or _memo_terms() > MEMO_TERMS:
         del _layouts[next(iter(_layouts))]
 

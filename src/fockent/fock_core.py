@@ -12,17 +12,17 @@ amplitude.  ``ManyBodyState.amplitudes`` is a dict view built on request.
 Key arrays have one data type, ``_key_dtype(registry)``: int64 while
 ``full_dimension() <= KEY_LIMIT = 2**63``, Python integers above that.
 ``ManyBodyState._from_keys`` is the one way from arrays of distinct keys
-and finite amplitudes to a state; its core, ``_from_rows``, checks and
-prunes a whole (states x keys) array of amplitudes at once and takes it
-over without a copy, on keys known to be distinct, as a trajectory
-needs.  ``_summed`` is the one sum of values by key, and ``_Sector`` the
-one index of a fixed-N sector.  From
-one table of counts it gives the sector's dimension
-(``sector_dimension``), its keys in the one sector order
-(``_sector_keys``; ``enumerate_sector`` is their unpacked view) and the
-rank of a key in that order, by one table gather for each group of modes
-and no search.  The keys own the sector
-check, so no sector larger than ``size_guard()`` is built.
+and finite amplitudes to a state; its core, ``_from_rows``, checks a
+whole (states x keys) array of amplitudes at once, prunes it row by row
+and takes it over without a copy, on keys known to be distinct, as a
+trajectory needs.  ``_summed`` is the one sum of values by key, and
+``_Sector`` the one index of a fixed-N sector.  From one table of
+counts it gives the sector's dimension (``sector_dimension``), its keys
+in the one sector order (``_sector_keys``; ``enumerate_sector`` is their
+unpacked view) and the rank of a key in that order, by one rule for
+every group of modes: one gather from the group's table over (particles
+left, digits), and no search.  The keys own the sector check, so no
+sector larger than ``size_guard()`` is built.
 Sums over terms run left to right (``_running_sum``, ``_summed``) and
 complex products part by part (``_times``), so they round exactly as
 Python's scalar arithmetic does.
@@ -317,8 +317,9 @@ class ManyBodyState:
         ``rows[s, i]`` at ``keys[i]``, keys that are trusted to be distinct
         and of the registry's key type.
 
-        The whole array is checked and pruned at once, as ``_from_keys``
-        does one state.  It takes ``rows`` over: its -0.0 parts become 0.0
+        The whole array is checked at once and pruned row by row, as
+        ``_from_keys`` does one state, so the prune's temporaries are one
+        row's size.  It takes ``rows`` over: its -0.0 parts become 0.0
         in place, and each state's values are a read-only row of it, or a
         pruned copy of one.  ``keys`` becomes read-only and is shared by
         every row that prunes nothing.
@@ -326,11 +327,11 @@ class ManyBodyState:
         if not np.isfinite(rows).all():
             bad = rows[~np.isfinite(rows)]
             raise ValueError(f"amplitude {bad[0]} is not finite")
-        kept = np.abs(rows) > PRUNE_TOL
         rows += 0.0
         keys.flags.writeable = False
         states = []
-        for row, mask in zip(rows, kept):
+        for row in rows:
+            mask = np.abs(row) > PRUNE_TOL
             row_keys = keys
             if not mask.all():
                 row_keys, row = keys[mask], row[mask]
@@ -678,7 +679,7 @@ def superpose(terms: Sequence[tuple[complex, ManyBodyState]]) -> ManyBodyState:
 # 110 / 112 / 123 us as two, at 4 / 6 / 8 fermion modes and half filling.
 # Otherwise groups take modes while their patterns number at most the power
 # of two at or above the square root of the full dimension, and at most
-# RANK_TABLE: two groups, two gathers a key, up to 2**24 basis vectors.
+# RANK_TABLE: two groups up to 2**24 basis vectors.
 RANK_ONE = 1 << 8
 RANK_TABLE = 1 << 12
 
@@ -687,25 +688,25 @@ class _Sector:
     """The sector of ``total`` particles, indexed by counting.
 
     ``after[i, r]`` is the number of ways the modes after mode i hold at
-    most r particles, r = 0 .. total, with a last column of zeros so that
-    r = -1 reads 0; ``dimension`` is the number of basis vectors, 0 for a
-    negative or over-full total.  In the one sector order, lexicographic in
-    the occupations with mode 0 most significant, the basis vectors before
-    a key are counted mode by mode: with left_i particles on the modes i,
-    i + 1, ... and n_i on mode i, those with fewer on mode i number
-    after[i, left_i] - after[i, left_i - n_i].
+    most r particles, r = 0 .. total; ``dimension`` is the number of basis
+    vectors, 0 for a negative or over-full total.  In the one sector
+    order, lexicographic in the occupations with mode 0 most significant,
+    the basis vectors before a key are counted mode by mode: with left_i
+    particles on the modes i, i + 1, ... and n_i on mode i, those with
+    fewer on mode i number after[i, left_i] - after[i, left_i - n_i].
 
     Within a group of modes a .. b - 1 that sum depends only on the
-    group's digits and on left_a, which is ``total`` for the first group
-    and, inside the sector, the group's own digit sum for the last.  So
-    ``rank`` is one table gather a group (Lin, PRB 42, 6561 (1990)), for
-    two groups T_first[key % s] + T_last[key // s]; a group between them
-    has a table over (left_a, digits) and carries left_a on.  The table
-    of a single group is the keys' own index.  ``keys`` is built from the
-    same groups and owns the sector check, so no sector larger than
-    ``size_guard()`` is built.  A group's last mode holds at most
-    ``total`` particles, so a mode of a large cutoff adds at most
-    total + 1 patterns.
+    group's digits and on left_a, the particles on the group's modes and
+    the modes after it.  So every group has one table over the (left_a,
+    digits) that the sector reaches, and ``rank`` is one table gather a
+    group (Lin, PRB 42, 6561 (1990)): left_a is ``total`` for the first
+    group, and each group's digit sum is taken off it for the next.  The
+    first group (left_a = ``total``) and the last (left_a = its digit
+    sum) so have one entry a pattern, and a single group's table is the
+    keys' own index.  ``keys`` is built from the same groups and owns the
+    sector check, so no sector larger than ``size_guard()`` is built.  A
+    group's last mode holds at most ``total`` particles, so a mode of a
+    large cutoff adds at most total + 1 patterns.
     """
 
     def __init__(self, registry: ModeRegistry, total: int) -> None:
@@ -715,15 +716,15 @@ class _Sector:
         if 0 <= total <= sum(registry.cutoffs):
             # at most r particles on no modes: one way for every r >= 0
             row = [1] * (total + 1)
-            table = [row + [0]]
+            table = [row]
             for c in reversed(registry.cutoffs):
                 ways = [row[r] - row[r - c - 1] if r > c else row[r] for r in range(total + 1)]
                 row = list(itertools.accumulate(ways))
-                table.append(row + [0])
+                table.append(row)
             # below the full dimension, so int64 for int64 keys
             dtype = np.int64 if self.dtype is np.int64 else object
             self.after = np.array(table[-2::-1], dtype=dtype)
-            self.dimension = table[-1][total] - table[-1][total - 1]
+            self.dimension = row[total] - (row[total - 1] if total else 0)
 
     @functools.cached_property
     def _groups(self) -> list:
@@ -790,32 +791,35 @@ class _Sector:
 
     @functools.cached_property
     def _tables(self) -> list:
-        """(digit span, patterns, table, digit sums) for each group: the
-        group's digits of a key are key // stride % span, and its share of
-        the key's rank is table[digits] for the first and the last group,
-        table[left_a * patterns + digits] between them."""
-        total, groups = self.total, self._groups
-        if len(groups) == 1:
+        """(digit span, offsets, table, digit sums) for each group: the
+        group's digits d of a key are key // stride % span, and with r
+        particles on the group's modes and the modes after it, its share of
+        the key's rank is table[offsets[d] + r].  The table holds the r
+        that the sector reaches with digits d, from the larger of their sum
+        and what the modes before the group cannot hold to the smaller of
+        ``total`` and their sum plus what the modes after it can hold."""
+        total, cutoffs = self.total, self.registry.cutoffs
+        groups = self._groups
+        if len(groups) == 1:  # r = total, and table[d] is the keys' own index
             table = np.zeros(len(groups[0][2]), dtype=np.int64)
             table[self.keys] = np.arange(self.dimension)
-            return [(None, len(table), table, None)]
+            return [(None, np.arange(len(table)) - total, table, None)]
         tables = []
         strides = [stride for _, stride, _ in groups[1:]] + [None]
-        for g, ((a, stride, occupations), end) in enumerate(zip(groups, strides)):
+        for (a, stride, occupations), end in zip(groups, strides):
+            b = a + occupations.shape[1]
             sums = occupations.sum(axis=1)
-            if g == 0:
-                left = total
-            elif g == len(groups) - 1:
-                left = sums[:, None]
-            else:
-                left = np.arange(total + 1)[:, None, None]
-            left = np.clip(left - (np.cumsum(occupations, axis=1) - occupations), -1, total)
-            fewer = np.maximum(left - occupations, -1)
-            modes = np.arange(occupations.shape[1])
-            ways = self.after[a + modes]
-            table = (ways[modes, left] - ways[modes, fewer]).sum(axis=-1)
+            low = np.maximum(sums, total - sum(cutoffs[:a]))
+            count = np.maximum(np.minimum(sums + sum(cutoffs[b:]), total) - low + 1, 0)
+            offsets = np.cumsum(count) - count - low
+            d = np.repeat(np.arange(len(sums)), count)
+            r = np.arange(len(d)) - offsets[d]
+            # left[i, m]: particles on mode a + m and after it, for entry i's (r, d)
+            left = r[:, None] - (np.cumsum(occupations, axis=1) - occupations)[d]
+            modes = np.arange(a, b)
+            table = (self.after[modes, left] - self.after[modes, left - occupations[d]]).sum(axis=1)
             span = None if end is None else end // stride
-            tables.append((span, len(occupations), table.reshape(-1), sums))
+            tables.append((span, offsets, table, sums))
         return tables
 
     def rank(self, targets: np.ndarray) -> np.ndarray:
@@ -824,17 +828,13 @@ class _Sector:
         if not self.dimension:
             return np.zeros(len(targets), dtype=np.int64)
         tables = self._tables
-        rest, left = targets, self.total
-        for g, (span, patterns, table, sums) in enumerate(tables):
-            if g == len(tables) - 1:
-                digits = rest
-            else:
-                rest, digits = np.divmod(rest, span)
-            part = table[left * patterns + digits if 0 < g < len(tables) - 1 else digits]
-            rank = part if g == 0 else rank + part
-            if g + 2 < len(tables):
-                left = left - sums[digits]
-        return rank
+        rest, r, rank = targets, self.total, 0
+        for span, offsets, table, sums in tables[:-1]:
+            rest, digits = np.divmod(rest, span)
+            rank = rank + table[offsets[digits] + r]
+            r = r - sums[digits]
+        _, offsets, table, _ = tables[-1]
+        return rank + table[offsets[rest] + r]
 
 
 def _sector_keys(registry: ModeRegistry, total: int) -> np.ndarray:

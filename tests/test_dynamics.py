@@ -17,7 +17,8 @@ coefficients against ``mpmath.besselj``, the padded-row matvec of the
 operator's off-diagonal part bit for bit against the triplet ``bincount``
 matvec, and the propagator's memory against one gather of the cells,
 the spectral interval's against one real copy of them and that of
-``evolve_many`` against one trajectory, which each sector writes in place.
+``evolve_many`` against one trajectory, which each sector writes in place;
+a call refused for its number of times builds nothing as long as them.
 """
 
 import itertools
@@ -1194,6 +1195,23 @@ def test_evolve_many_guards_every_sector_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < trajectory / 4
+
+
+def test_evolve_many_refuses_a_long_trajectory_before_reading_its_times():
+    # 10**6 times on the 12-site ring at half filling (dimension 924) pass
+    # guard**2 amplitudes: the refusal needs only their number, so no list
+    # of floats as long as the times array is built first
+    h = disordered_ring(12, 0.3)
+    start = basis_state(h.registry, [1, 0] * 6)
+    times = np.linspace(0.0, 5.0, 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=r"^trajectory \(1000000 times x 924 basis"):
+            evolve_many(start, h, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < times.nbytes
 
 
 def bruteforce_sector(reg, total):

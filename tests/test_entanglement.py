@@ -589,6 +589,29 @@ def test_memo_stays_within_its_bounds(memo, monkeypatch):
     assert len(memo) == 0
 
 
+def test_memo_keeps_the_layout_of_python_integer_keys(memo):
+    # 70 modes pass the int64 key range, so the keys are Python integers;
+    # three particles on 400 random sets of modes give the half chain more
+    # than BLOCK_CROSSOVER Gram rows, and the layout is kept all the same
+    registry = uniform_registry(70)
+    rng = np.random.default_rng(70)
+    sets = {tuple(sorted(rng.choice(70, size=3, replace=False).tolist())) for _ in range(400)}
+    keys = [sum(1 << i for i in modes) for modes in sorted(sets)]
+    values = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    state = ManyBodyState._from_keys(registry, keys, values / np.linalg.norm(values))
+    assert state.keys.dtype == object
+    half = tuple(range(35))
+    first = mode_entanglement(state, half)
+    assert half in memo and memo[half][2] > entanglement.BLOCK_CROSSOVER
+    assert memo[half][1] is not state.keys and np.array_equal(memo[half][1], state.keys)
+    entry = memo[half]
+    second = mode_entanglement(state, half)
+    assert memo[half] is entry
+    want = fresh_entropy(state, half)
+    bits = np.array([first, second, want]).view(np.uint64)
+    assert bits[0] == bits[1] == bits[2]
+
+
 def test_mixed_number_subset_leaves_a_full_memo_unchanged(memo):
     # the half chain of an indefinite-number state has 64 Gram rows, above
     # the crossover, but its environments mix subset numbers: it takes the

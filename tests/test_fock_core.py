@@ -9,6 +9,7 @@ sparse kernels.
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -472,6 +473,24 @@ def test_sector_rank_matches_a_sorted_search(name):
         np.testing.assert_array_equal(sector.rank(keys), np.arange(len(keys)))
 
 
+def test_sector_rank_tables_hold_what_the_sector_reaches():
+    # a Bose dimer of cutoff 10**4 at N = 1000 (dimension 1001) is two
+    # groups of one mode and 1001 patterns each: a table over every
+    # (particles left, digits) would hold 1001**2 entries a group
+    reg = registry_create([boson(0), boson(1)], cutoffs=10**4)
+    sector = _Sector(reg, 1000)
+    keys = sector.keys
+    tracemalloc.start()
+    try:
+        got = sector.rank(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, np.arange(1001))
+    assert sum(len(table) for _, _, table, _ in sector._tables) == 2 * 1001
+    assert peak < 2**20
+
+
 def test_sector_of_no_modes():
     reg = registry_create([])
     for total in (-1, 0, 1):
@@ -667,6 +686,24 @@ def test_from_rows_takes_its_rows_over_without_a_copy():
     assert np.shares_memory(first.values, rows) and np.shares_memory(first.keys, keys)
     assert not np.signbit(rows.view(float)).any()
     assert repr(complex(first.values[0])) == repr(0.5j) and second.num_terms == 2
+
+
+def test_from_rows_prunes_row_by_row():
+    # a 14-site half-filled trajectory of 400 states (22 MB) that prunes
+    # nothing: the finiteness check holds 1 B a cell, and the prune only
+    # one row's modulus and mask, not 9 B a cell for the whole array
+    reg = registry_create([generic(i) for i in range(14)])
+    keys = _sector_keys(reg, 7)
+    rng = np.random.default_rng(14)
+    rows = np.exp(2j * np.pi * rng.random((400, len(keys)))) / np.sqrt(len(keys))
+    tracemalloc.start()
+    try:
+        states = ManyBodyState._from_rows(reg, keys, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(state.num_terms == len(keys) for state in states)
+    assert peak <= rows.nbytes / 8 + 2**20
 
 
 def test_from_keys_copies_its_amplitudes_and_leaves_them_as_they_were():

@@ -3,11 +3,14 @@
 Each case runs ``fockent <argv> --out <table>`` in a fresh interpreter
 with one BLAS thread and pins the SHA-256 of the table, its
 ``.meta.json`` sidecar (empty when none is written) and stdout.  The
-dynamics cases run on a Hubbard dimer (dense eigh) and on interacting
+dynamics cases run on a Hubbard dimer (dense eigh), on interacting
 rings of 11 sites at N = 5 (dimension 462) and 12 sites at N = 6
-(dimension 924), both by sparse Chebyshev propagation.  The 12-site
-ring's half chain has Gram side 64, above ``BLOCK_CROSSOVER``, so its
-entropies take the number-block path, with blocks of 6, 15 and 20 rows.
+(dimension 924), and on a six-site Bose-Hubbard ring of cutoff 3 at
+N = 6 (dimension 336, whose sector index has two groups of three
+modes, the last one bosonic), all three by sparse Chebyshev
+propagation.  The 12-site ring's half chain has Gram side 64, above
+``BLOCK_CROSSOVER``, so its entropies take the number-block path, with
+blocks of 6, 15 and 20 rows.
 A digest may change only together with a line in
 CHANGES.md that says why.  The digests were recorded with Python 3.11
 and numpy 2.4.6 (OpenBLAS 0.3.31) on x86-64; another numpy or BLAS build
@@ -84,7 +87,25 @@ def ring(sites=11):
     return {"modes": modes, "one_body": one_body, "two_body": two_body}
 
 
-HAMILTONIANS = {"dimer": hubbard_dimer, "ring": ring, "ring12": lambda: ring(12)}
+def bose_ring(sites=6):
+    """Bose-Hubbard ring of cutoff 3: hopping -1, on-site energies i/10,
+    V_iiii = 2."""
+    modes = [{"species": "boson", "momentum": [i], "cutoff": 3} for i in range(sites)]
+    one_body = [[0.0] * sites for _ in range(sites)]
+    for i in range(sites):
+        j = (i + 1) % sites
+        one_body[i][i] = i / 10
+        one_body[i][j] = one_body[j][i] = -1.0
+    two_body = [{"ijlm": [i, i, i, i], "value": 2.0} for i in range(sites)]
+    return {"modes": modes, "one_body": one_body, "two_body": two_body}
+
+
+HAMILTONIANS = {
+    "dimer": hubbard_dimer,
+    "ring": ring,
+    "ring12": lambda: ring(12),
+    "bose_ring": bose_ring,
+}
 
 # name: (argv without --out, SHA-256)
 GOLDEN = {
@@ -155,6 +176,18 @@ GOLDEN = {
             "0,1,2,3,4,5",
         ],
         "e9ddd212c91d82d41dbff0d75d5d3e8e21e03f2735ef4df5f51b1a32866dff8d",
+    ),
+    "dynamics_bose_ring": (
+        [
+            "dynamics",
+            "--hamiltonian",
+            "{bose_ring}",
+            "--initial",
+            "1,1,1,1,1,1",
+            "--subset",
+            "0,1,2",
+        ],
+        "69d71791fab1653a0cc54be7e17149cf53ad9d8e9e09e3d3dc9abd1312cf37fb",
     ),
 }
 
