@@ -3,6 +3,11 @@
 Everything here is independent of the brute-force engine: the functions
 evaluate combinatorial formulas only, so tests can cross-check them
 against enumeration.  All entropies use the natural logarithm.
+
+``exciton_marginals`` takes the probability of the traced spin branch
+once, as a share of every weight, so ``ExcitonMarginals`` keeps one
+form per kind of subset in every channel: an electron, a hole, both of
+one branch, and two modes never occupied together.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .fock_core import Momentum, _as_momentum, _check_guard
+from .fock_core import Momentum, _as_momentum, _check_guard, _running_sum
 
 BOUNDS_TOL = 1e-12
 
@@ -306,14 +311,13 @@ def bogoliubov_approx(
     coherent = abs(sum(rest)) if rest else 0.0
     incoherent = sum(abs(v) ** 2 for v in rest)
     residual = abs(coherent**2 - incoherent)
+    # C^(2j), j = 0 .. N/2; entry n sums C^(2j) from j = N/2 - n down, over
+    # the condensate occupations n0 = N/2 - n - j, only when it is not the target
+    powers = np.array([coherent ** (2 * j) for j in range(half + 1)])
     weights = np.zeros(half + 1)
     for n in range(half + 1):
-        geo = 0.0
-        # the condensate is summed over only when it is not the target
-        for n0 in range(half - n + 1 if q is not None else 1):
-            exponent = total_number - 2 * n0 - 2 * n
-            geo += 1.0 if exponent == 0 else coherent**exponent
-        weights[n] = (weight**n) * geo
+        terms = powers[half - n :: -1] if q is not None else powers[half - n : half - n + 1]
+        weights[n] = (weight**n) * _running_sum(terms)
     return ApproximateDistribution(weights / weights.sum(), float(residual))
 
 
@@ -328,11 +332,14 @@ def geometric_pair_distribution(ratio_magnitude: float, cutoff: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class ExcitonMarginals:
-    """Row and column weights of a normalized pair-amplitude matrix A.
+    """Row and column weights of a normalized pair-amplitude matrix A,
+    each times the share of the traced spin branch.
 
-    alpha_electron[k] = sum_{k'} |A(k,k')|^2 and alpha_hole[k'] is the
-    column analogue.  gamma values subtract the shared element:
-    gamma_electron = alpha_k - |A(k,k')|^2 for the chosen (k, k').
+    alpha_electron[k] = share * sum_{k'} |A(k,k')|^2, alpha_hole[k'] is
+    the column analogue and weights[(k, k')] = share * |A(k,k')|^2.
+    gamma values subtract the shared element: gamma_electron = alpha_k -
+    weight(k, k') for the chosen (k, k').  With these, one form covers
+    each kind of subset in every channel.
     """
 
     alpha_electron: Mapping[Momentum, float]
@@ -353,42 +360,26 @@ class ExcitonMarginals:
         return binary_entropy(self.alpha_hole[kp])
 
     def joint_entropy(self, k: Momentum, kp: Momentum) -> float:
-        """Entropy of the mode pair {electron k, hole k'} for one spinless pair."""
+        """Entropy of the mode pair {electron k, hole k'} of one branch."""
         w = self.pair_weight(k, kp)
         ge, gh = self.gamma(k, kp)
         return distribution_entropy([w, ge, gh, 1.0 - w - ge - gh])
 
-    def spinful_electron_entropy(self, k: Momentum) -> float:
-        """Single spin-resolved electron mode in a spin-mixed channel: h(alpha/2)."""
-        return binary_entropy(0.5 * self.alpha_electron[k])
-
-    def spinful_hole_entropy(self, kp: Momentum) -> float:
-        return binary_entropy(0.5 * self.alpha_hole[kp])
-
-    def spinful_opposite_entropy(self, k: Momentum, kp: Momentum) -> float:
-        """{electron(k, up), hole(k', down)} in a spin-mixed channel.
-
-        Same four-term structure as ``joint_entropy`` with every
-        argument halved, since each spin branch carries weight 1/2.
-        """
-        w = 0.5 * self.pair_weight(k, kp)
-        ge, gh = self.gamma(k, kp)
-        ge, gh = 0.5 * ge, 0.5 * gh
-        return distribution_entropy([w, ge, gh, 1.0 - w - ge - gh])
-
-    def spinful_same_entropy(self, k: Momentum, kp: Momentum) -> float:
-        """{electron(k, up), hole(k', up)} in a spin-mixed channel.
-
-        The two modes are never jointly occupied, leaving three terms
-        with halved marginals.
-        """
-        ae = 0.5 * self.alpha_electron[k]
-        ah = 0.5 * self.alpha_hole[kp]
+    def disjoint_entropy(self, k: Momentum, kp: Momentum) -> float:
+        """Entropy of {electron k, hole k'} when the two modes are never
+        occupied together, as the electron of one branch and the hole of
+        another: three terms."""
+        ae, ah = self.alpha_electron[k], self.alpha_hole[kp]
         return distribution_entropy([ae, ah, 1.0 - ae - ah])
 
 
-def exciton_marginals(amplitudes: Mapping[tuple, complex]) -> ExcitonMarginals:
-    """Marginals of an electron-hole amplitude table keyed by (k, k')."""
+def exciton_marginals(
+    amplitudes: Mapping[tuple, complex], share: float = 1.0
+) -> ExcitonMarginals:
+    """Marginals of a normalized electron-hole amplitude table keyed by
+    (k, k'), every weight times ``share``, the probability of one spin
+    branch: 1 in a one-branch channel, 1/2 in a spin-mixed one.  A
+    power-of-two share scales every marginal exactly."""
     weights: dict[tuple[Momentum, Momentum], float] = {}
     alpha_e: dict[Momentum, float] = {}
     alpha_h: dict[Momentum, float] = {}
@@ -396,10 +387,11 @@ def exciton_marginals(amplitudes: Mapping[tuple, complex]) -> ExcitonMarginals:
     for (k, kp), a in amplitudes.items():
         k, kp = _as_momentum(k), _as_momentum(kp)
         w = abs(complex(a)) ** 2
+        total += w
+        w *= share
         weights[(k, kp)] = weights.get((k, kp), 0.0) + w
         alpha_e[k] = alpha_e.get(k, 0.0) + w
         alpha_h[kp] = alpha_h.get(kp, 0.0) + w
-        total += w
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"amplitude table has squared sum {total}, expected 1")
     return ExcitonMarginals(alpha_e, alpha_h, weights)

@@ -22,7 +22,9 @@ in the one sector order (``_sector_keys``; ``enumerate_sector`` is their
 unpacked view) and the rank of a key in that order, by one rule for
 every group of modes: one gather from the group's table over (particles
 left, digits), and no search.  The keys own the sector check, so no
-sector larger than ``size_guard()`` is built.
+sector larger than ``size_guard()`` is built; the table of counts, one
+numpy array, is refused beyond guard**2 cells when the sector holds
+more particles than the guard.
 Sums over terms run left to right (``_running_sum``, ``_summed``) and
 complex products part by part (``_times``), so they round exactly as
 Python's scalar arithmetic does.
@@ -688,7 +690,10 @@ class _Sector:
     """The sector of ``total`` particles, indexed by counting.
 
     ``after[i, r]`` is the number of ways the modes after mode i hold at
-    most r particles, r = 0 .. total; ``dimension`` is the number of basis
+    most r particles, r = 0 .. total: one (modes x (total + 1)) array, each
+    row from the next by one shifted subtraction and one cumulative sum.
+    Above ``size_guard()`` particles it is refused beyond guard**2 cells
+    before it is allocated.  ``dimension`` is the number of basis
     vectors, 0 for a negative or over-full total.  In the one sector
     order, lexicographic in the occupations with mode 0 most significant,
     the basis vectors before a key are counted mode by mode: with left_i
@@ -713,18 +718,26 @@ class _Sector:
         self.registry, self.total = registry, total
         self.dtype = _key_dtype(registry)
         self.dimension = 0
-        if 0 <= total <= sum(registry.cutoffs):
-            # at most r particles on no modes: one way for every r >= 0
-            row = [1] * (total + 1)
-            table = [row]
-            for c in reversed(registry.cutoffs):
-                ways = [row[r] - row[r - c - 1] if r > c else row[r] for r in range(total + 1)]
-                row = list(itertools.accumulate(ways))
-                table.append(row)
-            # below the full dimension, so int64 for int64 keys
+        cutoffs = registry.cutoffs
+        if 0 <= total <= sum(cutoffs):
+            # at most guard + 1 cells a mode below: there the keys' sector check speaks first
+            if total > size_guard():
+                _check_elements(f"sector N={total} table of counts", len(cutoffs) * (total + 1))
+            # the modes after mode 0 hold at most half the full dimension, so
+            # int64 for int64 keys; the row of all modes may reach 2**63
             dtype = np.int64 if self.dtype is np.int64 else object
-            self.after = np.array(table[-2::-1], dtype=dtype)
-            self.dimension = row[total] - (row[total - 1] if total else 0)
+            # at most r particles on no modes: one way for every r >= 0
+            self.after = after = np.ones((len(cutoffs), total + 1), dtype)
+            for i in range(len(cutoffs) - 2, -1, -1):
+                # exactly r on mode i + 1 and after it, then at most r
+                c, ways, row = cutoffs[i + 1], after[i], after[i + 1]
+                np.subtract(row[c + 1 :], row[: max(total - c, 0)], out=ways[c + 1 :])
+                ways[: c + 1] = row[: c + 1]
+                np.cumsum(ways, out=ways)
+            self.dimension = 1  # no modes: the one empty pattern
+            if len(cutoffs):  # exactly total: mode 0 holds at most its cutoff
+                low = total - cutoffs[0] - 1
+                self.dimension = int(after[0, total]) - (int(after[0, low]) if low >= 0 else 0)
 
     @functools.cached_property
     def _groups(self) -> list:
@@ -851,7 +864,10 @@ def enumerate_sector(registry: ModeRegistry, total: int) -> list[OccupationVecto
 
 
 def sector_dimension(registry: ModeRegistry, total: int) -> int:
-    """Count of occupation vectors with the given total, without materializing."""
+    """Count of occupation vectors with the given total, without
+    materializing them.  Raises SizeGuardError for a total above
+    ``size_guard()`` whose table of counts, modes x (total + 1) cells,
+    exceeds guard**2 (``_Sector``)."""
     return _Sector(registry, total).dimension
 
 

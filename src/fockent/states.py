@@ -513,24 +513,27 @@ def bogoliubov_projected(
     # then one exact shift puts the largest in [0.5, 1), as in bcs_projected
     powers = [_powers(-c, half) for _, c in pair_modes]
     keys, raw = [], []
-    for pattern in compositions(half, 1 + num_pairs):
-        n0, rest = pattern[0], pattern[1:]
-        key = 2 * n0 * registry._strides[condensate]
-        amp, e = _frexp(multinomial(half, pattern))
-        for (step, _), power, n in zip(pair_modes, powers, rest):
-            key += n * step
-            if n:  # (-c)**0 is 1
-                amp *= power[n][0]
-                e += power[n][1]
-        keys.append(key)
-        raw.append((amp, e))
+    lead = 1  # C(N/2, n0), each from the last by one exact division
+    for n0 in range(half + 1):
+        for rest in compositions(half - n0, num_pairs):
+            key = 2 * n0 * registry._strides[condensate]
+            amp, e = _frexp(lead * multinomial(half - n0, rest))
+            for (step, _), power, n in zip(pair_modes, powers, rest):
+                key += n * step
+                if n:  # (-c)**0 is 1
+                    amp *= power[n][0]
+                    e += power[n][1]
+            keys.append(key)
+            raw.append((amp, e))
+        lead = lead * (half - n0) // (n0 + 1)
     return ManyBodyState._from_keys(registry, keys, _shifted(raw)).normalize()
 
 
 def uniform_filling_state(
     registry: ModeRegistry, num_modes: int, num_filled: int
 ) -> ManyBodyState:
-    """Equal-amplitude superposition of all C(M, K) fillings of M modes."""
+    """Equal-amplitude superposition of all C(M, K) fillings of M modes;
+    more than guard**2 of them are refused before any is built."""
     if not 0 <= num_filled <= num_modes:
         raise ValueError(f"cannot fill {num_filled} of {num_modes} modes")
     if num_modes > len(registry):
@@ -538,6 +541,8 @@ def uniform_filling_state(
     for i in range(num_modes):
         if not registry.modes[i].fermionic:
             raise ValueError(f"mode {i} is bosonic; uniform filling needs fermions")
+    what = f"uniform filling ({num_filled} of {num_modes} modes)"
+    _check_elements(what, math.comb(num_modes, num_filled))
     strides = registry._strides[:num_modes]
     keys = [sum(filled) for filled in itertools.combinations(strides, num_filled)]
     return ManyBodyState._from_keys(registry, keys, np.ones(len(keys))).normalize()

@@ -52,6 +52,7 @@ from .fock_core import (
     apply_creation,
     basis_state,
     electron,
+    hole,
     inner_product,
     number_expectation,
     registry_create,
@@ -62,6 +63,7 @@ from .fock_core import (
     _times,
 )
 from .states import (
+    _CHANNEL_BRANCHES,
     ExcitonChannel,
     PairAmplitudeTable,
     TableKind,
@@ -163,25 +165,18 @@ def exciton_rows(
     """Per (k, k'): S of the electron, the hole and the two together
     against the marginal-weight forms.
 
-    Spinful registries hold (up, down) per momentum.  The down component
-    is traced for triplet_down, and for the hole of a mixed channel
-    (triplet_zero, singlet), whose forms are the spin-halved ones.
+    The traced modes are those of the channel's first branch in
+    ``states._CHANNEL_BRANCHES``, found by label in the state's registry,
+    and the marginals take that branch's share, 1 / (number of branches).
     """
     e_momenta = sorted({k for k, _ in table.values})
     h_momenta = sorted({kp for _, kp in table.values})
-    m = analytic.exciton_marginals(table.values)
-    mixed = channel in (ExcitonChannel.TRIPLET_ZERO, ExcitonChannel.SINGLET)
-    if mixed:
-        e_form, h_form, pair_form = (
-            m.spinful_electron_entropy, m.spinful_hole_entropy, m.spinful_opposite_entropy
-        )
-    else:
-        e_form, h_form, pair_form = m.electron_entropy, m.hole_entropy, m.joint_entropy
-    stride = 1 if channel is ExcitonChannel.SPINLESS else 2
-    e_down = int(channel is ExcitonChannel.TRIPLET_DOWN)
-    h_down = int(channel is ExcitonChannel.TRIPLET_DOWN or mixed)
-    e_modes = [stride * i + e_down for i in range(len(e_momenta))]
-    h_modes = [stride * (len(e_momenta) + j) + h_down for j in range(len(h_momenta))]
+    branches = _CHANNEL_BRANCHES[channel]
+    m = analytic.exciton_marginals(table.values, 1 / len(branches))
+    e_spin, h_spin, _ = branches[0]
+    index_of = state.registry.index_of
+    e_modes = [index_of(electron(k, e_spin)) for k in e_momenta]
+    h_modes = [index_of(hole(kp, h_spin)) for kp in h_momenta]
     singles = [(mode,) for mode in e_modes + h_modes]
     entropies = subset_entropies(state, singles + list(itertools.product(e_modes, h_modes)))
     s_e, s_h = entropies[: len(e_modes)], entropies[len(e_modes) : len(singles)]
@@ -190,7 +185,7 @@ def exciton_rows(
     for i, k in enumerate(e_momenta):
         for j, kp in enumerate(h_momenta):
             sp = s_pair[i * len(h_modes) + j]
-            ae, ah, ap = e_form(k), h_form(kp), pair_form(k, kp)
+            ae, ah, ap = m.electron_entropy(k), m.hole_entropy(kp), m.joint_entropy(k, kp)
             err = max(abs(s_e[i] - ae), abs(s_h[j] - ah), abs(sp - ap))
             cells = (_momentum_cell(k), _momentum_cell(kp), s_e[i], ae, s_h[j], ah, sp, ap)
             rows.append(dict(zip(EXCITON_COLUMNS, (*cells, err))))
@@ -539,9 +534,14 @@ def criterion_7(seed: int) -> CriterionResult:
         h_momenta = [(k,) for k in range(10, 10 + side)]
         spinless_reg = exciton_registry(e_momenta, h_momenta, spinful=False)
         spinful_reg = exciton_registry(e_momenta, h_momenta, spinful=True)
+        # the rows trace the down hole of a mixed channel; these the up
+        # hole, alone and beside the up electron
+        up_e = [spinful_reg.index_of(electron(k, Spin.UP)) for k in e_momenta]
+        up_h = [spinful_reg.index_of(hole(kp, Spin.UP)) for kp in h_momenta]
+        up_subsets = [(mode,) for mode in up_h] + list(itertools.product(up_e, up_h))
         for _ in range(10):
             table = states.random_exciton_table(e_momenta, h_momenta, rng)
-            marginals = analytic.exciton_marginals(table.values)
+            halved = analytic.exciton_marginals(table.values, 0.5)
             state = states.exciton_spinless(spinless_reg, table)
             rows = exciton_rows(state, table, ExcitonChannel.SPINLESS)
             worst = max(worst, max(row["abs_err"] for row in rows))
@@ -549,16 +549,12 @@ def criterion_7(seed: int) -> CriterionResult:
                 spinful = states.exciton_spinful(spinful_reg, table, channel)
                 rows = exciton_rows(spinful, table, channel)
                 worst = max(worst, max(row["abs_err"] for row in rows))
-                # the rows trace the down hole; here the up hole, alone and
-                # beside the up electron
-                holes = [(2 * side + 2 * j,) for j in range(side)]
-                pairs = [(2 * i, 2 * side + 2 * j) for i in range(side) for j in range(side)]
-                entropies = subset_entropies(spinful, holes + pairs)
+                entropies = subset_entropies(spinful, up_subsets)
                 for kp, s in zip(h_momenta, entropies[:side]):
-                    worst = max(worst, abs(s - marginals.spinful_hole_entropy(kp)))
+                    worst = max(worst, abs(s - halved.hole_entropy(kp)))
                 momenta = itertools.product(e_momenta, h_momenta)
                 for (k, kp), s in zip(momenta, entropies[side:]):
-                    worst = max(worst, abs(s - marginals.spinful_same_entropy(k, kp)))
+                    worst = max(worst, abs(s - halved.disjoint_entropy(k, kp)))
     one_hot = PairAmplitudeTable(
         TableKind.EXCITON_A, {((0,), (10,)): 1.0}
     )

@@ -375,6 +375,36 @@ def test_approximate_x1_weights_are_geometric_in_suppressed_regime():
     assert np.all(ratios >= 0.25 - 1e-12)
 
 
+def term_by_term_approx(c, total_number, q=None):
+    """The geometric-form weights summed term by term, C^(N - 2 n0 - 2 n)
+    over n0 ascending, each power taken on its own: the oracle of the
+    walk over one table of powers."""
+    half = total_number // 2
+    keys = sorted(c)
+    weight = 1.0 if q is None else abs(complex(c[q])) ** 2
+    rest = [complex(c[k]) for k in keys if k != q]
+    coherent = abs(sum(rest)) if rest else 0.0
+    weights = np.zeros(half + 1)
+    for n in range(half + 1):
+        geo = 0.0
+        for n0 in range(half - n + 1 if q is not None else 1):
+            exponent = total_number - 2 * n0 - 2 * n
+            geo += 1.0 if exponent == 0 else coherent**exponent
+        weights[n] = (weight**n) * geo
+    return weights / weights.sum()
+
+
+@pytest.mark.parametrize("total_number", [0, 2, 6, 40, 400])
+def test_approximate_forms_match_term_by_term_sums_bit_for_bit(total_number):
+    # a random table (coherent sums near 0.07) and one whose coherent sums,
+    # 0.97 for the condensate, keep hundreds of powers above the underflow
+    drawn = random_bogoliubov_c_table([(1,), (2,), (3,)], np.random.default_rng(97)).values
+    for c in (drawn, {(1,): 0.6, (2,): 0.35j, (3,): 0.3}):
+        for q in [None, *sorted(c)]:
+            got = bogoliubov_approx(c, total_number, q).probabilities
+            assert got.tobytes() == term_by_term_approx(c, total_number, q).tobytes()
+
+
 def test_geometric_pair_distribution():
     dist = geometric_pair_distribution(0.5, 3)
     want = np.array([1.0, 0.25, 0.0625, 0.015625])
@@ -437,26 +467,27 @@ def test_spinful_exciton_entropies_match_bruteforce_rdm():
     e_momenta = [(0,), (1,)]
     h_momenta = [(5,), (6,)]
     table = random_exciton_table(e_momenta, h_momenta, rng)
-    marg = exciton_marginals(table.values)
+    # each mode of one spin branch carries half of every weight
+    marg = exciton_marginals(table.values, 0.5)
     reg = exciton_registry(e_momenta, h_momenta, spinful=True)
     for channel in (ExcitonChannel.TRIPLET_ZERO, ExcitonChannel.SINGLET):
         state = exciton_spinful(reg, table, channel)
         for i, k in enumerate(e_momenta):
-            assert marg.spinful_electron_entropy(k) == pytest.approx(
+            assert marg.electron_entropy(k) == pytest.approx(
                 mode_entanglement(state, (2 * i,)), abs=1e-12
             )
         for j, kp in enumerate(h_momenta):
-            assert marg.spinful_hole_entropy(kp) == pytest.approx(
+            assert marg.hole_entropy(kp) == pytest.approx(
                 mode_entanglement(state, (4 + 2 * j,)), abs=1e-12
             )
         for i, k in enumerate(e_momenta):
             for j, kp in enumerate(h_momenta):
                 opposite = (2 * i, 4 + 2 * j + 1)  # e up with h down
-                assert marg.spinful_opposite_entropy(k, kp) == pytest.approx(
+                assert marg.joint_entropy(k, kp) == pytest.approx(
                     mode_entanglement(state, opposite), abs=1e-12
                 )
                 same = (2 * i, 4 + 2 * j)  # e up with h up
-                assert marg.spinful_same_entropy(k, kp) == pytest.approx(
+                assert marg.disjoint_entropy(k, kp) == pytest.approx(
                     mode_entanglement(state, same), abs=1e-12
                 )
 

@@ -20,6 +20,7 @@ from fockent import (
     NormalizationError,
     RegistryMismatchError,
     SecondQuantizedHamiltonian,
+    SizeGuardError,
     Spin,
     apply_annihilation,
     apply_creation,
@@ -489,6 +490,24 @@ def test_sector_rank_tables_hold_what_the_sector_reaches():
     np.testing.assert_array_equal(got, np.arange(1001))
     assert sum(len(table) for _, _, table, _ in sector._tables) == 2 * 1001
     assert peak < 2**20
+
+
+def test_sector_table_of_counts_beyond_guard_squared_is_refused(monkeypatch):
+    # a Bose dimer of cutoff 10**4 at N = 10**4 has dimension 10**4 + 1, but
+    # its table of counts holds 2 x (N + 1) cells: above guard**2, refused
+    # before it is built
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "100")
+    reg = registry_create([boson(0), boson(1)], cutoffs=10**4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="table of counts"):
+            sector_dimension(reg, 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    # at N up to the guard the table is built; only the keys check the dimension
+    assert sector_dimension(reg, 100) == 101
 
 
 def test_sector_of_no_modes():

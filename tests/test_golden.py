@@ -2,12 +2,16 @@
 
 Each case runs ``fockent <argv> --out <table>`` in a fresh interpreter
 with one BLAS thread and pins the SHA-256 of the table, its
-``.meta.json`` sidecar (empty when none is written) and stdout.  The
-dynamics cases run on a Hubbard dimer (dense eigh), on interacting
-rings of 11 sites at N = 5 (dimension 462) and 12 sites at N = 6
-(dimension 924), and on a six-site Bose-Hubbard ring of cutoff 3 at
-N = 6 (dimension 336, whose sector index has two groups of three
-modes, the last one bosonic), all three by sparse Chebyshev
+``.meta.json`` sidecar (empty when none is written) and stdout.  Every
+exciton channel has a case; the stretched channels, triplet_up and
+triplet_down, reduce to the spinless pair and print the default's
+table, so the three share one digest.  ``bogoliubov --pairs 2 --n 60``
+walks 496 patterns in both the projected state and the exact
+distribution.  The dynamics cases run on a Hubbard dimer (dense
+eigh), on interacting rings of 11 sites at N = 5 (dimension 462) and
+12 sites at N = 6 (dimension 924), and on a six-site Bose-Hubbard ring
+of cutoff 3 at N = 6 (dimension 336, whose sector index has two groups
+of three modes, the last one bosonic), all three by sparse Chebyshev
 propagation.  The 12-site ring's half chain has Gram side 64, above
 ``BLOCK_CROSSOVER``, so its entropies take the number-block path, with
 blocks of 6, 15 and 20 rows.
@@ -121,6 +125,14 @@ GOLDEN = {
         ["exciton", "--channel", "singlet"],
         "b5059f1910365c614b601a6bfacec8022bbfd8ee2675d73daee41d9e245d404e",
     ),
+    "exciton_triplet_up": (
+        ["exciton", "--channel", "triplet_up"],
+        "9925a108132f9484903f370a72538c4b3315c38d0bd113ae14a372a863bb7a53",
+    ),
+    "exciton_triplet_down": (
+        ["exciton", "--channel", "triplet_down"],
+        "9925a108132f9484903f370a72538c4b3315c38d0bd113ae14a372a863bb7a53",
+    ),
     "exciton_triplet_zero_json": (
         ["exciton", "--channel", "triplet_zero", "--format", "json"],
         "691b4d9cf567a5530ef9744f33616e6d552d4f2dc9a13cf9beb7cac708e13e86",
@@ -140,6 +152,10 @@ GOLDEN = {
     "bogoliubov": (
         ["bogoliubov"],
         "1684eeac8d4acd49cc5ccb0876a12104745b1b6c1bfaa645908a949d496627ce",
+    ),
+    "bogoliubov_pairs_2_n_60": (
+        ["bogoliubov", "--pairs", "2", "--n", "60"],
+        "aeab07e97842c4de01cc9e48574713c4c111321ec43f960a3333a10224378965",
     ),
     "bogoliubov_unprojected_2": (
         ["bogoliubov", "--unprojected", "--pairs", "2"],

@@ -199,6 +199,13 @@ def test_uniform_filling_state_counts_and_occupations():
         uniform_filling_state(reg, 5, 6)
 
 
+def test_uniform_filling_state_beyond_guard_squared_is_refused(monkeypatch):
+    # C(16, 8) = 12,870 fillings, above guard**2 = 10**4
+    monkeypatch.setenv("FOCKENT_SIZE_GUARD", "100")
+    with pytest.raises(SizeGuardError, match="uniform filling"):
+        uniform_filling_state(uniform_registry(16), 16, 8)
+
+
 # exact amplitudes: powers of two times 1, -1, i or -i, so that no product
 # rounds and a builder must equal its apply_creation chain bit for bit
 EXACT_G = (1.0, -0.5, 2j, -0.25j)
