@@ -534,8 +534,8 @@ def criterion_7(seed: int) -> CriterionResult:
         h_momenta = [(k,) for k in range(10, 10 + side)]
         spinless_reg = exciton_registry(e_momenta, h_momenta, spinful=False)
         spinful_reg = exciton_registry(e_momenta, h_momenta, spinful=True)
-        # the rows trace the down hole of a mixed channel; these the up
-        # hole, alone and beside the up electron
+        # the rows of a two-branch channel trace the down hole; these the
+        # up hole, alone and beside the up electron
         up_e = [spinful_reg.index_of(electron(k, Spin.UP)) for k in e_momenta]
         up_h = [spinful_reg.index_of(hole(kp, Spin.UP)) for kp in h_momenta]
         up_subsets = [(mode,) for mode in up_h] + list(itertools.product(up_e, up_h))
